@@ -71,14 +71,10 @@ from .solvers import (
     ColumnSpan,
     EngineError,
     SNFResult,
-    column_span,
-    groebner_basis,
     int_determinant,
     kernel_columns,
-    normal_form,
     prune_columns,
     smith_normal_form,
-    span_of_hom,
     syzygies,
 )
 from .lefschetz import (

@@ -3,7 +3,8 @@
 Inputs are plain-text documents in the grammar printed by --emit-grammar.
 Exit codes: 0 everything checked out, 1 an identity failed to hold
 (trace mismatch, zigzag defect, nonzero additivity defect), 2 bad input
-(unparseable file, unknown name, malformed object).
+(unparseable file, unknown name, malformed object, a module with no
+resolution within --max-length).
 
     gradedtrace trace free -m endo.txt
     gradedtrace trace hs -M module.txt -f endo.txt
@@ -23,7 +24,7 @@ import sys
 
 from .freemod import GradedMatrixHom
 from .lefschetz import builtin_catalog, run_suite
-from .modules import Resolution, verify_resolution
+from .modules import Resolution, ResolutionTooLong, resolve, verify_resolution
 from .monoidal import categorical_trace, standard_duality, zigzag_defects
 from .solvers import EngineError
 from .textio import GRAMMAR, Document, ParseError, parse_file
@@ -131,8 +132,6 @@ def _resolution_from_file(path: str, module) -> Resolution:
 def _cmd_resolve(args) -> int:
     doc = _load(args.file)
     name, module = _pick(doc.modules, args.name, "module", args.file)
-    from .modules import resolve
-
     res = resolve(module, max_length=args.max_length)
     verify_resolution(res)
     steps = [{"rank": m.rank, "shifts": list(m.shifts)} for m in res.modules]
@@ -350,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except (ParseError, EngineError, ValueError) as exc:
+    except (ParseError, EngineError, ValueError, ResolutionTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -225,9 +225,6 @@ class GradedMatrixHom:
             self.source.shifted(n), self.target.shifted(n), self.degree, self.entries
         )
 
-    def transpose_entries(self) -> list[list[RingElement]]:
-        return [list(self.column(j)) for j in range(self.source.rank)]
-
     def __str__(self) -> str:
         body = "; ".join(
             "[" + ", ".join(str(e) for e in row) + "]" for row in self.entries
@@ -309,36 +306,7 @@ def determinant(f: GradedMatrixHom) -> RingElement:
     """Exact determinant by expansion with memoization over column subsets."""
     if f.source.rank != f.target.rank:
         raise ValueError("determinant needs a square matrix")
-    n = f.source.rank
-    ring = f.ring
-    if n == 0:
-        return ring.one()
-    entries = f.entries
-    cache: dict[tuple[int, int], RingElement] = {}
-
-    def minor(row: int, colmask: int) -> RingElement:
-        # Determinant of rows row..n-1 against the columns set in colmask.
-        if row == n:
-            return ring.one()
-        key = (row, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = ring.zero()
-        sign = 1
-        for j in range(n):
-            if not (colmask >> j) & 1:
-                continue
-            e = entries[row][j]
-            if e:
-                sub = minor(row + 1, colmask & ~(1 << j))
-                term = e * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    return _bare_determinant(f.ring, f.entries)
 
 
 def is_invertible(f: GradedMatrixHom) -> tuple[bool, GradedMatrixHom | None]:
@@ -365,10 +333,7 @@ def is_invertible(f: GradedMatrixHom) -> tuple[bool, GradedMatrixHom | None]:
                 [f.entries[r][c] for c in range(n) if c != i]
                 for r in range(n) if r != j
             ]
-            if n == 1:
-                cof = ring.one()
-            else:
-                cof = _bare_determinant(ring, sub)
+            cof = _bare_determinant(ring, sub)
             if (i + j) % 2:
                 cof = -cof
             row.append(det_inv * cof)
@@ -377,10 +342,8 @@ def is_invertible(f: GradedMatrixHom) -> tuple[bool, GradedMatrixHom | None]:
     return True, inverse
 
 
-def _bare_determinant(ring: RingSpec, rows: list[list[RingElement]]) -> RingElement:
+def _bare_determinant(ring: RingSpec, rows: Sequence[Sequence[RingElement]]) -> RingElement:
     n = len(rows)
-    if n == 0:
-        return ring.one()
     cache: dict[tuple[int, int], RingElement] = {}
 
     def minor(row: int, colmask: int) -> RingElement:

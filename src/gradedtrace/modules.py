@@ -338,8 +338,7 @@ def verify_resolution(res: Resolution) -> None:
     # alternative resolutions may present the relation submodule differently;
     # only the column span must agree
     first_span = ColumnSpan(first.target, first.columns())
-    rel_span = ColumnSpan(rel.target, rel.columns())
-    if not all(rel_span.contains(c) for c in first.columns()) or not all(
+    if not all(res.module.span.contains(c) for c in first.columns()) or not all(
         first_span.contains(c) for c in rel.columns()
     ):
         raise EngineError("first map does not span the relations of the module")

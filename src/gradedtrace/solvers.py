@@ -3,17 +3,17 @@
 Two backends sit behind one interface.  Over the integers, Smith normal form
 (with all four unimodular transforms tracked) answers membership and kernel
 questions block-by-block along the grading.  Over polynomial and Laurent
-rings, a strong Groebner engine for modules over Z[x_1..x_n] does the same
-work: leading terms of submodule elements are divisible, coefficient and
-monomial both, by a basis leading term, so normal forms certify membership.
-The term order is fixed once and for all: position-over-term (lower index
-wins) with degree-reverse-lexicographic monomials; it is not configurable.
+rings, one engine class does the same work with a strong Groebner basis for
+modules over Z[x_1..x_n]: leading terms of submodule elements are divisible,
+coefficient and monomial both, by a basis leading term, so normal forms
+certify membership.  The term order is fixed once and for all:
+position-over-term (lower index wins) with degree-reverse-lexicographic
+monomials; it is not configurable.
 
-Laurent rings are handled by adjoining a formal inverse for every variable
-(degrees negated, still even) and appending the relation columns
-(x_i*y_i - 1)*e_k for every coordinate; membership and syzygies then reduce
-to the polynomial engine and map back along y_i -> x_i^-1.  Rescaling columns
-by unit monomials alone would compute membership in the wrong module (the
+A Laurent ring enters the same engine with a formal inverse y_i for every
+variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
+coordinate; answers map back along y_i -> x_i^-1.  Rescaling columns by
+unit monomials alone would compute membership in the wrong module (the
 polynomial span is not saturated), so the inverse variables are essential.
 """
 
@@ -28,9 +28,7 @@ from .rings import (
     INHOMOGENEOUS,
     INTEGERS,
     LAURENT,
-    POLYNOMIAL,
     RingElement,
-    RingSpec,
 )
 
 
@@ -451,50 +449,6 @@ def _scaled_cert(poly: dict, cert: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Ring element <-> engine conversions
-# ---------------------------------------------------------------------------
-
-
-def _to_engine_column(col: Vector) -> dict:
-    out: dict = {}
-    for pos, entry in enumerate(col):
-        for exp, c in entry.items():
-            out[(pos, exp)] = c
-    return out
-
-
-def _from_engine_vector(ring: RingSpec, rank: int, vec: dict) -> Vector:
-    per_pos: list[dict] = [dict() for _ in range(rank)]
-    for (pos, exp), c in vec.items():
-        per_pos[pos][exp] = c
-    return tuple(RingElement(ring, d) for d in per_pos)
-
-
-def _laurent_partner(ring: RingSpec) -> RingSpec:
-    names = ring.var_names + tuple(f"{n}__inv" for n in ring.var_names)
-    degrees = ring.var_degrees + tuple(-d for d in ring.var_degrees)
-    return RingSpec(POLYNOMIAL, names, degrees, ring.grading)
-
-
-def _laurent_to_poly(poly_ring: RingSpec, a: RingElement) -> RingElement:
-    n = len(a.ring.var_names)
-    terms: dict = {}
-    for exp, c in a.items():
-        key = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
-        terms[key] = terms.get(key, 0) + c
-    return RingElement(poly_ring, terms)
-
-
-def _poly_to_laurent(laurent: RingSpec, a: RingElement) -> RingElement:
-    n = len(laurent.var_names)
-    terms: dict = {}
-    for exp, c in a.items():
-        key = tuple(exp[i] - exp[n + i] for i in range(n))
-        terms[key] = terms.get(key, 0) + c
-    return RingElement(laurent, terms)
-
-
-# ---------------------------------------------------------------------------
 # Column spans: one membership interface over all three ring kinds
 # ---------------------------------------------------------------------------
 
@@ -618,105 +572,83 @@ class _IntBackend:
 
 
 class _PolyBackend:
+    """The strong Groebner engine, over a polynomial or a Laurent ring.
+
+    A Laurent exponent e enters the engine as the pair (max(e, 0), max(-e, 0))
+    over twice the variables and leaves as their difference, and the columns
+    (x_i*y_i - 1)*e_k join the inputs; certificates and syzygies keep only
+    the entries of the caller's columns, since the added ones vanish.
+    """
+
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
         self.ambient = ambient
         self.columns = columns
         self.ring = ambient.ring
-        self.gb = _ModuleGB(
-            self.ring.nvars, [_to_engine_column(c) for c in columns]
-        )
+        self.laurent = self.ring.kind == LAURENT
+        n = self.ring.nvars
+        engine_cols = [self._to_engine(c) for c in columns]
+        if self.laurent:
+            zero = (0,) * (2 * n)
+            for k in range(ambient.rank):
+                for i in range(n):
+                    unit = tuple(1 if t in (i, n + i) else 0 for t in range(2 * n))
+                    engine_cols.append({(k, unit): 1, (k, zero): -1})
+        self.gb = _ModuleGB(2 * n if self.laurent else n, engine_cols)
+
+    def _to_engine(self, v: Vector) -> dict:
+        out: dict = {}
+        for pos, entry in enumerate(v):
+            for exp, c in entry.items():
+                if self.laurent:
+                    exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
+                out[(pos, exp)] = c
+        return out
+
+    def _element(self, terms: dict) -> RingElement:
+        if not self.laurent:
+            return RingElement(self.ring, terms)
+        n = self.ring.nvars
+        merged: dict = {}
+        for exp, c in terms.items():
+            key = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
+            merged[key] = merged.get(key, 0) + c
+        return RingElement(self.ring, merged)
+
+    def _vector(self, vec: dict) -> Vector:
+        per_pos: list[dict] = [dict() for _ in range(self.ambient.rank)]
+        for (pos, exp), c in vec.items():
+            per_pos[pos][exp] = c
+        return tuple(self._element(d) for d in per_pos)
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, qs = _reduce(_to_engine_column(v), self.gb.basis)
+        rem, qs = _reduce(self._to_engine(v), self.gb.basis)
         cert_total: dict = {}
         for qi, q in enumerate(qs):
             if q:
                 _cert_iadd_scaled(
                     cert_total, self.gb.zero_exp, 1, _scaled_cert(q, self.gb.basis[qi].cert)
                 )
-        remainder = _from_engine_vector(self.ring, self.ambient.rank, rem)
         certificate = [
-            RingElement(self.ring, cert_total.get(j, {}))
-            for j in range(len(self.columns))
+            self._element(cert_total.get(j, {})) for j in range(len(self.columns))
         ]
-        return remainder, certificate
+        return self._vector(rem), certificate
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         s = len(self.columns)
         out = []
         for cert in self.gb.syzygies:
-            vec = tuple(RingElement(self.ring, cert.get(j, {})) for j in range(s))
+            vec = tuple(self._element(cert.get(j, {})) for j in range(s))
             if any(vec):
                 out.append(vec)
         return out
 
     def basis_vectors(self) -> list[Vector]:
-        return [
-            _from_engine_vector(self.ring, self.ambient.rank, g.vec)
-            for g in self.gb.basis
-        ]
-
-
-class _LaurentBackend:
-    def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
-        self.ambient = ambient
-        self.columns = columns
-        self.ring = ambient.ring
-        self.poly_ring = _laurent_partner(self.ring)
-        pcols = [
-            tuple(_laurent_to_poly(self.poly_ring, e) for e in col) for col in columns
-        ]
-        self.relation_count = 0
-        engine_cols = [_to_engine_column(c) for c in pcols]
-        n = len(self.ring.var_names)
-        zero = (0,) * (2 * n)
-        for k in range(ambient.rank):
-            for i in range(n):
-                unit_exp = tuple(
-                    1 if t == i or t == n + i else 0 for t in range(2 * n)
-                )
-                engine_cols.append({(k, unit_exp): 1, (k, zero): -1})
-                self.relation_count += 1
-        self.gb = _ModuleGB(2 * n, engine_cols)
-
-    def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        pv = tuple(_laurent_to_poly(self.poly_ring, e) for e in v)
-        rem, qs = _reduce(_to_engine_column(pv), self.gb.basis)
-        cert_total: dict = {}
-        for qi, q in enumerate(qs):
-            if q:
-                _cert_iadd_scaled(
-                    cert_total, self.gb.zero_exp, 1, _scaled_cert(q, self.gb.basis[qi].cert)
-                )
-        poly_rem = _from_engine_vector(self.poly_ring, self.ambient.rank, rem)
-        remainder = tuple(_poly_to_laurent(self.ring, e) for e in poly_rem)
-        certificate = []
-        for j in range(len(self.columns)):
-            poly = RingElement(self.poly_ring, cert_total.get(j, {}))
-            certificate.append(_poly_to_laurent(self.ring, poly))
-        return remainder, certificate
-
-    def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        s = len(self.columns)
-        out = []
-        for cert in self.gb.syzygies:
-            vec = tuple(
-                _poly_to_laurent(
-                    self.ring, RingElement(self.poly_ring, cert.get(j, {}))
-                )
-                for j in range(s)
-            )
-            if any(vec):
-                out.append(vec)
-        return out
-
-    def basis_vectors(self) -> list[Vector]:
+        # x_i*y_i - 1 and its multiples are basis elements that vanish here
         out = []
         for g in self.gb.basis:
-            pv = _from_engine_vector(self.poly_ring, self.ambient.rank, g.vec)
-            lv = tuple(_poly_to_laurent(self.ring, e) for e in pv)
-            if any(lv):
-                out.append(lv)
+            v = self._vector(g.vec)
+            if any(v):
+                out.append(v)
         return out
 
 
@@ -731,21 +663,14 @@ class ColumnSpan:
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
         self.ambient = ambient
         self.columns = [ambient.coerce_vector(c) for c in columns]
-        kind = ambient.ring.kind
-        if kind == INTEGERS:
+        if ambient.ring.kind == INTEGERS:
             self._backend = _IntBackend(ambient, self.columns)
-        elif kind == POLYNOMIAL:
+        else:
             self._backend = _PolyBackend(ambient, self.columns)
-        elif kind == LAURENT:
-            self._backend = _LaurentBackend(ambient, self.columns)
-        else:  # pragma: no cover
-            raise EngineError(f"no backend for ring kind {kind}")
         self._syz: list[tuple[RingElement, ...]] | None = None
 
     def normal_form(self, v) -> tuple[Vector, list[RingElement]]:
-        v = self.ambient.coerce_vector(v)
-        remainder, certificate = self._backend.normal_form(v)
-        return remainder, certificate
+        return self._backend.normal_form(self.ambient.coerce_vector(v))
 
     def contains(self, v) -> bool:
         remainder, _ = self.normal_form(v)
@@ -758,23 +683,6 @@ class ColumnSpan:
 
     def basis_vectors(self) -> list[Vector]:
         return self._backend.basis_vectors()
-
-
-def column_span(ambient: GradedFreeModule, columns) -> ColumnSpan:
-    return ColumnSpan(ambient, list(columns))
-
-
-def span_of_hom(f: GradedMatrixHom) -> ColumnSpan:
-    return ColumnSpan(f.target, f.columns())
-
-
-def groebner_basis(f: GradedMatrixHom) -> list[Vector]:
-    """The deterministic interreduced strong basis of the column span."""
-    return span_of_hom(f).basis_vectors()
-
-
-def normal_form(v, span: ColumnSpan) -> tuple[Vector, list[RingElement]]:
-    return span.normal_form(v)
 
 
 def prune_columns(

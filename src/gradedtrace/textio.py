@@ -163,6 +163,11 @@ class Document:
 
 _STATEMENTS = ("ring", "free", "module", "matrix", "hom", "ses", "case")
 
+# Parentheses, unary minus and payload brackets each open one level.  The
+# parser recurses at most four frames per level, so this cap keeps every
+# document far below the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], filename: str):
@@ -170,6 +175,7 @@ class _Parser:
         self.pos = 0
         self.filename = filename
         self.doc = Document()
+        self.depth = 0
 
     # token plumbing
 
@@ -201,6 +207,12 @@ class _Parser:
 
     def _expect_punct(self, ch: str) -> Token:
         return self._expect("punct", ch)
+
+    def _descend(self, tok: Token) -> None:
+        """Open one nesting level at tok; the caller closes it on return."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail(tok, f"nested more than {MAX_NESTING} levels deep")
 
     # small literals
 
@@ -288,8 +300,12 @@ class _Parser:
         return value
 
     def _element_factor(self, ring: RingSpec) -> RingElement:
+        tok = self._peek()
         if self._accept("punct", "-"):
-            return -self._element_factor(ring)
+            self._descend(tok)
+            value = -self._element_factor(ring)
+            self.depth -= 1
+            return value
         base = self._element_atom(ring)
         if self._accept("punct", "^"):
             anchor = self._peek()
@@ -312,8 +328,10 @@ class _Parser:
             return ring.gen(tok.text)
         if tok.kind == "punct" and tok.text == "(":
             self._advance()
+            self._descend(tok)
             value = self._element(ring)
             self._expect_punct(")")
+            self.depth -= 1
             return value
         self._fail(tok, f"expected an element, got {tok.text!r}")
 
@@ -343,12 +361,14 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "punct" and tok.text == "[":
             self._advance()
+            self._descend(tok)
             items = []
             if not self._accept("punct", "]"):
                 items.append(self._payload_item(ring))
                 while self._accept("punct", ","):
                     items.append(self._payload_item(ring))
                 self._expect_punct("]")
+            self.depth -= 1
             return items
         return self._element(ring)
 
@@ -645,10 +665,6 @@ def parse_file(path: str) -> Document:
 # printers: emit exactly the grammar above
 
 
-def element_source(e: RingElement) -> str:
-    return str(e)
-
-
 def _row_source(row) -> str:
     return "[" + ", ".join(str(e) for e in row) + "]"
 
@@ -868,4 +884,4 @@ SIGNED     := "-"? INTEGER
 STRING     := '"' (escaped with backslash) '"'
 comments   := "#" to end of line
 semicolons are optional separators; each ";" above may be omitted
-"""
+""" + f'"(", unary "-" and payload "[" nest at most {MAX_NESTING} levels deep\n'

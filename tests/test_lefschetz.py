@@ -188,7 +188,13 @@ def test_cli_bad_input_paths(workdir, capsys):
     assert main(["lefschetz", "run", "--filter", "no_such_case"]) == 2
     (workdir / "broken.txt").write_text("ring Z; free P [oops];")
     assert main(["trace", "free", "-m", str(workdir / "broken.txt")]) == 2
-    capsys.readouterr()
+    deep = "(" * 2000 + "1" + ")" * 2000
+    (workdir / "deep.txt").write_text(f"ring Z; free P [0]; matrix F : P -> P {{ rows [[{deep}]]; }}")
+    assert main(["trace", "free", "-m", str(workdir / "deep.txt")]) == 2
+    assert "nested more than" in capsys.readouterr().err
+    (workdir / "xy.txt").write_text("ring Z[x:2,y:2]; module M { gens [0]; rels [[x], [y]]; }")
+    assert main(["resolve", "-f", str(workdir / "xy.txt"), "--max-length", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_emit_grammar(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gradedtrace import (
+    GRADING_Z2,
     ColumnSpan,
     GradedFreeModule,
     GradedMatrixHom,
@@ -29,6 +30,11 @@ ZX = polynomial_ring(["x"], [2])
 ZXY = polynomial_ring(["x", "y"], [2, 4])
 ZT = polynomial_ring(["t"], [0])
 ZL = laurent_ring(["t"], [0])
+# two Laurent variables, so that exponents split into and merge from pairs
+LAURENT_2VAR = [
+    laurent_ring(["s", "t"], [0, 2]),
+    laurent_ring(["s", "t"], [2, 2], GRADING_Z2),
+]
 
 
 def _mat_mul(a, b):
@@ -112,7 +118,7 @@ def test_integer_membership_brute_force_cross_check():
 
 def test_certificates_recombine_exactly():
     rng = random.Random(41)
-    for ring in gu.THREE_KINDS:
+    for ring in gu.THREE_KINDS + LAURENT_2VAR:
         for _ in range(25):
             m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
             cols = []
@@ -213,7 +219,7 @@ def test_koszul_syzygy():
 
 def test_syzygies_random_compose_to_zero_and_homogeneous():
     rng = random.Random(13)
-    for ring in gu.THREE_KINDS:
+    for ring in gu.THREE_KINDS + LAURENT_2VAR:
         for _ in range(20):
             target = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
             source = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))

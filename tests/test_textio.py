@@ -12,6 +12,7 @@ from gradedtrace import (
     parse_source,
     polynomial_ring,
 )
+from gradedtrace.textio import MAX_NESTING
 
 Z = integers()
 
@@ -83,6 +84,21 @@ def test_parse_errors_carry_positions():
         parse_source("ring Z;\nfree P [0, oops];\n")
     msg = str(err.value)
     assert "2:" in msg  # line number of the offending token
+
+
+def test_nesting_is_capped_at_the_offending_token():
+    head = "ring Z;\nfree P [0];\nmatrix F : P -> P { rows [["
+    at_cap = "-(" * (MAX_NESTING // 2) + "1" + ")" * (MAX_NESTING // 2)
+    assert parse_source(head + at_cap + "]]; }").matrices["F"].entries[0][0] == Z.const((-1) ** (MAX_NESTING // 2))
+    for opener, closer in (("(", ")"), ("-", "")):
+        past = opener * (MAX_NESTING + 1) + "1" + closer * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_source(head + past + "]]; }")
+        assert (err.value.line, err.value.col) == (3, len("matrix F : P -> P { rows [[") + MAX_NESTING + 1)
+    case = "ring Z;\nmodule M { gens [0]; }\nhom f : M -> M { lift [[1]]; }\ncase c { title \"t\"; even f; odd f; oracle weight_sum "
+    with pytest.raises(ParseError) as err:
+        parse_source(case + "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1) + "; }")
+    assert "nested more than" in err.value.message
 
 
 def test_unknown_generator_is_an_error():
