@@ -1,10 +1,8 @@
 """Command-line surface for the trace engine.
 
 Inputs are plain-text documents in the grammar printed by --emit-grammar.
-Exit codes: 0 everything checked out, 1 an identity failed to hold
-(trace mismatch, zigzag defect, nonzero additivity defect), 2 bad input
-(unparseable file, unknown name, malformed object, a module with no
-resolution within --max-length).
+Exit codes (also printed by --help): 0 everything checked out, 1 an
+identity failed to hold, 2 bad input or an internal EngineError.
 
     gradedtrace trace free -m endo.txt
     gradedtrace trace hs -M module.txt -f endo.txt
@@ -27,10 +25,24 @@ from .lefschetz import builtin_catalog, run_suite
 from .modules import Resolution, ResolutionTooLong, resolve, verify_resolution
 from .monoidal import categorical_trace, standard_duality, zigzag_defects
 from .solvers import EngineError
-from .textio import GRAMMAR, Document, ParseError, parse_file
+from .textio import GRAMMAR, MAX_NESTING, Document, ParseError, parse_file
 from .trace import TraceValue, additivity_defect, free_trace, hs_trace
 
 OK, MISMATCH, BAD_INPUT = 0, 1, 2
+
+EXIT_CODES = f"""\
+exit codes:
+  0  everything checked out
+  1  an identity failed to hold: a trace mismatch, a zigzag defect, a
+     nonzero additivity defect, or a catalog case whose engine and oracle
+     values differ
+  2  bad input: an unreadable or unparseable file, an unknown name, a
+     malformed object, an element nested more than {MAX_NESTING} levels
+     deep, a module with no resolution within --max-length, a catalog case
+     that raised, or a usage error; an EngineError (a failed internal
+     invariant, which is a bug rather than bad input) also exits 2, with
+     its message on stderr instead of a traceback
+"""
 
 
 class CliError(Exception):
@@ -270,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedtrace",
         description="exact traces of graded module endomorphisms",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--emit-grammar",

@@ -16,7 +16,7 @@ matching the syzygy maps produced by the solvers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .freemod import (
     GradedFreeModule,
@@ -279,16 +279,35 @@ class Resolution:
     """P_n -> ... -> P_1 -> P_0 with coker(P_1 -> P_0) the resolved module.
 
     maps[i] is the differential modules[i+1] -> modules[i]; the augmentation
-    P_0 -> module is the identity on generators.
+    P_0 -> module is the identity on generators.  The span of each map's
+    columns is built on first use and kept, for membership and certificates
+    only, so the maps must not change once a resolution is in use.
     """
 
     module: PresentedModule
     modules: list[GradedFreeModule]
     maps: list[GradedMatrixHom]
+    _spans: dict[int, ColumnSpan] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def length(self) -> int:
         return len(self.maps)
+
+    def image_span(self, j: int) -> ColumnSpan:
+        """The span of the columns of maps[j], inside modules[j].
+
+        A first map that is the module's own relation map shares the
+        module's relation span.
+        """
+        if j == 0 and self.maps[0] is self.module.relations:
+            return self.module.span
+        if j not in self._spans:
+            span = ColumnSpan(self.maps[j].target, self.maps[j].columns())
+            span.drop_syzygies()
+            self._spans[j] = span
+        return self._spans[j]
 
     def __str__(self) -> str:
         chain = " -> ".join(str(m) for m in reversed(self.modules))
@@ -298,9 +317,10 @@ class Resolution:
 def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
     """Iterate syzygies until the kernel vanishes.
 
-    Guaranteed to stop over the integers; over polynomial and Laurent rings
-    syzygy pruning keeps the tail shrinking in practice, and max_length
-    bounds the search loudly rather than looping forever.
+    max_length bounds the number of syzygy steps: past it ResolutionTooLong
+    is raised instead of looping forever.  It does not bound the work inside
+    one step, and no other bound does: over the integers the Smith normal
+    form can swell coefficients until a single step does not finish.
     """
     modules = [module.generators]
     maps: list[GradedMatrixHom] = []
@@ -337,9 +357,8 @@ def verify_resolution(res: Resolution) -> None:
         raise EngineError("resolution does not start at the generator module")
     # alternative resolutions may present the relation submodule differently;
     # only the column span must agree
-    first_span = ColumnSpan(first.target, first.columns())
     if not all(res.module.span.contains(c) for c in first.columns()) or not all(
-        first_span.contains(c) for c in rel.columns()
+        res.image_span(0).contains(c) for c in rel.columns()
     ):
         raise EngineError("first map does not span the relations of the module")
     for j in range(len(res.maps) - 1):
@@ -348,7 +367,7 @@ def verify_resolution(res: Resolution) -> None:
     for j in range(len(res.maps)):
         kernel = syzygies(res.maps[j], prune=False)
         if j + 1 < len(res.maps):
-            image = ColumnSpan(res.maps[j].source, res.maps[j + 1].columns())
+            image = res.image_span(j + 1)
             for c in kernel.columns():
                 if not image.contains(c):
                     raise EngineError(
@@ -372,10 +391,10 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
         raise ValueError("can only lift an endomorphism of the resolved module")
     d = endo.degree
     lifts = [endo.lift]
-    for dj in res.maps:
+    for j, dj in enumerate(res.maps):
         pj = dj.source
         prev = lifts[-1]
-        span = ColumnSpan(dj.target, dj.columns())
+        span = res.image_span(j)
         cols = []
         for c in range(pj.rank):
             v = prev.apply(dj.column(c))

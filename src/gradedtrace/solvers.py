@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from .freemod import GradedFreeModule, GradedMatrixHom, Vector, hom_from_columns
 from .rings import (
     ANY_DEGREE,
+    GRADING_Z,
     INHOMOGENEOUS,
     INTEGERS,
     LAURENT,
     RingElement,
+    RingSpec,
 )
 
 
@@ -43,17 +45,6 @@ class EngineError(RuntimeError):
 
 def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
 
 
 def int_determinant(rows: list[list[int]]) -> int:
@@ -320,31 +311,22 @@ class _ModuleGB:
     remaining syzygy generators, and the basis is interreduced into a
     canonical form (sorted leading terms, positive leading coefficients,
     tails Euclidean-reduced).
+
+    grown() copies a basis and admits more columns with empty certificates,
+    so the copy answers contains() and nothing else.
     """
 
     def __init__(self, nvars: int, columns: list[dict]):
         self.nvars = nvars
         self.zero_exp = (0,) * nvars
-        self.inputs = columns
         self.basis: list[_GBElem] = []
         self.syzygies: list[dict] = []
         self._queue: list[tuple] = []
-        for j, col in enumerate(columns):
-            cert = {j: {self.zero_exp: 1}}
-            if not col:
-                self.syzygies.append(cert)
-            else:
-                self._reduce_and_admit(dict(col), cert)
-        while self._queue:
-            _, kind, i, j = heapq.heappop(self._queue)
-            if i >= len(self.basis) or j >= len(self.basis):
-                raise EngineError("pair references a missing basis element")
-            vec, cert = self._build_pair(kind, i, j)
-            # A pair that cancels outright still certifies a syzygy, so it
-            # goes through the same admission path as everything else.
-            self._reduce_and_admit(vec, cert)
+        self._complete(
+            (dict(col), {j: {self.zero_exp: 1}}) for j, col in enumerate(columns)
+        )
         self._interreduce()
-        for j, col in enumerate(self.inputs):
+        for j, col in enumerate(columns):
             if not col:
                 continue
             rem, qs = _reduce(col, self.basis)
@@ -358,6 +340,29 @@ class _ModuleGB:
                     _cert_iadd_scaled(cert, self.zero_exp, -1, _scaled_cert(q, self.basis[qi].cert))
             if cert:
                 self.syzygies.append(cert)
+
+    def grown(self, columns: list[dict]) -> _ModuleGB:
+        """A copy with columns admitted and completed, certifying nothing."""
+        out = _ModuleGB(self.nvars, [])
+        out.basis = list(self.basis)
+        out._complete((dict(col), {}) for col in columns)
+        return out
+
+    def contains(self, vec: dict) -> bool:
+        return not _reduce(vec, self.basis)[0]
+
+    def _complete(self, admissions) -> None:
+        """Admit (vector, certificate) pairs, then reduce every pair they make."""
+        for vec, cert in admissions:
+            self._reduce_and_admit(vec, cert)
+        while self._queue:
+            _, kind, i, j = heapq.heappop(self._queue)
+            if i >= len(self.basis) or j >= len(self.basis):
+                raise EngineError("pair references a missing basis element")
+            vec, cert = self._build_pair(kind, i, j)
+            # A pair that cancels outright still certifies a syzygy, so it
+            # goes through the same admission path as everything else.
+            self._reduce_and_admit(vec, cert)
 
     def _register_pairs(self, t: int) -> None:
         g = self.basis[t]
@@ -453,6 +458,36 @@ def _scaled_cert(poly: dict, cert: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _SNFBlock:
+    """One grading block of the integer backend, kept to what queries need.
+
+    With M = U.D.V the Smith form of the block's matrix and d_1..d_r its
+    nonzero diagonal entries, the first r rows of U^-1 give the coordinates
+    that the d_i divide and V^-1 maps the quotients to column coefficients.
+    Remainders and basis vectors come from M itself, since U.D = M.V^-1
+    and U.(U^-1 v - D x) = v - M.V^-1 x; U and V are not kept.
+    """
+
+    __slots__ = ("rows", "cols", "mat_columns", "uinv", "diag", "vinv")
+
+    def __init__(self, rows: list[int], cols: list[int], mat: list[list[int]]):
+        snf = smith_normal_form(mat)
+        self.rows = rows
+        self.cols = cols
+        self.mat_columns = list(zip(*mat))
+        self.diag = [d for d in snf.diagonal if d]
+        self.uinv = snf.Uinv[: len(self.diag)]
+        self.vinv = snf.Vinv
+
+    def combine(self, coeffs: list[int]) -> list[int]:
+        """M.coeffs, over the block's rows."""
+        out = [0] * len(self.rows)
+        for c, column in zip(coeffs, self.mat_columns):
+            if c:
+                out = [a + c * b for a, b in zip(out, column)]
+        return out
+
+
 class _IntBackend:
     """Blockwise Smith normal form over the integers.
 
@@ -478,51 +513,34 @@ class _IntBackend:
         class_rows: dict[int, list[int]] = {}
         for i, n in enumerate(ambient.shifts):
             class_rows.setdefault(ring.reduce_degree(n), []).append(i)
-        self.blocks: dict[int, tuple[list[int], list[int], SNFResult | None]] = {}
-        for c in sorted(set(class_cols) | set(class_rows)):
+        self.blocks: list[_SNFBlock] = []
+        for c in sorted(class_cols):
             rows = class_rows.get(c, [])
-            cols = class_cols.get(c, [])
-            snf = None
-            if cols:
-                mat = [
-                    [columns[j][i].coefficient((0,) * ring.nvars) for j in cols]
-                    for i in rows
-                ]
-                for j in cols:
-                    for i in range(ambient.rank):
-                        if i not in rows and columns[j][i]:
-                            raise EngineError("column escapes its grading block")
-                snf = smith_normal_form(mat)
-            self.blocks[c] = (rows, cols, snf)
+            cols = class_cols[c]
+            for j in cols:
+                for i in range(ambient.rank):
+                    if i not in rows and columns[j][i]:
+                        raise EngineError("column escapes its grading block")
+            mat = [
+                [columns[j][i].coefficient((0,) * ring.nvars) for j in cols]
+                for i in rows
+            ]
+            self.blocks.append(_SNFBlock(rows, cols, mat))
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
         ring = self.ambient.ring
         zero_exp = (0,) * ring.nvars
         rem = [entry.coefficient(zero_exp) for entry in v]
         cert = [0] * len(self.columns)
-        for rows, cols, snf in self.blocks.values():
-            sub = [rem[i] for i in rows]
-            if snf is None or not cols:
-                continue
-            m_c, s_c = len(rows), len(cols)
-            w = [sum(snf.Uinv[i][k] * sub[k] for k in range(m_c)) for i in range(m_c)]
-            residues = list(w)
-            x = [0] * s_c
-            for i in range(min(m_c, s_c)):
-                d = snf.D[i][i]
-                if d != 0:
-                    r = w[i] % d
-                    residues[i] = r
-                    x[i] = (w[i] - r) // d
-            coeffs = [
-                sum(snf.Vinv[i][k] * x[k] for k in range(s_c)) for i in range(s_c)
-            ]
-            rem_block = [
-                sum(snf.U[i][k] * residues[k] for k in range(m_c)) for i in range(m_c)
-            ]
-            for local, i in enumerate(rows):
-                rem[i] = rem_block[local]
-            for local, j in enumerate(cols):
+        for block in self.blocks:
+            sub = [rem[i] for i in block.rows]
+            x = [0] * len(block.cols)
+            for i, (row, d) in enumerate(zip(block.uinv, block.diag)):
+                x[i] = sum(a * b for a, b in zip(row, sub)) // d
+            coeffs = [sum(a * b for a, b in zip(row, x)) for row in block.vinv]
+            for i, r in zip(block.rows, block.combine(coeffs)):
+                rem[i] -= r
+            for local, j in enumerate(block.cols):
                 cert[j] = coeffs[local]
         remainder = tuple(ring.const(c) for c in rem)
         certificate = [ring.const(c) for c in cert]
@@ -536,39 +554,61 @@ class _IntBackend:
             out.append(
                 tuple(ring.const(1 if k == j else 0) for k in range(s))
             )
-        for rows, cols, snf in self.blocks.values():
-            if snf is None or not cols:
-                continue
-            m_c, s_c = len(rows), len(cols)
-            diag = snf.diagonal
-            for k in range(s_c):
-                if k < len(diag) and diag[k] != 0:
-                    continue
-                column = [snf.Vinv[i][k] for i in range(s_c)]
+        for block in self.blocks:
+            for k in range(len(block.diag), len(block.cols)):
                 full = [0] * s
-                for local, j in enumerate(cols):
-                    full[j] = column[local]
+                for local, j in enumerate(block.cols):
+                    full[j] = block.vinv[local][k]
                 if any(full):
                     out.append(tuple(ring.const(c) for c in full))
         return out
 
+    def drop_syzygies(self) -> None:
+        """Nothing is recorded: syzygies come from the Smith forms on demand."""
+
     def basis_vectors(self) -> list[Vector]:
         ring = self.ambient.ring
         out: list[Vector] = []
-        for rows, cols, snf in self.blocks.values():
-            if snf is None or not cols:
-                continue
-            m_c, s_c = len(rows), len(cols)
-            ud = _mat_mul(snf.U, snf.D)
-            for k in range(s_c):
-                col = [ud[i][k] for i in range(m_c)]
+        for block in self.blocks:
+            for k in range(len(block.cols)):
+                # column k of U.D, which is M.V^-1
+                col = block.combine([row[k] for row in block.vinv])
                 if not any(col):
                     continue
                 full = [0] * self.ambient.rank
-                for local, i in enumerate(rows):
+                for local, i in enumerate(block.rows):
                     full[i] = col[local]
                 out.append(tuple(ring.const(c) for c in full))
         return out
+
+
+def _engine_nvars(ring: RingSpec) -> int:
+    return 2 * ring.nvars if ring.kind == LAURENT else ring.nvars
+
+
+def _to_engine(ring: RingSpec, v: Vector) -> dict:
+    out: dict = {}
+    for pos, entry in enumerate(v):
+        for exp, c in entry.items():
+            if ring.kind == LAURENT:
+                exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
+            out[(pos, exp)] = c
+    return out
+
+
+def _unit_columns(ambient: GradedFreeModule) -> list[dict]:
+    """The columns (x_i*y_i - 1)*e_k of a Laurent ring; none for other rings."""
+    ring = ambient.ring
+    if ring.kind != LAURENT:
+        return []
+    n = ring.nvars
+    zero = (0,) * (2 * n)
+    out = []
+    for k in range(ambient.rank):
+        for i in range(n):
+            unit = tuple(1 if t in (i, n + i) else 0 for t in range(2 * n))
+            out.append({(k, unit): 1, (k, zero): -1})
+    return out
 
 
 class _PolyBackend:
@@ -585,26 +625,14 @@ class _PolyBackend:
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        n = self.ring.nvars
-        engine_cols = [self._to_engine(c) for c in columns]
-        if self.laurent:
-            zero = (0,) * (2 * n)
-            for k in range(ambient.rank):
-                for i in range(n):
-                    unit = tuple(1 if t in (i, n + i) else 0 for t in range(2 * n))
-                    engine_cols.append({(k, unit): 1, (k, zero): -1})
-        self.gb = _ModuleGB(2 * n if self.laurent else n, engine_cols)
-
-    def _to_engine(self, v: Vector) -> dict:
-        out: dict = {}
-        for pos, entry in enumerate(v):
-            for exp, c in entry.items():
-                if self.laurent:
-                    exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
-                out[(pos, exp)] = c
-        return out
+        # one shared zero: most entries of syzygies and certificates are zero
+        self.zero = self.ring.zero()
+        engine_cols = [_to_engine(self.ring, c) for c in columns] + _unit_columns(ambient)
+        self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
 
     def _element(self, terms: dict) -> RingElement:
+        if not terms:
+            return self.zero
         if not self.laurent:
             return RingElement(self.ring, terms)
         n = self.ring.nvars
@@ -621,7 +649,7 @@ class _PolyBackend:
         return tuple(self._element(d) for d in per_pos)
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, qs = _reduce(self._to_engine(v), self.gb.basis)
+        rem, qs = _reduce(_to_engine(self.ring, v), self.gb.basis)
         cert_total: dict = {}
         for qi, q in enumerate(qs):
             if q:
@@ -634,6 +662,8 @@ class _PolyBackend:
         return self._vector(rem), certificate
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
+        if self.gb.syzygies is None:
+            raise EngineError("the syzygies of this span were dropped")
         s = len(self.columns)
         out = []
         for cert in self.gb.syzygies:
@@ -641,6 +671,9 @@ class _PolyBackend:
             if any(vec):
                 out.append(vec)
         return out
+
+    def drop_syzygies(self) -> None:
+        self.gb.syzygies = None
 
     def basis_vectors(self) -> list[Vector]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
@@ -681,6 +714,16 @@ class ColumnSpan:
             self._syz = self._backend.syzygy_vectors()
         return self._syz
 
+    def drop_syzygies(self) -> None:
+        """Free the syzygies recorded while the span was built.
+
+        For a span kept for membership and certificates alone: over
+        polynomial and Laurent rings the recorded syzygies can take as much
+        memory as the basis, and syzygy_vectors() raises EngineError after
+        this unless it was asked before.
+        """
+        self._backend.drop_syzygies()
+
     def basis_vectors(self) -> list[Vector]:
         return self._backend.basis_vectors()
 
@@ -688,17 +731,65 @@ class ColumnSpan:
 def prune_columns(
     ambient: GradedFreeModule, columns: list
 ) -> tuple[list[Vector], list[int]]:
-    """Drop columns lying in the span of the others (greedy, deterministic)."""
+    """Drop columns lying in the span of the others (greedy, deterministic).
+
+    The greedy pass visits the columns in index order and drops each one
+    that lies in the span of the other columns still kept.  In a ring graded
+    by Z with every variable of positive degree, a homogeneous column of
+    degree d lies in a span iff it lies in the span of that span's columns
+    of degree <= d, and dropping a column never changes the span of the kept
+    columns of degree <= e, for any e.  So the decision on a degree-d column
+    depends only on N_<d, the span of all columns of lower degree, and on
+    the kept columns of degree d: the groups of equal degree are taken in
+    increasing degree against one growing Groebner basis of N_<d, a column
+    in N_<d is dropped at once, and the greedy pass runs over the rest of
+    its group.  Every other ring or input forms one group, on which this is
+    the plain greedy pass.  The kept indices are the same either way.
+    """
     cols = [ambient.coerce_vector(c) for c in columns]
-    kept = list(range(len(cols)))
-    i = 0
-    while i < len(kept):
-        others = [cols[k] for k in kept if k != kept[i]]
-        if others and ColumnSpan(ambient, others).contains(cols[kept[i]]):
-            kept.pop(i)
-        else:
-            i += 1
+    ring = ambient.ring
+    engine = [_to_engine(ring, c) for c in cols]
+    lower = _ModuleGB(_engine_nvars(ring), []).grown(_unit_columns(ambient))
+    kept: list[int] = []
+    groups = _degree_groups(ambient, cols)
+    for g, group in enumerate(groups):
+        if g:
+            group = [j for j in group if not lower.contains(engine[j])]
+        i = 0
+        while i < len(group):
+            # alone in a later group, a column was just tested against N_<d
+            others = [engine[k] for k in group if k != group[i]]
+            if others and lower.grown(others).contains(engine[group[i]]):
+                group.pop(i)
+            else:
+                i += 1
+        kept.extend(group)
+        if g + 1 < len(groups):
+            # with N_<d, the kept columns span what the whole group does
+            lower = lower.grown([engine[k] for k in group])
+    kept.sort()
     return [cols[k] for k in kept], kept
+
+
+def _degree_groups(ambient: GradedFreeModule, cols: list[Vector]) -> list[list[int]]:
+    """Column indices grouped by degree, in increasing degree.
+
+    Laurent rings, Z/2 grading, variables of degree <= 0, and zero or
+    inhomogeneous columns put every column into one group.
+    """
+    ring = ambient.ring
+    degrees = [ambient.vector_degree(c) for c in cols]
+    if (
+        ring.kind == LAURENT
+        or ring.grading != GRADING_Z
+        or any(w <= 0 for w in ring.var_degrees)
+        or not all(isinstance(d, int) for d in degrees)
+    ):
+        return [list(range(len(cols)))]
+    by_degree: dict[int, list[int]] = {}
+    for j, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(j)
+    return [by_degree[d] for d in sorted(by_degree)]
 
 
 def kernel_columns(ambient: GradedFreeModule, columns: list) -> list[tuple[RingElement, ...]]:

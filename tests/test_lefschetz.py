@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gradedtrace import builtin_catalog, hs_trace, parse_source, run_case, run_suite
-from gradedtrace.cli import main
+from gradedtrace.cli import EXIT_CODES, main
 
 CATALOG = builtin_catalog()
 
@@ -201,6 +201,17 @@ def test_cli_emit_grammar(capsys):
     assert main(["--emit-grammar"]) == 0
     out = capsys.readouterr().out
     assert "ring" in out and "case" in out
+
+
+def test_cli_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith(EXIT_CODES.rstrip())
+    for line in ("  0  everything checked out", "  1  an identity failed", "  2  bad input"):
+        assert line in out
+    assert "EngineError" in out and "exits 2" in out
 
 
 def test_cli_no_command_prints_help(capsys):

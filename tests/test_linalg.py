@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradedtrace import (
     GRADING_Z2,
@@ -28,6 +30,7 @@ import genutils as gu
 Z = integers()
 ZX = polynomial_ring(["x"], [2])
 ZXY = polynomial_ring(["x", "y"], [2, 4])
+ZXY_EVEN = polynomial_ring(["x", "y"], [2, 2])
 ZT = polynomial_ring(["t"], [0])
 ZL = laurent_ring(["t"], [0])
 # two Laurent variables, so that exponents split into and merge from pairs
@@ -199,6 +202,91 @@ def test_prune_columns_keeps_span():
     assert all(span_kept.contains(c) for c in cols)
     assert all(span_all.contains(c) for c in kept)
     assert [cols[i] for i in indices] == kept
+
+
+def _greedy_reference(ambient, cols):
+    """The plain greedy pass: drop each column lying in the span of the others kept."""
+    kept = list(range(len(cols)))
+    i = 0
+    while i < len(kept):
+        others = [cols[k] for k in kept if k != kept[i]]
+        if others and ColumnSpan(ambient, others).contains(cols[kept[i]]):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+PRUNE_RINGS = [
+    Z,
+    polynomial_ring(["x", "y"], [2, 2]),
+    polynomial_ring(["x", "y"], [2, 2], GRADING_Z2),
+    polynomial_ring(["x", "t"], [2, 0]),
+    polynomial_ring(["x", "s"], [2, -2]),
+    laurent_ring(["t"], [2]),
+]
+
+
+def _dependent_columns(rng, ring):
+    """A few homogeneous columns, then nonzero combinations of them, shuffled.
+
+    A zero column puts every column into one group, so it is added rarely.
+    """
+    m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-1, hi=1))
+    base = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(-1, 2)
+        col = [gu.random_homogeneous(rng, ring, k + n, span=1) for n in m.shifts]
+        if any(col):
+            base.append((k, col))
+    cols = [col for _, col in base]
+    for _ in range(rng.randint(1, 4) if base else 0):
+        k = rng.choice(base)[0] + 2 * rng.randint(-1, 1)
+        combo = [ring.zero()] * m.rank
+        for kb, col in base:
+            a = gu.random_homogeneous(rng, ring, k - kb, span=1)
+            combo = [e + a * c for e, c in zip(combo, col)]
+        if any(combo):
+            cols.append(combo)
+    if rng.random() < 0.1:
+        cols.append([ring.zero()] * m.rank)
+    rng.shuffle(cols)
+    return m, [m.coerce_vector(c) for c in cols]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ring=st.sampled_from(PRUNE_RINGS), rng=st.randoms(use_true_random=False))
+def test_prune_columns_matches_greedy_reference(ring, rng):
+    m, cols = _dependent_columns(rng, ring)
+    kept, indices = prune_columns(m, cols)
+    assert indices == _greedy_reference(m, cols)
+    assert kept == [cols[i] for i in indices]
+
+
+def test_prune_columns_keeps_the_greedy_choice_over_z():
+    # One pass in increasing degree that keeps each column not yet in the span
+    # (graded Nakayama) keeps [0, 1, 2], three columns where the greedy pass
+    # finds two: column 2 = column 3 - y * column 4 and column 1 =
+    # 3 * column 3 - (x + 3y) * column 4.  Degree 0 is Z, not a field.
+    m = GradedFreeModule(ZXY_EVEN, (-1, 1, 1))
+    x, y = ZXY_EVEN.gen("x"), ZXY_EVEN.gen("y")
+    cols = [
+        (0, -5, -3),
+        (3, -x - 3 * y, 0),
+        (1, -2 * x - y, -x),
+        (1, -2 * x - 6 * y, -x - 3 * y),
+        (0, -5, -3),
+        (0, 10, 6),
+    ]
+    cols = [m.coerce_vector(c) for c in cols]
+    assert _greedy_reference(m, cols) == [3, 4]
+    assert prune_columns(m, cols)[1] == [3, 4]
 
 
 # -- syzygies ------------------------------------------------------------------

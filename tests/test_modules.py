@@ -5,6 +5,8 @@ import random
 import pytest
 
 from gradedtrace import (
+    ColumnSpan,
+    EngineError,
     GradedFreeModule,
     GradedMatrixHom,
     ModuleHom,
@@ -30,6 +32,7 @@ from gradedtrace import (
     zero_hom,
 )
 
+import gradedtrace.modules as modules_impl
 import genutils as gu
 
 Z = integers()
@@ -187,6 +190,32 @@ def test_lift_identity_and_verify():
         lifts = lift_endomorphism(res, ident)
         verify_lift(res, ident, lifts)
         assert len(lifts) == res.length + 1
+
+
+def test_lifts_build_one_span_per_differential(monkeypatch):
+    built = []
+
+    class CountingSpan(ColumnSpan):
+        def __init__(self, ambient, columns):
+            built.append(len(columns))
+            super().__init__(ambient, columns)
+
+    monkeypatch.setattr(modules_impl, "ColumnSpan", CountingSpan)
+    ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
+    x = [ring.gen(n) for n in ring.var_names]
+    cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
+    m = presented_module(ring, [0], cube)
+    endos = [module_hom(m, m, 0, [[ring.const(c)]]) for c in (2, 3, 5)]
+    res = resolve(m)
+    assert [p.rank for p in res.modules] == [1, 10, 15, 6]
+    for f in endos:
+        verify_lift(res, f, lift_endomorphism(res, f))
+    # the module's relation span (built by module_hom) serves the first
+    # differential; every other differential gets one span for all three lifts
+    assert len(built) == len(res.maps)
+    assert sorted(built) == sorted(d.source.rank for d in res.maps)
+    with pytest.raises(EngineError):
+        res.image_span(1).syzygy_vectors()
 
 
 def test_lift_rejects_foreign_endo():
