@@ -9,6 +9,12 @@ columns act on source generators: entry (i, j) is homogeneous of ring degree
 (or zero).  With Z/2 grading the same identity is required mod 2; shifts are
 stored as given.  An element of ⊕R[n_i] is a column vector; it is homogeneous
 of module degree k iff entry i is homogeneous of ring degree k + n_i.
+
+A map stores sparse rows and never a zero entry; `entries` is a dense view.
+The public constructor and hom_from_columns validate outside input once.
+Closed operations (sums, compose, direct sums, tensor products, braidings and
+dualities) give legal maps by construction: after their own shape and ring
+checks they build unchecked and touch nonzero entries only.
 """
 
 from __future__ import annotations
@@ -45,10 +51,6 @@ class GradedFreeModule:
 
     def shifted(self, n: int) -> GradedFreeModule:
         return GradedFreeModule(self.ring, tuple(s + n for s in self.shifts))
-
-    def zero_vector(self) -> Vector:
-        z = self.ring.zero()
-        return tuple(z for _ in self.shifts)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(
@@ -103,13 +105,15 @@ def direct_sum_modules(a: GradedFreeModule, b: GradedFreeModule) -> GradedFreeMo
 
 
 class GradedMatrixHom:
-    """A homogeneous map of graded free modules, stored as a dense matrix.
+    """A homogeneous map of graded free modules, stored as sparse rows.
 
-    rows index the target, columns the source; construction validates shapes
-    and the entry degree law, so an instance is always a legal graded map.
+    Rows index the target, columns the source: _rows[i] maps j to the entry
+    (i, j) when it is nonzero.  The constructor validates shapes and the entry
+    degree law, and _closed takes rows that are legal by construction, so an
+    instance is always a legal graded map.
     """
 
-    __slots__ = ("source", "target", "degree", "entries")
+    __slots__ = ("source", "target", "degree", "_rows")
 
     def __init__(
         self,
@@ -125,13 +129,13 @@ class GradedMatrixHom:
             raise ValueError(
                 f"expected {target.rank} rows, got {len(entries)}"
             )
-        rows: list[Vector] = []
+        rows: list[dict[int, RingElement]] = []
         for i, row in enumerate(entries):
             if len(row) != source.rank:
                 raise ValueError(
                     f"row {i}: expected {source.rank} entries, got {len(row)}"
                 )
-            coerced = []
+            sparse = {}
             for j, e in enumerate(row):
                 if isinstance(e, int):
                     e = ring.const(e)
@@ -143,23 +147,39 @@ class GradedMatrixHom:
                         f"entry ({i},{j}) = {e} must be homogeneous of degree "
                         f"{ring.reduce_degree(want)}, got degree {e.degree()}"
                     )
-                coerced.append(e)
-            rows.append(tuple(coerced))
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.entries = tuple(rows)
+                if e:
+                    sparse[j] = e
+            rows.append(sparse)
+        self.source, self.target, self.degree = source, target, degree
+        self._rows = tuple(rows)
+
+    @classmethod
+    def _closed(cls, source, target, degree: int, rows) -> GradedMatrixHom:
+        """The map with these sparse rows, unchecked: legal by construction."""
+        hom = object.__new__(cls)
+        hom.source, hom.target, hom.degree = source, target, degree
+        hom._rows = tuple(rows)
+        return hom
 
     @property
     def ring(self) -> RingSpec:
         return self.source.ring
 
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense matrix, built on each access."""
+        zero = self.ring.zero()
+        n = self.source.rank
+        return tuple(tuple(row.get(j, zero) for j in range(n)) for row in self._rows)
+
     def __getitem__(self, ij: tuple[int, int]) -> RingElement:
         i, j = ij
-        return self.entries[i][j]
+        return self._rows[i].get(range(self.source.rank)[j], self.ring.zero())
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.target.rank))
+        j = range(self.source.rank)[j]
+        zero = self.ring.zero()
+        return tuple(row.get(j, zero) for row in self._rows)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.source.rank)]
@@ -167,15 +187,15 @@ class GradedMatrixHom:
     def apply(self, v: Sequence) -> Vector:
         v = self.source.coerce_vector(v)
         out = []
-        for i in range(self.target.rank):
+        for row in self._rows:
             acc = self.ring.zero()
-            for j in range(self.source.rank):
-                acc = acc + self.entries[i][j] * v[j]
+            for j, e in row.items():
+                acc = acc + e * v[j]
             out.append(acc)
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMatrixHom):
@@ -184,11 +204,12 @@ class GradedMatrixHom:
             self.source == other.source
             and self.target == other.target
             and self.degree == other.degree
-            and self.entries == other.entries
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.degree, self.entries))
+        rows = tuple(frozenset(row.items()) for row in self._rows)
+        return hash((self.source, self.target, self.degree, rows))
 
     def __add__(self, other: GradedMatrixHom) -> GradedMatrixHom:
         if (
@@ -197,33 +218,16 @@ class GradedMatrixHom:
             or self.degree != other.degree
         ):
             raise ValueError("can only add maps with equal source, target, degree")
-        rows = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return GradedMatrixHom(self.source, self.target, self.degree, rows)
+        pairs = zip(self._rows, other._rows)
+        rows = [_row_sum([*r1.items(), *r2.items()]) for r1, r2 in pairs]
+        return GradedMatrixHom._closed(self.source, self.target, self.degree, rows)
 
     def __neg__(self) -> GradedMatrixHom:
-        rows = [[-e for e in row] for row in self.entries]
-        return GradedMatrixHom(self.source, self.target, self.degree, rows)
+        rows = [{j: -e for j, e in row.items()} for row in self._rows]
+        return GradedMatrixHom._closed(self.source, self.target, self.degree, rows)
 
     def __sub__(self, other: GradedMatrixHom) -> GradedMatrixHom:
         return self + (-other)
-
-    def scale(self, r) -> GradedMatrixHom:
-        """Multiply every entry by a degree-0 ring element or integer."""
-        if isinstance(r, int):
-            r = self.ring.const(r)
-        if not r.has_degree(0):
-            raise HomogeneityError(f"scale factor {r} must have degree 0")
-        rows = [[r * e for e in row] for row in self.entries]
-        return GradedMatrixHom(self.source, self.target, self.degree, rows)
-
-    def shifted(self, n: int) -> GradedMatrixHom:
-        """The same matrix acting between modules shifted by n."""
-        return GradedMatrixHom(
-            self.source.shifted(n), self.target.shifted(n), self.degree, self.entries
-        )
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -234,25 +238,27 @@ class GradedMatrixHom:
     def __repr__(self) -> str:
         return f"<GradedMatrixHom {self}>"
 
-    def __matmul__(self, other: GradedMatrixHom) -> GradedMatrixHom:
-        return compose(self, other)
+
+def _row_sum(terms) -> dict[int, RingElement]:
+    """The sparse row summing (column, entry) terms; zero sums are dropped."""
+    row: dict[int, RingElement] = {}
+    for j, e in terms:
+        row[j] = row[j] + e if j in row else e
+    return {j: e for j, e in row.items() if e}
 
 
 def identity_hom(module: GradedFreeModule) -> GradedMatrixHom:
-    ring = module.ring
-    rows = [
-        [ring.one() if i == j else ring.zero() for j in range(module.rank)]
-        for i in range(module.rank)
-    ]
-    return GradedMatrixHom(module, module, 0, rows)
+    one = module.ring.one()
+    rows = [{i: one} for i in range(module.rank)]
+    return GradedMatrixHom._closed(module, module, 0, rows)
 
 
 def zero_hom(
     source: GradedFreeModule, target: GradedFreeModule, degree: int
 ) -> GradedMatrixHom:
-    z = source.ring.zero()
-    rows = [[z for _ in range(source.rank)] for _ in range(target.rank)]
-    return GradedMatrixHom(source, target, degree, rows)
+    if source.ring != target.ring:
+        raise RingMismatch(f"{source.ring} is not {target.ring}")
+    return GradedMatrixHom._closed(source, target, degree, [{} for _ in target.shifts])
 
 
 def compose(g: GradedMatrixHom, f: GradedMatrixHom) -> GradedMatrixHom:
@@ -261,17 +267,11 @@ def compose(g: GradedMatrixHom, f: GradedMatrixHom) -> GradedMatrixHom:
         raise ValueError(
             f"cannot compose: inner modules differ ({f.target} vs {g.source})"
         )
-    ring = f.ring
-    rows = []
-    for i in range(g.target.rank):
-        row = []
-        for j in range(f.source.rank):
-            acc = ring.zero()
-            for k in range(g.source.rank):
-                acc = acc + g.entries[i][k] * f.entries[k][j]
-            row.append(acc)
-        rows.append(row)
-    return GradedMatrixHom(f.source, g.target, g.degree + f.degree, rows)
+    rows = [
+        _row_sum((j, gk * fkj) for k, gk in g_row.items() for j, fkj in f._rows[k].items())
+        for g_row in g._rows
+    ]
+    return GradedMatrixHom._closed(f.source, g.target, g.degree + f.degree, rows)
 
 
 def hom_from_columns(
@@ -292,14 +292,9 @@ def direct_sum_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
         raise ValueError("direct summands must have equal degree")
     source = direct_sum_modules(f.source, g.source)
     target = direct_sum_modules(f.target, g.target)
-    ring = f.ring
-    z = ring.zero()
-    rows = []
-    for i in range(f.target.rank):
-        rows.append(list(f.entries[i]) + [z] * g.source.rank)
-    for i in range(g.target.rank):
-        rows.append([z] * f.source.rank + list(g.entries[i]))
-    return GradedMatrixHom(source, target, f.degree, rows)
+    offset = f.source.rank
+    rows = list(f._rows) + [{offset + j: e for j, e in row.items()} for row in g._rows]
+    return GradedMatrixHom._closed(source, target, f.degree, rows)
 
 
 def determinant(f: GradedMatrixHom) -> RingElement:
@@ -324,13 +319,14 @@ def is_invertible(f: GradedMatrixHom) -> tuple[bool, GradedMatrixHom | None]:
     n = f.source.rank
     det_inv = det.unit_inverse()
     ring = f.ring
+    entries = f.entries
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             # Inverse entry (i, j) = det^-1 * cofactor_ji.
             sub = [
-                [f.entries[r][c] for c in range(n) if c != i]
+                [entries[r][c] for c in range(n) if c != i]
                 for r in range(n) if r != j
             ]
             cof = _bare_determinant(ring, sub)

@@ -355,27 +355,30 @@ def verify_resolution(res: Resolution) -> None:
     rel = res.module.relations
     if first.target != rel.target:
         raise EngineError("resolution does not start at the generator module")
+    # one span per map, built here and not taken from the resolution: it
+    # tests that the previous kernel lies in the image, then gives the kernel
+    image = ColumnSpan(first.target, first.columns())
     # alternative resolutions may present the relation submodule differently;
     # only the column span must agree
     if not all(res.module.span.contains(c) for c in first.columns()) or not all(
-        res.image_span(0).contains(c) for c in rel.columns()
+        image.contains(c) for c in rel.columns()
     ):
         raise EngineError("first map does not span the relations of the module")
     for j in range(len(res.maps) - 1):
         if not compose(res.maps[j], res.maps[j + 1]).is_zero():
             raise EngineError(f"maps {j} and {j + 1} do not compose to zero")
     for j in range(len(res.maps)):
-        kernel = syzygies(res.maps[j], prune=False)
+        kernel = [v for v in image.syzygy_vectors() if any(v)]
         if j + 1 < len(res.maps):
-            image = res.image_span(j + 1)
-            for c in kernel.columns():
+            nxt = res.maps[j + 1]
+            image = ColumnSpan(nxt.target, nxt.columns())
+            for c in kernel:
                 if not image.contains(c):
                     raise EngineError(
                         f"kernel of map {j} is not covered by map {j + 1}"
                     )
-        else:
-            if kernel.source.rank:
-                raise EngineError("last map of the resolution has a nonzero kernel")
+        elif kernel:
+            raise EngineError("last map of the resolution has a nonzero kernel")
 
 
 def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]:

@@ -52,36 +52,31 @@ def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
         raise ValueError("tensor factors must share a ring")
     source = tensor_modules(f.source, g.source)
     target = tensor_modules(f.target, g.target)
-    ring = f.ring
-    rt_b, rs_b = g.target.rank, g.source.rank
-    rows = [[ring.zero()] * source.rank for _ in range(target.rank)]
-    for i in range(f.target.rank):
-        for j in range(f.source.rank):
-            fij = f.entries[i][j]
-            if not fij:
-                continue
-            negate = (g.degree * f.source.shifts[j]) % 2 == 1
-            for k in range(rt_b):
-                for l in range(rs_b):
-                    gkl = g.entries[k][l]
-                    if not gkl:
-                        continue
+    rs_b = g.source.rank
+    rows = []
+    for f_row in f._rows:
+        for g_row in g._rows:
+            row = {}
+            for j, fij in f_row.items():
+                negate = (g.degree * f.source.shifts[j]) % 2 == 1
+                for l, gkl in g_row.items():
                     val = fij * gkl
-                    rows[i * rt_b + k][j * rs_b + l] = -val if negate else val
-    return GradedMatrixHom(source, target, f.degree + g.degree, rows)
+                    row[j * rs_b + l] = -val if negate else val
+            rows.append(row)
+    return GradedMatrixHom._closed(source, target, f.degree + g.degree, rows)
 
 
 def braiding(a: GradedFreeModule, b: GradedFreeModule) -> GradedMatrixHom:
     """The symmetry a ⊗ b -> b ⊗ a: e_i ⊗ e_k -> (-1)^(n_i m_k) e_k ⊗ e_i."""
     source = tensor_modules(a, b)
     target = tensor_modules(b, a)
-    ring = a.ring
-    rows = [[ring.zero()] * source.rank for _ in range(target.rank)]
-    for i, ni in enumerate(a.shifts):
-        for k, mk in enumerate(b.shifts):
-            sign = -1 if (ni * mk) % 2 else 1
-            rows[k * a.rank + i][i * b.rank + k] = ring.const(sign)
-    return GradedMatrixHom(source, target, 0, rows)
+    one = a.ring.one()
+    rows = [
+        {i * b.rank + k: -one if (ni * mk) % 2 else one}
+        for k, mk in enumerate(b.shifts)
+        for i, ni in enumerate(a.shifts)
+    ]
+    return GradedMatrixHom._closed(source, target, 0, rows)
 
 
 @dataclass(frozen=True)
@@ -105,14 +100,10 @@ def standard_duality(a: GradedFreeModule) -> DualityData:
     dual = GradedFreeModule(ring, tuple(-s for s in a.shifts))
     one = unit_module(ring)
     r = a.rank
-    unit_rows = [[ring.zero()] for _ in range(r * r)]
-    for i in range(r):
-        unit_rows[i * r + i][0] = ring.one()
-    unit = GradedMatrixHom(one, tensor_modules(a, dual), 0, unit_rows)
-    counit_rows = [[ring.zero()] * (r * r)]
-    for i in range(r):
-        counit_rows[0][i * r + i] = ring.one()
-    counit = GradedMatrixHom(tensor_modules(dual, a), one, 0, counit_rows)
+    diagonal = {i * r + i: ring.one() for i in range(r)}
+    unit_rows = [{0: diagonal[k]} if k in diagonal else {} for k in range(r * r)]
+    unit = GradedMatrixHom._closed(one, tensor_modules(a, dual), 0, unit_rows)
+    counit = GradedMatrixHom._closed(tensor_modules(dual, a), one, 0, [diagonal])
     return DualityData(a, dual, unit, counit)
 
 
@@ -159,7 +150,7 @@ def categorical_trace(
             compose(tensor_homs(f, identity_hom(duality.dual)), duality.unit),
         ),
     )
-    return TraceValue(loop.entries[0][0], f.degree)
+    return TraceValue(loop[0, 0], f.degree)
 
 
 def euler_characteristic(a: GradedFreeModule) -> TraceValue:

@@ -63,7 +63,7 @@ def free_trace(f: GradedMatrixHom) -> TraceValue:
     total = ring.zero()
     for i, shift in enumerate(f.source.shifts):
         sign = -1 if shift % 2 else 1
-        entry = f.entries[i][i]
+        entry = f[i, i]
         total = total + (entry if sign > 0 else -entry)
     return TraceValue(total, f.degree)
 

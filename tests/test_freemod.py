@@ -1,0 +1,172 @@
+"""Graded matrices: sparse closed operations against dense references."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gradedtrace import (
+    GradedFreeModule,
+    GradedMatrixHom,
+    braiding,
+    compose,
+    direct_sum_homs,
+    direct_sum_modules,
+    identity_hom,
+    integers,
+    laurent_ring,
+    polynomial_ring,
+    standard_duality,
+    tensor_homs,
+    zero_hom,
+)
+from gradedtrace.rings import RingElement
+
+import genutils as gu
+
+ZXY = polynomial_ring(["x", "y"], [2, 2])
+RINGS = [integers(), ZXY, laurent_ring(["t"], [2])]
+
+
+# -- dense references ---------------------------------------------------------
+
+
+def _dense(rows, cols, entry):
+    return [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def _sum_ref(f, g):
+    return _dense(f.target.rank, f.source.rank, lambda i, j: f.entries[i][j] + g.entries[i][j])
+
+
+def _compose_ref(g, f):
+    def entry(i, j):
+        acc = f.ring.zero()
+        for k in range(g.source.rank):
+            acc = acc + g.entries[i][k] * f.entries[k][j]
+        return acc
+
+    return _dense(g.target.rank, f.source.rank, entry)
+
+
+def _direct_sum_ref(f, g):
+    zero = f.ring.zero()
+    top = [list(row) + [zero] * g.source.rank for row in f.entries]
+    bottom = [[zero] * f.source.rank + list(row) for row in g.entries]
+    return top + bottom
+
+
+def _tensor_ref(f, g):
+    bt, bs = g.target.rank, g.source.rank
+
+    def entry(r, c):
+        (i, k), (j, l) = divmod(r, bt), divmod(c, bs)
+        val = f.entries[i][j] * g.entries[k][l]
+        return -val if (g.degree * f.source.shifts[j]) % 2 else val
+
+    return _dense(f.target.rank * bt, f.source.rank * bs, entry)
+
+
+def _braiding_ref(a, b):
+    def entry(r, c):
+        (k, i), (i2, k2) = divmod(r, a.rank), divmod(c, b.rank)
+        if (i, k) != (i2, k2):
+            return a.ring.zero()
+        return a.ring.const(-1 if (a.shifts[i] * b.shifts[k]) % 2 else 1)
+
+    return _dense(a.rank * b.rank, a.rank * b.rank, entry)
+
+
+def _check(h, reference):
+    """h equals the dense reference, stores no zero, and re-validates."""
+    assert [list(row) for row in h.entries] == reference
+    assert all(e for row in h._rows for e in row.values())
+    assert h.is_zero() == all(not e for row in reference for e in row)
+    rebuilt = GradedMatrixHom(h.source, h.target, h.degree, h.entries)
+    assert rebuilt == h and hash(rebuilt) == hash(h)
+
+
+# -- the property test ----------------------------------------------------------
+
+
+def _module(rng, ring):
+    return GradedFreeModule(ring, tuple(rng.randint(-1, 1) for _ in range(rng.choice((0, 1, 2, 2, 3, 3)))))
+
+
+def _matrix(rng, source, target, degree):
+    # one-term entries of coefficient +-1 make cancelling sums and products common
+    rows = [
+        [
+            gu.random_homogeneous(rng, source.ring, n - s + degree, span=1, coeff=1, max_terms=1)
+            if rng.random() < 0.7
+            else 0
+            for s in source.shifts
+        ]
+        for n in target.shifts
+    ]
+    return GradedMatrixHom(source, target, degree, rows)
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ring=st.sampled_from(RINGS), rng=st.randoms(use_true_random=False))
+def test_closed_operations_match_dense_references(ring, rng):
+    a, b, c = (_module(rng, ring) for _ in range(3))
+    # odd degrees and odd shifts bring in the Koszul signs
+    d1, d2 = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+    f, f2 = _matrix(rng, a, b, d1), _matrix(rng, a, b, d1)
+    g = _matrix(rng, b, c, d2)
+
+    _check(f + f2, _sum_ref(f, f2))
+    _check(-f, [[-e for e in row] for row in f.entries])
+    _check(f - f2, _sum_ref(f, -f2))
+    _check(f - f, _dense(b.rank, a.rank, lambda i, j: ring.zero()))
+    _check(compose(g, f), _compose_ref(g, f))
+    h = _matrix(rng, c, a, d1)
+    _check(direct_sum_homs(f, h), _direct_sum_ref(f, h))
+    # [g, -g] after [f; f] is g f - g f: every sum cancels
+    twice = GradedMatrixHom(a, direct_sum_modules(b, b), d1, [*f.entries, *f.entries])
+    side = GradedMatrixHom(twice.target, c, d2, [list(row) + [-e for e in row] for row in g.entries])
+    _check(compose(side, twice), _compose_ref(side, twice))
+    assert compose(side, twice).is_zero()
+    _check(identity_hom(a), _dense(a.rank, a.rank, lambda i, j: ring.const(int(i == j))))
+    _check(zero_hom(a, c, d2), _dense(c.rank, a.rank, lambda i, j: ring.zero()))
+    _check(tensor_homs(f, g), _tensor_ref(f, g))
+    _check(tensor_homs(g, f), _tensor_ref(g, f))
+    _check(braiding(a, b), _braiding_ref(a, b))
+    duality = standard_duality(a)
+    r = a.rank
+    _check(duality.unit, _dense(r * r, 1, lambda i, j: ring.const(int(i % (r + 1) == 0))))
+    _check(duality.counit, _dense(1, r * r, lambda i, j: ring.const(int(j % (r + 1) == 0))))
+
+    for m in (f, compose(g, f), tensor_homs(f, g)):
+        with pytest.raises(IndexError):
+            m[m.target.rank, 0]
+        with pytest.raises(IndexError):
+            m[0, m.source.rank]
+        with pytest.raises(IndexError):
+            m[0, -m.source.rank - 1]
+        with pytest.raises(IndexError):
+            m.column(m.source.rank)
+
+
+def test_compose_multiplies_nonzero_entries_only(monkeypatch):
+    x, y = ZXY.gen("x"), ZXY.gen("y")
+    m = GradedFreeModule(ZXY, (0,) * 16)
+    diag = [[(x if i % 2 else y) if i == j else 0 for j in range(16)] for i in range(16)]
+    f = GradedMatrixHom(m, m, 2, diag)
+    calls = []
+    mul = RingElement.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    product = compose(f, f)
+    assert len(calls) == 16
+    assert all(product[i, i] == (x * x if i % 2 else y * y) for i in range(16))

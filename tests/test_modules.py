@@ -218,6 +218,26 @@ def test_lifts_build_one_span_per_differential(monkeypatch):
         res.image_span(1).syzygy_vectors()
 
 
+def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
+    ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
+    x = [ring.gen(n) for n in ring.var_names]
+    cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
+    m = presented_module(ring, [0], cube)
+    res = resolve(m)
+    m.span  # built before counting: the module's span is not one of the maps'
+    built = []
+    span_init = ColumnSpan.__init__
+
+    def counting_init(span, ambient, columns):
+        built.append(len(columns))
+        span_init(span, ambient, columns)
+
+    monkeypatch.setattr(ColumnSpan, "__init__", counting_init)
+    verify_resolution(res)
+    # each span tests the previous kernel and gives its own map's kernel
+    assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
+
+
 def test_lift_rejects_foreign_endo():
     m1, m2 = _mod2(), _mod4()
     res = resolve(m1)
