@@ -40,8 +40,9 @@ exit codes:
      malformed object, an element nested more than {MAX_NESTING} levels
      deep, a module with no resolution within --max-length, a catalog case
      that raised, or a usage error; an EngineError (a failed internal
-     invariant, which is a bug rather than bad input) also exits 2, with
-     its message on stderr instead of a traceback
+     invariant, which is a bug rather than bad input, or an exponent past
+     the Groebner engine's bound of 32767) also exits 2, with its message
+     on stderr instead of a traceback
 """
 
 

@@ -64,7 +64,7 @@ class GradedFreeModule:
         for e in entries:
             if isinstance(e, int):
                 e = self.ring.const(e)
-            if e.ring != self.ring:
+            if not (e.ring is self.ring or e.ring == self.ring):
                 raise RingMismatch(f"{e.ring} is not {self.ring}")
             out.append(e)
         return tuple(out)

@@ -237,7 +237,7 @@ class RingElement:
 
     def _coerce(self, other) -> RingElement:
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if not (other.ring is self.ring or other.ring == self.ring):
                 raise RingMismatch(f"{other.ring} is not {self.ring}")
             return other
         if isinstance(other, int):
@@ -329,7 +329,8 @@ class RingElement:
             other = self.ring.const(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        same_ring = self.ring is other.ring or self.ring == other.ring
+        return same_ring and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:

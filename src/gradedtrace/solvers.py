@@ -8,7 +8,15 @@ modules over Z[x_1..x_n]: leading terms of submodule elements are divisible,
 coefficient and monomial both, by a basis leading term, so normal forms
 certify membership.  The term order is fixed once and for all:
 position-over-term (lower index wins) with degree-reverse-lexicographic
-monomials; it is not configurable.
+monomials; it is not configurable.  Inside the engine a term is one packed
+integer whose integer order is that term order, every basis element keeps
+its leading term, and the basis is indexed by leading position, so that a
+division step scans only the elements at the term's own position.  An
+exponent or degree past 32767 raises EngineError instead of wrapping.
+
+Greedy pruning (prune_columns) asks, column by column, whether a column lies
+in the span of others.  When the columns are grouped by degree, each such
+test completes its basis only up to the degree of the column it asks about.
 
 A Laurent ring enters the same engine with a formal inverse y_i for every
 variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
@@ -19,6 +27,7 @@ polynomial span is not saturated), so the inverse variables are essential.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -35,7 +44,8 @@ from .rings import (
 
 
 class EngineError(RuntimeError):
-    """An internal solver invariant failed; indicates a bug, not bad input."""
+    """An internal solver invariant failed, which indicates a bug, or an
+    exponent or total degree passed the Groebner engine's bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,45 +202,68 @@ def smith_normal_form(rows: list[list[int]]) -> SNFResult:
 # The strong Groebner engine for modules over Z[x_1..x_n]
 # ---------------------------------------------------------------------------
 #
-# Engine vectors are dicts {(position, exponents): coeff}; certificates are
-# dicts {input index: {exponents: coeff}}.  All coefficients are Python ints.
+# Engine vectors are dicts {term key: coeff}; a certificate is a dict of the
+# same kind whose positions are input indices.  All coefficients are Python
+# ints.  A term key packs (position, exponents) into one int: from the least
+# significant end, one field per exponent holding _LIMIT - e (so a larger
+# exponent of a later variable gives a smaller key, as degrevlex wants),
+# then the total degree, then minus the position (the lower position wins).
+# Every field has _FIELD_BITS bits, the top one a guard that a valid term
+# leaves clear; integer order is the term order.  Multiplying a term by a
+# monomial adds the difference of two keys, and lt(g) divides a term t iff
+# key(g) - key(t) sets no exponent guard, since e_i(t) < e_i(g) borrows
+# through the guard of field i.  A product whose exponent or degree passes
+# _LIMIT sets a guard too, and raises EngineError where it is formed.
 
 
-def _term_key(term: tuple[int, tuple[int, ...]]) -> tuple:
-    pos, exp = term
-    return (-pos, sum(exp), tuple(-e for e in reversed(exp)))
+_FIELD_BITS = 16
+_LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the largest exponent or degree a field holds
 
 
-def _vec_iadd_scaled(
-    acc: dict, mono: tuple[int, ...], coeff: int, v: dict
-) -> None:
-    for (pos, exp), c in v.items():
-        key = (pos, tuple(a + b for a, b in zip(mono, exp)))
+class _Packing:
+    """Term keys over nvars engine variables."""
+
+    __slots__ = ("shifts", "deg_shift", "top", "one", "exp_guard", "guard")
+
+    def __init__(self, nvars: int):
+        self.shifts = [i * _FIELD_BITS for i in range(nvars)]
+        self.deg_shift = nvars * _FIELD_BITS
+        self.top = self.deg_shift + _FIELD_BITS
+        # the monomial 1 at position 0; the key offset of a monomial is key - one
+        self.one = sum(_LIMIT << s for s in self.shifts)
+        self.exp_guard = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)
+        self.guard = self.exp_guard | (1 << (self.top - 1))
+
+    def pack(self, pos: int, exp: tuple[int, ...]) -> int:
+        deg = sum(exp)
+        if deg > _LIMIT:
+            raise EngineError(f"degree {deg} passes the engine's bound of {_LIMIT}")
+        key = (deg << self.deg_shift) + self.one - (pos << self.top)
+        for e, s in zip(exp, self.shifts):
+            key -= e << s
+        return key
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
+        low = self.one - (key & ((1 << self.deg_shift) - 1))
+        return -(key >> self.top), tuple([(low >> s) & _LIMIT for s in self.shifts])
+
+
+@functools.cache
+def _packing(nvars: int) -> _Packing:
+    return _Packing(nvars)
+
+
+def _iadd_scaled(acc: dict, offset: int, coeff: int, src: dict, guard: int) -> None:
+    """acc += coeff * m * src, for the monomial m whose key offset is offset."""
+    for key, c in src.items():
+        key += offset
+        if key & guard:
+            raise EngineError(f"an exponent or degree passes the engine's bound of {_LIMIT}")
         s = acc.get(key, 0) + coeff * c
         if s:
             acc[key] = s
         else:
             acc.pop(key, None)
-
-
-def _poly_iadd_scaled(
-    acc: dict, mono: tuple[int, ...], coeff: int, p: dict
-) -> None:
-    for exp, c in p.items():
-        key = tuple(a + b for a, b in zip(mono, exp))
-        s = acc.get(key, 0) + coeff * c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
-
-def _cert_iadd_scaled(acc: dict, mono: tuple[int, ...], coeff: int, cert: dict) -> None:
-    for j, poly in cert.items():
-        tgt = acc.setdefault(j, {})
-        _poly_iadd_scaled(tgt, mono, coeff, poly)
-        if not tgt:
-            del acc[j]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -248,57 +281,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class _GBElem:
-    __slots__ = ("vec", "cert", "lt", "lc")
+    """A basis element with its leading key, coefficient, position and exponents."""
 
-    def __init__(self, vec: dict, cert: dict):
+    __slots__ = ("vec", "cert", "key", "lc", "pos", "exp")
+
+    def __init__(self, vec: dict, cert: dict | None, pk: _Packing):
+        key = max(vec)
+        if vec[key] < 0:
+            vec = {k: -c for k, c in vec.items()}
+            if cert is not None:
+                cert = {k: -c for k, c in cert.items()}
         self.vec = vec
         self.cert = cert
-        self.lt = max(vec, key=_term_key)
-        self.lc = vec[self.lt]
-        if self.lc < 0:
-            self.vec = {k: -c for k, c in vec.items()}
-            self.cert = {
-                j: {e: -c for e, c in poly.items()} for j, poly in cert.items()
-            }
-            self.lc = -self.lc
+        self.key = key
+        self.lc = vec[key]
+        self.pos, self.exp = pk.unpack(key)
 
 
-def _reduce(v: dict, basis: list[_GBElem]) -> tuple[dict, list[dict]]:
-    """Deterministic strong division: v = sum(q_k g_k) + remainder.
-
-    A term c.X reduces against g when lt(g)'s position matches, its monomial
-    divides X, and the Euclidean quotient c // lc(g) is nonzero; remainders
-    keep coefficients in [0, lc) of every dividing basis element, which makes
-    normal forms canonical for a fixed basis order.
-    """
-    work = dict(v)
-    remainder: dict = {}
-    qs: list[dict] = [dict() for _ in basis]
-    while work:
-        term = max(work, key=_term_key)
-        c = work[term]
-        pos, exp = term
-        hit = None
-        for bi, g in enumerate(basis):
-            gpos, gexp = g.lt
-            if gpos != pos:
-                continue
-            if any(e < ge for e, ge in zip(exp, gexp)):
-                continue
-            q = c // g.lc
-            if q == 0:
-                continue
-            hit = (bi, g, q)
-            break
-        if hit is None:
-            remainder[term] = c
-            del work[term]
-        else:
-            bi, g, q = hit
-            mono = tuple(e - ge for e, ge in zip(exp, g.lt[1]))
-            _poly_iadd_scaled(qs[bi], mono, q, {(0,) * len(mono): 1})
-            _vec_iadd_scaled(work, mono, -q, g.vec)
-    return remainder, qs
+def _positions(basis: list[_GBElem]) -> dict[int, list[int]]:
+    """Basis indices grouped by leading position, in basis order."""
+    out: dict[int, list[int]] = {}
+    for i, g in enumerate(basis):
+        out.setdefault(g.pos, []).append(i)
+    return out
 
 
 class _ModuleGB:
@@ -312,44 +317,83 @@ class _ModuleGB:
     canonical form (sorted leading terms, positive leading coefficients,
     tails Euclidean-reduced).
 
-    grown() copies a basis and admits more columns with empty certificates,
-    so the copy answers contains() and nothing else.
+    grown() copies a basis and admits more columns without certificates, so
+    the copy answers contains() and nothing else.  Given a grading
+    (variable weights, position shifts) and a degree bound, the copy
+    processes only the pairs of module degree <= the bound: for homogeneous
+    columns under positive weights, that decides membership up to the bound.
     """
 
-    def __init__(self, nvars: int, columns: list[dict]):
+    def __init__(self, nvars: int, columns: list[dict], grading: tuple | None = None):
         self.nvars = nvars
-        self.zero_exp = (0,) * nvars
+        self.pk = _packing(nvars)
+        self.grading = grading
+        self.max_degree: int | None = None
+        self.certify = True
         self.basis: list[_GBElem] = []
+        self.by_pos: dict[int, list[int]] = {}
         self.syzygies: list[dict] = []
         self._queue: list[tuple] = []
-        self._complete(
-            (dict(col), {j: {self.zero_exp: 1}}) for j, col in enumerate(columns)
-        )
+        units = [self.pk.pack(j, (0,) * nvars) for j in range(len(columns))]
+        self._complete((dict(col), {unit: 1}) for col, unit in zip(columns, units))
         self._interreduce()
-        for j, col in enumerate(columns):
+        for col, unit in zip(columns, units):
             if not col:
                 continue
-            rem, qs = _reduce(col, self.basis)
-            if rem:
+            cert = {unit: 1}
+            if self._reduce(col, cert):
                 raise EngineError(
                     "input column fails to reduce to zero against its own basis"
                 )
-            cert = {j: {self.zero_exp: 1}}
-            for qi, q in enumerate(qs):
-                if q:
-                    _cert_iadd_scaled(cert, self.zero_exp, -1, _scaled_cert(q, self.basis[qi].cert))
             if cert:
                 self.syzygies.append(cert)
 
-    def grown(self, columns: list[dict]) -> _ModuleGB:
+    def grown(self, columns: list[dict], max_degree: int | None = None) -> _ModuleGB:
         """A copy with columns admitted and completed, certifying nothing."""
-        out = _ModuleGB(self.nvars, [])
+        out = _ModuleGB(self.nvars, [], self.grading)
+        out.max_degree = max_degree
+        out.certify = False
         out.basis = list(self.basis)
-        out._complete((dict(col), {}) for col in columns)
+        out.by_pos = {pos: list(ix) for pos, ix in self.by_pos.items()}
+        out._complete((dict(col), None) for col in columns)
         return out
 
     def contains(self, vec: dict) -> bool:
-        return not _reduce(vec, self.basis)[0]
+        return not self._reduce(vec)
+
+    def _reduce(self, v: dict, cert: dict | None = None, skip: int = -1) -> dict:
+        """Deterministic strong division; returns the remainder of v.
+
+        A term c.X reduces against the first basis element g (other than
+        basis[skip]) whose leading position matches, whose leading monomial
+        divides X, and whose Euclidean quotient q = c // lc(g) is nonzero;
+        remainders keep coefficients in [0, lc) of every dividing basis
+        element, which makes normal forms canonical for a fixed basis order.
+        With cert given, q * cert(g) is subtracted from it for every such step.
+        """
+        basis, by_pos = self.basis, self.by_pos
+        top, divides, guard = self.pk.top, self.pk.exp_guard, self.pk.guard
+        work = dict(v)
+        remainder: dict = {}
+        while work:
+            key = max(work)
+            c = work[key]
+            for bi in by_pos.get(-(key >> top), ()):
+                g = basis[bi]
+                if (g.key - key) & divides or bi == skip:
+                    continue
+                q = c // g.lc
+                if q:
+                    break
+            else:
+                remainder[key] = c
+                del work[key]
+                continue
+            offset = key - g.key
+            _iadd_scaled(work, offset, -q, g.vec, guard)
+            if cert is not None:
+                _iadd_scaled(cert, offset, -q, g.cert, guard)
+        return remainder
 
     def _complete(self, admissions) -> None:
         """Admit (vector, certificate) pairs, then reduce every pair they make."""
@@ -366,91 +410,75 @@ class _ModuleGB:
 
     def _register_pairs(self, t: int) -> None:
         g = self.basis[t]
-        for i in range(t):
+        same = self.by_pos.setdefault(g.pos, [])
+        for i in same:
             h = self.basis[i]
-            if h.lt[0] != g.lt[0]:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(h.lt[1], g.lt[1]))
+            lcm = tuple(map(max, h.exp, g.exp))
+            if self.max_degree is not None:
+                weights, shifts = self.grading
+                degree = sum(w * e for w, e in zip(weights, lcm)) - shifts[g.pos]
+                if degree > self.max_degree:
+                    continue
             key = (sum(lcm), lcm, i, t)
             heapq.heappush(self._queue, (key, "s", i, t))
             if h.lc % g.lc != 0 and g.lc % h.lc != 0:
                 heapq.heappush(self._queue, (key, "g", i, t))
+        same.append(t)
 
-    def _build_pair(self, kind: str, i: int, j: int) -> tuple[dict, dict]:
+    def _build_pair(self, kind: str, i: int, j: int) -> tuple[dict, dict | None]:
         gi, gj = self.basis[i], self.basis[j]
-        lcm = tuple(max(a, b) for a, b in zip(gi.lt[1], gj.lt[1]))
-        mi = tuple(a - b for a, b in zip(lcm, gi.lt[1]))
-        mj = tuple(a - b for a, b in zip(lcm, gj.lt[1]))
-        vec: dict = {}
-        cert: dict = {}
+        lcm = self.pk.pack(gi.pos, tuple(map(max, gi.exp, gj.exp)))
         if kind == "s":
             g = gi.lc * gj.lc // _xgcd(gi.lc, gj.lc)[0]
             ci, cj = g // gi.lc, -(g // gj.lc)
         else:
             _, ci, cj = _xgcd(gi.lc, gj.lc)
-        _vec_iadd_scaled(vec, mi, ci, gi.vec)
-        _vec_iadd_scaled(vec, mj, cj, gj.vec)
-        _cert_iadd_scaled(cert, mi, ci, gi.cert)
-        _cert_iadd_scaled(cert, mj, cj, gj.cert)
+        guard = self.pk.guard
+        vec: dict = {}
+        _iadd_scaled(vec, lcm - gi.key, ci, gi.vec, guard)
+        _iadd_scaled(vec, lcm - gj.key, cj, gj.vec, guard)
+        if not self.certify:
+            return vec, None
+        cert: dict = {}
+        _iadd_scaled(cert, lcm - gi.key, ci, gi.cert, guard)
+        _iadd_scaled(cert, lcm - gj.key, cj, gj.cert, guard)
         return vec, cert
 
-    def _reduce_and_admit(self, vec: dict, cert: dict) -> None:
-        rem, qs = _reduce(vec, self.basis)
-        for qi, q in enumerate(qs):
-            if q:
-                _cert_iadd_scaled(cert, self.zero_exp, -1, _scaled_cert(q, self.basis[qi].cert))
+    def _reduce_and_admit(self, vec: dict, cert: dict | None) -> None:
+        rem = self._reduce(vec, cert)
         if not rem:
             if cert:
                 self.syzygies.append(cert)
             return
-        self.basis.append(_GBElem(rem, cert))
+        self.basis.append(_GBElem(rem, cert, self.pk))
         self._register_pairs(len(self.basis) - 1)
 
     def _interreduce(self) -> None:
         # Sorting by (term, coefficient) puts every potential strong divisor
         # before the elements it divides, ties included.
-        ordered = sorted(self.basis, key=lambda g: (_term_key(g.lt), g.lc))
+        divides = self.pk.exp_guard
         kept: list[_GBElem] = []
-        for g in ordered:
-            divisible = False
-            for h in kept:
-                if h.lt[0] != g.lt[0]:
-                    continue
-                if any(e < he for e, he in zip(g.lt[1], h.lt[1])):
-                    continue
-                if g.lc % h.lc == 0:
-                    divisible = True
-                    break
-            if not divisible:
+        for g in sorted(self.basis, key=lambda g: (g.key, g.lc)):
+            if not any(
+                h.pos == g.pos and not (h.key - g.key) & divides and g.lc % h.lc == 0
+                for h in kept
+            ):
                 kept.append(g)
+        self.basis = kept
+        self.by_pos = _positions(kept)
         changed = True
         while changed:
             changed = False
             for idx, g in enumerate(kept):
-                others = kept[:idx] + kept[idx + 1 :]
-                rem, qs = _reduce(g.vec, others)
+                cert = dict(g.cert)
+                rem = self._reduce(g.vec, cert, skip=idx)
                 if rem != g.vec:
-                    cert = {
-                        j: dict(poly) for j, poly in g.cert.items()
-                    }
-                    for qi, q in enumerate(qs):
-                        if q:
-                            _cert_iadd_scaled(
-                                cert, self.zero_exp, -1, _scaled_cert(q, others[qi].cert)
-                            )
                     if not rem:
                         raise EngineError("interreduction killed a basis element")
-                    kept[idx] = _GBElem(rem, cert)
+                    kept[idx] = _GBElem(rem, cert, self.pk)
+                    if kept[idx].key != g.key:
+                        self.by_pos = _positions(kept)
                     changed = True
-        self.basis = kept
-
-
-def _scaled_cert(poly: dict, cert: dict) -> dict:
-    """poly * cert, as a certificate dict."""
-    out: dict = {}
-    for mono, coeff in poly.items():
-        _cert_iadd_scaled(out, mono, coeff, cert)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +615,13 @@ def _engine_nvars(ring: RingSpec) -> int:
 
 
 def _to_engine(ring: RingSpec, v: Vector) -> dict:
+    pk = _packing(_engine_nvars(ring))
     out: dict = {}
     for pos, entry in enumerate(v):
         for exp, c in entry.items():
             if ring.kind == LAURENT:
                 exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
-            out[(pos, exp)] = c
+            out[pk.pack(pos, exp)] = c
     return out
 
 
@@ -602,12 +631,12 @@ def _unit_columns(ambient: GradedFreeModule) -> list[dict]:
     if ring.kind != LAURENT:
         return []
     n = ring.nvars
-    zero = (0,) * (2 * n)
+    pk = _packing(2 * n)
     out = []
     for k in range(ambient.rank):
         for i in range(n):
             unit = tuple(1 if t in (i, n + i) else 0 for t in range(2 * n))
-            out.append({(k, unit): 1, (k, zero): -1})
+            out.append({pk.pack(k, unit): 1, pk.pack(k, (0,) * (2 * n)): -1})
     return out
 
 
@@ -642,32 +671,28 @@ class _PolyBackend:
             merged[key] = merged.get(key, 0) + c
         return RingElement(self.ring, merged)
 
-    def _vector(self, vec: dict) -> Vector:
-        per_pos: list[dict] = [dict() for _ in range(self.ambient.rank)]
-        for (pos, exp), c in vec.items():
-            per_pos[pos][exp] = c
+    def _vector(self, vec: dict, length: int) -> Vector:
+        """Positions 0..length-1 of an engine vector or certificate, as ring elements."""
+        per_pos: list[dict] = [dict() for _ in range(length)]
+        for key, c in vec.items():
+            pos, exp = self.gb.pk.unpack(key)
+            if pos < length:
+                per_pos[pos][exp] = c
         return tuple(self._element(d) for d in per_pos)
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, qs = _reduce(_to_engine(self.ring, v), self.gb.basis)
-        cert_total: dict = {}
-        for qi, q in enumerate(qs):
-            if q:
-                _cert_iadd_scaled(
-                    cert_total, self.gb.zero_exp, 1, _scaled_cert(q, self.gb.basis[qi].cert)
-                )
-        certificate = [
-            self._element(cert_total.get(j, {})) for j in range(len(self.columns))
-        ]
-        return self._vector(rem), certificate
+        cert: dict = {}
+        rem = self.gb._reduce(_to_engine(self.ring, v), cert)
+        # _reduce subtracts the quotients' certificates: v = rem - sum(cert_j column_j)
+        certificate = self._vector({k: -c for k, c in cert.items()}, len(self.columns))
+        return self._vector(rem, self.ambient.rank), list(certificate)
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         if self.gb.syzygies is None:
             raise EngineError("the syzygies of this span were dropped")
-        s = len(self.columns)
         out = []
         for cert in self.gb.syzygies:
-            vec = tuple(self._element(cert.get(j, {})) for j in range(s))
+            vec = self._vector(cert, len(self.columns))
             if any(vec):
                 out.append(vec)
         return out
@@ -679,7 +704,7 @@ class _PolyBackend:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
         out = []
         for g in self.gb.basis:
-            v = self._vector(g.vec)
+            v = self._vector(g.vec, self.ambient.rank)
             if any(v):
                 out.append(v)
         return out
@@ -745,37 +770,46 @@ def prune_columns(
     in N_<d is dropped at once, and the greedy pass runs over the rest of
     its group.  Every other ring or input forms one group, on which this is
     the plain greedy pass.  The kept indices are the same either way.
+
+    Grouped by degree, a basis is completed only up to the degree it is
+    asked about, since for homogeneous input a strong basis truncated at
+    degree d decides membership in degrees <= d: the test of a degree-d
+    column up to d, and N_<d up to the largest column degree.
     """
     cols = [ambient.coerce_vector(c) for c in columns]
     ring = ambient.ring
     engine = [_to_engine(ring, c) for c in cols]
-    lower = _ModuleGB(_engine_nvars(ring), []).grown(_unit_columns(ambient))
-    kept: list[int] = []
     groups = _degree_groups(ambient, cols)
-    for g, group in enumerate(groups):
+    top = groups[-1][0] if groups else None
+    lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
+    lower = lower.grown(_unit_columns(ambient), top)
+    kept: list[int] = []
+    for g, (degree, group) in enumerate(groups):
         if g:
             group = [j for j in group if not lower.contains(engine[j])]
         i = 0
         while i < len(group):
             # alone in a later group, a column was just tested against N_<d
             others = [engine[k] for k in group if k != group[i]]
-            if others and lower.grown(others).contains(engine[group[i]]):
+            if others and lower.grown(others, degree).contains(engine[group[i]]):
                 group.pop(i)
             else:
                 i += 1
         kept.extend(group)
         if g + 1 < len(groups):
             # with N_<d, the kept columns span what the whole group does
-            lower = lower.grown([engine[k] for k in group])
+            lower = lower.grown([engine[k] for k in group], top)
     kept.sort()
     return [cols[k] for k in kept], kept
 
 
-def _degree_groups(ambient: GradedFreeModule, cols: list[Vector]) -> list[list[int]]:
-    """Column indices grouped by degree, in increasing degree.
+def _degree_groups(
+    ambient: GradedFreeModule, cols: list[Vector]
+) -> list[tuple[int | None, list[int]]]:
+    """(degree, column indices) in increasing degree.
 
     Laurent rings, Z/2 grading, variables of degree <= 0, and zero or
-    inhomogeneous columns put every column into one group.
+    inhomogeneous columns put every column into one group, of degree None.
     """
     ring = ambient.ring
     degrees = [ambient.vector_degree(c) for c in cols]
@@ -785,11 +819,11 @@ def _degree_groups(ambient: GradedFreeModule, cols: list[Vector]) -> list[list[i
         or any(w <= 0 for w in ring.var_degrees)
         or not all(isinstance(d, int) for d in degrees)
     ):
-        return [list(range(len(cols)))]
+        return [(None, list(range(len(cols))))]
     by_degree: dict[int, list[int]] = {}
     for j, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(j)
-    return [by_degree[d] for d in sorted(by_degree)]
+    return [(d, by_degree[d]) for d in sorted(by_degree)]
 
 
 def kernel_columns(ambient: GradedFreeModule, columns: list) -> list[tuple[RingElement, ...]]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gradedtrace import (
     GRADING_Z2,
     ColumnSpan,
+    EngineError,
     GradedFreeModule,
     GradedMatrixHom,
     compose,
@@ -25,6 +26,7 @@ from gradedtrace import (
     syzygies,
 )
 
+import gradedtrace.solvers as solvers_impl
 import genutils as gu
 
 Z = integers()
@@ -220,6 +222,8 @@ def _greedy_reference(ambient, cols):
 PRUNE_RINGS = [
     Z,
     polynomial_ring(["x", "y"], [2, 2]),
+    # weighted: the degree of a pair is not the sum of its lcm's exponents
+    polynomial_ring(["x", "y"], [2, 4]),
     polynomial_ring(["x", "y"], [2, 2], GRADING_Z2),
     polynomial_ring(["x", "t"], [2, 0]),
     polynomial_ring(["x", "s"], [2, -2]),
@@ -287,6 +291,104 @@ def test_prune_columns_keeps_the_greedy_choice_over_z():
     cols = [m.coerce_vector(c) for c in cols]
     assert _greedy_reference(m, cols) == [3, 4]
     assert prune_columns(m, cols)[1] == [3, 4]
+
+
+def test_prune_columns_completes_gcd_pairs_of_the_tested_degree():
+    # Column 0 = column 1 - column 2, but 3x^2 and 2x^2 do not divide each
+    # other's leading term: only the gcd pair of the two, of degree 4 under
+    # the weights (2, 4) and of exponent sum 2, shows that x^2 + y is in
+    # their span.  A basis truncated below degree 4 misses it.
+    m = GradedFreeModule(ZXY, (0,))
+    x, y = ZXY.gen("x"), ZXY.gen("y")
+    cols = [m.coerce_vector([c]) for c in (x * x + y, 3 * x * x + y, 2 * x * x)]
+    assert _greedy_reference(m, cols) == [1, 2]
+    assert prune_columns(m, cols)[1] == [1, 2]
+
+
+def test_prune_columns_completes_lower_degrees_for_later_groups():
+    # y^3 = y * x^2 - (x - y) * (x*y + y^2) lies in N_<6 only through the
+    # S-pair of x^2 and x*y + y^2, of degree 6, above both of their own.
+    m = GradedFreeModule(ZXY_EVEN, (0,))
+    x, y = ZXY_EVEN.gen("x"), ZXY_EVEN.gen("y")
+    cols = [m.coerce_vector([c]) for c in (x * x, x * y + y * y, y**3)]
+    assert _greedy_reference(m, cols) == [0, 1]
+    assert prune_columns(m, cols)[1] == [0, 1]
+
+
+# -- the engine's packed terms --------------------------------------------------
+
+
+def _term_key(pos, exp):
+    """The engine's term order as a tuple: lower position, then degrevlex."""
+    return (-pos, sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def _exponents(rng, n, small):
+    """Exponents up to 3 (so that divisions happen), or up to the bound in total."""
+    top = 3 if small else solvers_impl._LIMIT // max(n, 1)
+    return tuple(rng.randint(0, top) for _ in range(n))
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(n=st.integers(0, 12), rng=st.randoms(use_true_random=False))
+def test_packed_terms_match_the_tuple_reference(n, rng):
+    terms = [
+        (rng.randint(0, 5), _exponents(rng, n, rng.random() < 0.7))
+        for _ in range(rng.randint(1, 8))
+    ]
+    mono = _exponents(rng, n, rng.random() < 0.5)
+    pk = solvers_impl._packing(n)
+    keys = [pk.pack(pos, exp) for pos, exp in terms]
+    assert [pk.unpack(k) for k in keys] == terms
+    offset = pk.pack(0, mono) - pk.one
+    for (pos, exp), k in zip(terms, keys):
+        product = tuple(a + b for a, b in zip(exp, mono))
+        if sum(product) <= solvers_impl._LIMIT:
+            assert pk.unpack(k + offset) == (pos, product)
+        else:
+            assert (k + offset) & pk.guard
+        if n and sum(exp):
+            # a product of degree one past the bound sets a guard bit
+            past = (0,) * (n - 1) + (solvers_impl._LIMIT + 1 - sum(exp),)
+            assert (k + pk.pack(0, past) - pk.one) & pk.guard
+        for (pos2, exp2), k2 in zip(terms, keys):
+            assert (k < k2) == (_term_key(pos, exp) < _term_key(pos2, exp2))
+            assert (k == k2) == ((pos, exp) == (pos2, exp2))
+            if pos != pos2:
+                continue
+            # does the leading monomial exp2 divide exp, and by what?
+            divides = not (k2 - k) & pk.exp_guard
+            assert divides == all(a >= b for a, b in zip(exp, exp2))
+            if divides:
+                quotient = tuple(a - b for a, b in zip(exp, exp2))
+                assert pk.unpack(k - k2 + pk.one) == (0, quotient)
+
+
+def test_engine_refuses_exponents_past_its_field_bound():
+    limit = solvers_impl._LIMIT
+    m = GradedFreeModule(ZXY_EVEN, (0, 0))
+    x, y = ZXY_EVEN.gen("x"), ZXY_EVEN.gen("y")
+    ColumnSpan(m, [(x**limit, 0)])
+    # at entry: one exponent, or the total degree, past the bound
+    for col in [(x ** (limit + 1), 0), (0, x**limit * y)]:
+        with pytest.raises(EngineError):
+            ColumnSpan(m, [col])
+    with pytest.raises(EngineError):
+        ColumnSpan(GradedFreeModule(ZL, (0,)), [(ZL.gen("t") ** -(limit + 1),)])
+    with pytest.raises(EngineError):
+        ColumnSpan(m, [(x, 0)]).normal_form((y ** (limit + 1), 0))
+    # inside the engine: the S-pair y * c0 - x^limit * c1 holds y^(limit + 1)
+    with pytest.raises(EngineError):
+        ColumnSpan(m, [(x**limit, y**limit), (y, 0)])
+    # a zero column puts all three into one group, completed in full
+    with pytest.raises(EngineError):
+        prune_columns(m, [(x**limit, y**limit), (y, 0), (0, 0)])
 
 
 # -- syzygies ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Presented modules, resolutions, chain lifts, and presentation surgery."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -33,6 +35,7 @@ from gradedtrace import (
 )
 
 import gradedtrace.modules as modules_impl
+import gradedtrace.solvers as solvers_impl
 import genutils as gu
 
 Z = integers()
@@ -236,6 +239,36 @@ def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
     verify_resolution(res)
     # each span tests the previous kernel and gives its own map's kernel
     assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
+
+
+def _mpower(n, d):
+    """Z[x0..x(n-1)]/m^d, every variable of degree 2."""
+    ring = polynomial_ring([f"x{i}" for i in range(n)], [2] * n)
+    x = [ring.gen(name) for name in ring.var_names]
+    combos = itertools.combinations_with_replacement(x, d)
+    gens = [math.prod(combo, start=ring.one()) for combo in combos]
+    return presented_module(ring, [0], [(g,) for g in gens])
+
+
+def test_pruning_completes_only_up_to_the_tested_degree(monkeypatch):
+    pairs = []
+    build_pair = solvers_impl._ModuleGB._build_pair
+
+    def counting(gb, kind, i, j):
+        pairs.append(kind)
+        return build_pair(gb, kind, i, j)
+
+    monkeypatch.setattr(solvers_impl._ModuleGB, "_build_pair", counting)
+    res = resolve(_mpower(4, 3))
+    assert [p.rank for p in res.modules] == [1, 20, 45, 36, 10]
+    # 2777 pairs when every greedy test completed a full basis
+    assert len(pairs) < 2777 // 3
+
+
+def test_mpower_in_five_variables_has_eagon_northcott_ranks():
+    res = resolve(_mpower(5, 2))
+    assert [p.rank for p in res.modules] == [1, 15, 40, 45, 24, 5]
+    verify_resolution(res)
 
 
 def test_lift_rejects_foreign_endo():

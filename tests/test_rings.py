@@ -8,6 +8,7 @@ from gradedtrace import (
     ANY_DEGREE,
     GRADING_Z2,
     INHOMOGENEOUS,
+    GradedFreeModule,
     HomogeneityError,
     RingMap,
     RingMismatch,
@@ -111,6 +112,27 @@ def test_units():
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatch):
         ZX.gen("x") + ZL.gen("t")
+
+
+def test_one_ring_object_skips_spec_comparison(monkeypatch):
+    # Elements of one RingSpec object are checked by identity; an equal but
+    # distinct spec still compares field by field.
+    calls = []
+    spec_eq = RingSpec.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return spec_eq(self, other)
+
+    monkeypatch.setattr(RingSpec, "__eq__", counted)
+    x, y = ZXY.gen("x"), ZXY.gen("y")
+    s, p = x + y, x * y
+    assert s == y + x and not s == p
+    GradedFreeModule(ZXY, (0, 2)).coerce_vector([s, p])
+    assert calls == []
+    twin = polynomial_ring(["x", "y"], [2, 4])
+    assert twin is not ZXY and twin.gen("x") + x == 2 * x
+    assert calls
 
 
 def test_ring_map_application():
