@@ -319,8 +319,11 @@ def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
 
     max_length bounds the number of syzygy steps: past it ResolutionTooLong
     is raised instead of looping forever.  It does not bound the work inside
-    one step, and no other bound does: over the integers the Smith normal
-    form can swell coefficients until a single step does not finish.
+    one step.  Over the integers a step is one reduced Hermite form per
+    grading block, whose entries stay within the bound smith_normal_form
+    states, 3 * N * log2(B * sqrt(N)) + 64 bits for N x N blocks with
+    entries of size B; a kernel basis has no kernel, so the resolution has
+    length at most 2.
     """
     modules = [module.generators]
     maps: list[GradedMatrixHom] = []

@@ -1,12 +1,14 @@
 """Exact membership, normal forms, and syzygies for column spans.
 
-Two backends sit behind one interface.  Over the integers, Smith normal form
-(with all four unimodular transforms tracked) answers membership and kernel
-questions block-by-block along the grading.  Over polynomial and Laurent
-rings, one engine class does the same work with a strong Groebner basis for
-modules over Z[x_1..x_n]: leading terms of submodule elements are divisible,
-coefficient and monomial both, by a basis leading term, so normal forms
-certify membership.  The term order is fixed once and for all:
+Two backends sit behind one interface.  Over the integers, a reduced column
+Hermite form with one transform per grading block answers membership and
+kernel questions; the same routine, alternated with its transpose, gives the
+Smith normal form, and entries stay polynomially bounded in the input size
+(Kannan and Bachem).  Over polynomial and Laurent rings, one engine class
+does the same work with a strong Groebner basis for modules over
+Z[x_1..x_n]: leading terms of submodule elements are divisible, coefficient
+and monomial both, by a basis leading term, so normal forms certify
+membership.  The term order is fixed once and for all:
 position-over-term (lower index wins) with degree-reverse-lexicographic
 monomials; it is not configurable.  Inside the engine a term is one packed
 integer whose integer order is that term order, every basis element keeps
@@ -49,7 +51,7 @@ class EngineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices: Smith normal form and exact determinants
+# Integer matrices: Hermite and Smith normal forms, exact determinants
 # ---------------------------------------------------------------------------
 
 
@@ -82,6 +84,70 @@ def int_determinant(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None) -> list[int]:
+    """Bring the first m entries of vecs to reduced column Hermite form, in place.
+
+    vecs[j] is column j of an m-row matrix, then entries combined along with
+    it (a transform).  Columns are inserted in index order; at each existing
+    pivot row a unimodular xgcd step leaves the gcd in the pivot column and
+    zero in the new one, and after each insertion every pivot column's
+    entries at later pivot rows are reduced into [0, pivot) (Kannan and
+    Bachem), which bounds the entries.  The pivot columns end up first, in
+    increasing pivot row, and are canonical for the lattice; the vanished
+    ones follow in index order.  Returns the pivot rows.  Each step applies
+    its inverse transpose to duals, so sum_j vecs[j] (x) duals[j] is kept.
+    """
+    duals = duals if duals is not None else [[] for _ in vecs]
+    pivots: dict[int, int] = {}  # pivot row -> index of its column
+    for j in range(len(vecs)):
+        for r in range(m):
+            b = vecs[j][r]
+            if not b:
+                continue
+            k = pivots.get(r)
+            if k is None:
+                pivots[r] = j
+                if b < 0:
+                    vecs[j] = [-x for x in vecs[j]]
+                    duals[j] = [-x for x in duals[j]]
+                break
+            g, s, t = _xgcd(vecs[k][r], b)
+            x, y = vecs[k][r] // g, b // g
+            vk, vj, wk, wj = vecs[k], vecs[j], duals[k], duals[j]
+            vecs[k] = [s * p + t * q for p, q in zip(vk, vj)]
+            vecs[j] = [x * q - y * p for p, q in zip(vk, vj)]
+            duals[k] = [x * p + y * q for p, q in zip(wk, wj)]
+            duals[j] = [s * q - t * p for p, q in zip(wk, wj)]
+        rows = sorted(pivots)
+        for i, c in enumerate(pivots[r] for r in rows):
+            for r in rows[i + 1 :]:
+                k = pivots[r]
+                q = vecs[c][r] // vecs[k][r]
+                if q:
+                    vecs[c] = [p - q * z for p, z in zip(vecs[c], vecs[k])]
+                    duals[k] = [z + q * p for p, z in zip(duals[c], duals[k])]
+    rows = sorted(pivots)
+    order = [pivots[r] for r in rows]
+    order += sorted(set(range(len(vecs))).difference(order))
+    vecs[:] = [vecs[j] for j in order]
+    duals[:] = [duals[j] for j in order]
+    return rows
+
+
 @dataclass
 class SNFResult:
     """M = U . D . V with U, V unimodular and D a diagonal divisibility chain."""
@@ -100,102 +166,39 @@ class SNFResult:
 
 
 def smith_normal_form(rows: list[list[int]]) -> SNFResult:
-    """Diagonalize an integer matrix, tracking all four transforms."""
+    """Diagonalize an integer matrix, tracking all four transforms.
+
+    Column Hermite steps on D alternate with row Hermite steps (the same
+    routine on the transpose) until D is diagonal; where d_t does not divide
+    d_(t+1), row t+1 is added to row t and the alternation resumes (Kannan
+    and Bachem).  V^-1 rides along D's columns and U^-1 along its rows; V
+    and U take each step's inverse.  With N = max(m, n, 2) for an m x n
+    input and B >= 2 a bound on its entries' size, every entry of the five
+    matrices stays within 3 * N * log2(B * sqrt(N)) + 64 bits, three times
+    a Hadamard bound plus slack; the Hermite columns, transforms and kernels
+    of integer spans stay within it too.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    D = [list(r) for r in rows]
-    U, Uinv = _eye(m), _eye(m)
-    V, Vinv = _eye(n), _eye(n)
-
-    def row_swap(i: int, j: int) -> None:
-        D[i], D[j] = D[j], D[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-        Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
-
-    def row_add(i: int, j: int, k: int) -> None:
-        # row_i += k * row_j
-        D[i] = [a + k * b for a, b in zip(D[i], D[j])]
-        for r in U:
-            r[j] -= k * r[i]
-        Uinv[i] = [a + k * b for a, b in zip(Uinv[i], Uinv[j])]
-
-    def row_negate(i: int) -> None:
-        D[i] = [-a for a in D[i]]
-        for r in U:
-            r[i] = -r[i]
-        Uinv[i] = [-a for a in Uinv[i]]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-        for r in Vinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(j: int, i: int, k: int) -> None:
-        # col_j += k * col_i
-        for r in D:
-            r[j] += k * r[i]
-        V[i] = [a - k * b for a, b in zip(V[i], V[j])]
-        for r in Vinv:
-            r[j] += k * r[i]
-
-    def diagonalize() -> None:
-        t = 0
-        while t < min(m, n):
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = D[i][j]
-                    if v != 0 and (best is None or abs(v) < abs(D[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best[0] != t:
-                row_swap(best[0], t)
-            if best[1] != t:
-                col_swap(best[1], t)
-            while True:
-                progress = False
-                for i in range(m):
-                    if i != t and D[i][t] != 0:
-                        q = D[i][t] // D[t][t]
-                        if q:
-                            row_add(i, t, -q)
-                        if D[i][t] != 0:
-                            row_swap(i, t)
-                            progress = True
-                for j in range(n):
-                    if j != t and D[t][j] != 0:
-                        q = D[t][j] // D[t][t]
-                        if q:
-                            col_add(j, t, -q)
-                        if D[t][j] != 0:
-                            col_swap(j, t)
-                            progress = True
-                if not progress:
-                    clear_col = all(D[i][t] == 0 for i in range(m) if i != t)
-                    clear_row = all(D[t][j] == 0 for j in range(n) if j != t)
-                    if clear_col and clear_row:
-                        break
-            if D[t][t] < 0:
-                row_negate(t)
-            t += 1
-
-    diagonalize()
+    # D's columns, each followed by its column of V^-1; V's rows are their duals
+    cols = [[r[j] for r in rows] + e for j, e in enumerate(_eye(n))]
+    V, U_cols, Uinv = _eye(n), _eye(m), _eye(m)
     while True:
-        violation = None
-        for t in range(min(m, n) - 1):
-            a, b = D[t][t], D[t + 1][t + 1]
-            if a != 0 and b % a != 0:
-                violation = t
+        _hermite(cols, m, V)
+        # D's rows, each followed by its row of U^-1; U's columns are their duals
+        D = [[c[i] for c in cols] + u for i, u in enumerate(Uinv)]
+        _hermite(D, n, U_cols)
+        if not any(r[j] for i, r in enumerate(D) for j in range(n) if j != i):
+            t = next((t for t in range(min(m, n) - 1) if D[t][t] and D[t + 1][t + 1] % D[t][t]), None)
+            if t is None:
                 break
-        if violation is None:
-            break
-        col_add(violation, violation + 1, 1)
-        diagonalize()
-    return SNFResult(U, D, V, Uinv, Vinv)
+            D[t] = [a + b for a, b in zip(D[t], D[t + 1])]
+            U_cols[t + 1] = [a - b for a, b in zip(U_cols[t + 1], U_cols[t])]
+        Uinv = [r[n:] for r in D]
+        cols = [[r[j] for r in D] + c[m:] for j, c in enumerate(cols)]
+    U = [list(r) for r in zip(*U_cols)]
+    Vinv = [list(r) for r in zip(*(c[m:] for c in cols))]
+    return SNFResult(U, [r[:n] for r in D], V, [r[n:] for r in D], Vinv)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +267,6 @@ def _iadd_scaled(acc: dict, offset: int, coeff: int, src: dict, guard: int) -> N
             acc[key] = s
         else:
             acc.pop(key, None)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class _GBElem:
@@ -486,128 +475,94 @@ class _ModuleGB:
 # ---------------------------------------------------------------------------
 
 
-class _SNFBlock:
-    """One grading block of the integer backend, kept to what queries need.
-
-    With M = U.D.V the Smith form of the block's matrix and d_1..d_r its
-    nonzero diagonal entries, the first r rows of U^-1 give the coordinates
-    that the d_i divide and V^-1 maps the quotients to column coefficients.
-    Remainders and basis vectors come from M itself, since U.D = M.V^-1
-    and U.(U^-1 v - D x) = v - M.V^-1 x; U and V are not kept.
-    """
-
-    __slots__ = ("rows", "cols", "mat_columns", "uinv", "diag", "vinv")
-
-    def __init__(self, rows: list[int], cols: list[int], mat: list[list[int]]):
-        snf = smith_normal_form(mat)
-        self.rows = rows
-        self.cols = cols
-        self.mat_columns = list(zip(*mat))
-        self.diag = [d for d in snf.diagonal if d]
-        self.uinv = snf.Uinv[: len(self.diag)]
-        self.vinv = snf.Vinv
-
-    def combine(self, coeffs: list[int]) -> list[int]:
-        """M.coeffs, over the block's rows."""
-        out = [0] * len(self.rows)
-        for c, column in zip(coeffs, self.mat_columns):
-            if c:
-                out = [a + c * b for a, b in zip(out, column)]
-        return out
-
-
 class _IntBackend:
-    """Blockwise Smith normal form over the integers.
+    """Blockwise reduced Hermite forms over the integers.
 
     Columns are grouped by grading class (exact shift for Z grading, parity
     for Z/2); each class touches a disjoint set of rows, so membership,
-    certificates, and kernels decompose blockwise and stay homogeneous.
+    certificates, and kernels decompose blockwise and stay homogeneous.  A
+    block is (rows, cols, pivot rows, basis, kernel): each basis vector is a
+    Hermite column h of the block's matrix A followed by its transform t,
+    A.t = h, and the kernel is in Hermite form as well.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
         self.ambient = ambient
         self.columns = columns
         ring = ambient.ring
-        self.zero_column_indices: list[int] = []
-        class_cols: dict[int, list[int]] = {}
+        # class None holds the zero columns: a block of no rows, whose kernel comes first
+        class_cols: dict[int | None, list[int]] = {None: []}
         for j, col in enumerate(columns):
             k = ambient.vector_degree(col)
-            if k is ANY_DEGREE:
-                self.zero_column_indices.append(j)
-                continue
             if k is INHOMOGENEOUS:
                 raise EngineError("integer-backend columns must be homogeneous")
-            class_cols.setdefault(ring.reduce_degree(-k), []).append(j)
+            c = None if k is ANY_DEGREE else ring.reduce_degree(-k)
+            class_cols.setdefault(c, []).append(j)
         class_rows: dict[int, list[int]] = {}
         for i, n in enumerate(ambient.shifts):
             class_rows.setdefault(ring.reduce_degree(n), []).append(i)
-        self.blocks: list[_SNFBlock] = []
-        for c in sorted(class_cols):
-            rows = class_rows.get(c, [])
-            cols = class_cols[c]
-            for j in cols:
-                for i in range(ambient.rank):
-                    if i not in rows and columns[j][i]:
-                        raise EngineError("column escapes its grading block")
-            mat = [
-                [columns[j][i].coefficient((0,) * ring.nvars) for j in cols]
-                for i in rows
+        self.blocks: list[tuple] = []
+        for c in [None] + sorted(class_cols.keys() - {None}):
+            rows, cols = class_rows.get(c, []), class_cols[c]
+            if any(columns[j][i] for j in cols for i in range(ambient.rank) if i not in rows):
+                raise EngineError("column escapes its grading block")
+            vecs = [
+                [columns[j][i].coefficient(()) for i in rows] + unit
+                for j, unit in zip(cols, _eye(len(cols)))
             ]
-            self.blocks.append(_SNFBlock(rows, cols, mat))
+            pivots = _hermite(vecs, len(rows))
+            kernel = [v[len(rows) :] for v in vecs[len(pivots) :]]
+            _hermite(kernel, len(cols))
+            self.blocks.append((rows, cols, pivots, vecs[: len(pivots)], kernel))
+
+    def _reduce(self, v: Vector, certify: bool) -> tuple[list[int], list[int]]:
+        """The remainder and certificate of v, walking the pivots in order.
+
+        At each pivot q.(h, t) is subtracted, q the floor quotient there, so
+        the remainder lies in [0, pivot) at pivot rows; without certify the
+        certificate stays zero and zip stops each subtraction at the rows.
+        """
+        rem = [entry.coefficient(()) for entry in v]
+        cert = [0] * len(self.columns)
+        for rows, cols, pivots, basis, _ in self.blocks:
+            work = [rem[i] for i in rows] + [0] * (len(cols) if certify else 0)
+            for p, vec in zip(pivots, basis):
+                q = work[p] // vec[p]
+                if q:
+                    work = [a - q * b for a, b in zip(work, vec)]
+            for i, a in zip(rows, work):
+                rem[i] = a
+            for j, a in zip(cols, work[len(rows) :]):
+                cert[j] = -a
+        return rem, cert
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        ring = self.ambient.ring
-        zero_exp = (0,) * ring.nvars
-        rem = [entry.coefficient(zero_exp) for entry in v]
-        cert = [0] * len(self.columns)
-        for block in self.blocks:
-            sub = [rem[i] for i in block.rows]
-            x = [0] * len(block.cols)
-            for i, (row, d) in enumerate(zip(block.uinv, block.diag)):
-                x[i] = sum(a * b for a, b in zip(row, sub)) // d
-            coeffs = [sum(a * b for a, b in zip(row, x)) for row in block.vinv]
-            for i, r in zip(block.rows, block.combine(coeffs)):
-                rem[i] -= r
-            for local, j in enumerate(block.cols):
-                cert[j] = coeffs[local]
-        remainder = tuple(ring.const(c) for c in rem)
-        certificate = [ring.const(c) for c in cert]
-        return remainder, certificate
+        rem, cert = self._reduce(v, True)
+        const = self.ambient.ring.const
+        return tuple(map(const, rem)), list(map(const, cert))
+
+    def contains(self, v: Vector) -> bool:
+        return not any(self._reduce(v, False)[0])
+
+    def _embed(self, length: int, parts) -> list[tuple[RingElement, ...]]:
+        """Each (indices, entries) pair as a vector of the given length."""
+        out = []
+        for indices, entries in parts:
+            full = [0] * length
+            for i, c in zip(indices, entries):
+                full[i] = c
+            out.append(tuple(map(self.ambient.ring.const, full)))
+        return out
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        ring = self.ambient.ring
-        s = len(self.columns)
-        out: list[tuple[RingElement, ...]] = []
-        for j in self.zero_column_indices:
-            out.append(
-                tuple(ring.const(1 if k == j else 0) for k in range(s))
-            )
-        for block in self.blocks:
-            for k in range(len(block.diag), len(block.cols)):
-                full = [0] * s
-                for local, j in enumerate(block.cols):
-                    full[j] = block.vinv[local][k]
-                if any(full):
-                    out.append(tuple(ring.const(c) for c in full))
-        return out
+        kernels = [(cols, k) for _, cols, _, _, kernel in self.blocks for k in kernel]
+        return self._embed(len(self.columns), kernels)
 
     def drop_syzygies(self) -> None:
-        """Nothing is recorded: syzygies come from the Smith forms on demand."""
+        """Nothing is recorded: the kernels are kept with the blocks."""
 
     def basis_vectors(self) -> list[Vector]:
-        ring = self.ambient.ring
-        out: list[Vector] = []
-        for block in self.blocks:
-            for k in range(len(block.cols)):
-                # column k of U.D, which is M.V^-1
-                col = block.combine([row[k] for row in block.vinv])
-                if not any(col):
-                    continue
-                full = [0] * self.ambient.rank
-                for local, i in enumerate(block.rows):
-                    full[i] = col[local]
-                out.append(tuple(ring.const(c) for c in full))
-        return out
+        return self._embed(self.ambient.rank, [(b[0], h) for b in self.blocks for h in b[3]])
 
 
 def _engine_nvars(ring: RingSpec) -> int:
@@ -687,6 +642,9 @@ class _PolyBackend:
         certificate = self._vector({k: -c for k, c in cert.items()}, len(self.columns))
         return self._vector(rem, self.ambient.rank), list(certificate)
 
+    def contains(self, v: Vector) -> bool:
+        return self.gb.contains(_to_engine(self.ring, v))
+
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         if self.gb.syzygies is None:
             raise EngineError("the syzygies of this span were dropped")
@@ -715,7 +673,8 @@ class ColumnSpan:
 
     normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
-    in the span.  Results are deterministic for a fixed column order.
+    in the span; contains(v) answers that without building the certificate.
+    Results are deterministic for a fixed column order.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
@@ -731,8 +690,7 @@ class ColumnSpan:
         return self._backend.normal_form(self.ambient.coerce_vector(v))
 
     def contains(self, v) -> bool:
-        remainder, _ = self.normal_form(v)
-        return all(e.is_zero() for e in remainder)
+        return self._backend.contains(self.ambient.coerce_vector(v))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         if self._syz is None:

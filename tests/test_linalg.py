@@ -147,6 +147,49 @@ def test_certificates_recombine_exactly():
                 assert span.contains(v)
 
 
+def test_contains_agrees_with_the_normal_form_remainder():
+    rng = random.Random(43)
+    for ring in gu.RING_POOL:
+        for _ in range(40):
+            m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
+            k = rng.randint(-2, 2)
+            cols = [
+                m.coerce_vector(
+                    [gu.random_homogeneous(rng, ring, k + n, span=1) for n in m.shifts]
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            span = ColumnSpan(m, cols)
+            outside = [gu.random_homogeneous(rng, ring, k + n, span=1) for n in m.shifts]
+            # a combination of the columns, so that some vectors lie in the span
+            inside = [ring.zero()] * m.rank
+            for col in cols:
+                c = ring.const(rng.randint(-3, 3))
+                inside = [e + c * x for e, x in zip(inside, col)]
+            for v in (outside, inside, [a + b for a, b in zip(outside, inside)]):
+                v = m.coerce_vector(v)
+                remainder, _ = span.normal_form(v)
+                assert span.contains(v) == all(e.is_zero() for e in remainder)
+            assert span.contains(m.coerce_vector(inside))
+
+
+def test_contains_builds_no_certificate(monkeypatch):
+    calls = []
+    normal_form = ColumnSpan.normal_form
+
+    def counting(span, v):
+        calls.append(v)
+        return normal_form(span, v)
+
+    monkeypatch.setattr(ColumnSpan, "normal_form", counting)
+    for ring in (Z, ZXY, ZL):
+        m = GradedFreeModule(ring, (0, 0))
+        span = ColumnSpan(m, [(ring.const(2), ring.const(4)), (ring.zero(), ring.const(6))])
+        assert span.contains((ring.const(2), ring.const(10)))
+        assert not span.contains((ring.const(1), ring.zero()))
+    assert calls == []
+
+
 def test_polynomial_membership_known_ideal():
     m = GradedFreeModule(ZT, (0,))
     x = ZT.gen("t")
