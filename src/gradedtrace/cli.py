@@ -101,7 +101,8 @@ def _cmd_trace(args) -> int:
 
     module_doc = _load(args.module_file)
     module_name, module = _pick(module_doc.modules, args.module_name, "module", args.module_file)
-    hom_doc = _load(args.hom_file)
+    # one file may hold both; parse it once, so the hom's source is the module itself
+    hom_doc = module_doc if args.hom_file == args.module_file else _load(args.hom_file)
     hom_name, hom = _pick(hom_doc.homs, args.name, "hom", args.hom_file)
     if hom.source != module or hom.target != module:
         raise CliError(f"hom {hom_name} is not an endomorphism of module {module_name}")

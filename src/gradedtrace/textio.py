@@ -29,13 +29,23 @@ Parsing is strict: every object is rebuilt through the library constructors,
 so shape, homogeneity, and well-definedness failures surface as ParseError
 with a line and column.  The printers emit exactly this grammar, and
 parse(print(x)) reproduces x.
+
+Lexing is one scan of the compiled `_TOKEN_RE` over the whole text.  Each
+match skips blanks and comments, then takes one token, the end of input, or
+any single other character, which `_tokenize` rejects afterwards.  Tokens
+are their texts, the end token is "", and the parser keeps token indices as
+anchors; a line and column are computed only when a ParseError is raised,
+by scanning again up to the anchor.  Every match succeeds at its first try,
+so the scan never backtracks and takes linear time.  Its peak memory grows
+by about 200 bytes per consecutive comment line: the regex engine keeps
+state for each repeat of the comment skip.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NoReturn
 
 from .freemod import GradedFreeModule, GradedMatrixHom
@@ -72,68 +82,41 @@ class ParseError(ValueError):
         super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name, int, string, arrow, punct, eof
-    text: str
-    line: int
-    col: int
+# name, int, string, arrow, punct: the first alternative that matches wins
+_TOKEN = r"""[A-Za-z_][A-Za-z0-9_]*|[0-9]+|"(?:[^"\\\n]|\\.)*"|->|[{}\[\]():;,+\-*^]"""
+_VALID_TOKEN_RE = re.compile(_TOKEN)
+# The skip is greedy and the group cannot fail after it, so no match ever
+# backtracks into a comment or retries a shorter run of blanks.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(" + _TOKEN + r"|\Z|.)")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[\ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<int>[0-9]+)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<arrow>->)
-    | (?P<punct>[{}\[\]():;,+\-*^])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(source: str, filename: str) -> list[Token]:
-    line_starts = [0]
-    for i, ch in enumerate(source):
-        if ch == "\n":
-            line_starts.append(i + 1)
-
-    def position(pos: int) -> tuple[int, int]:
-        line = bisect_right(line_starts, pos)
-        return line, pos - line_starts[line - 1] + 1
-
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            line, col = position(pos)
-            raise ParseError(f"unexpected character {source[pos]!r}", filename, line, col)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            line, col = position(pos)
-            tokens.append(Token(kind, m.group(), line, col))
-        pos = m.end()
-    line, col = position(len(source))
-    tokens.append(Token("eof", "", line, col))
+def _tokenize(source: str, filename: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(source)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # trailing blanks end in a second, empty match
+    bad = [t for t in set(tokens) if t and not _VALID_TOKEN_RE.fullmatch(t)]
+    if bad:
+        index = min(map(tokens.index, bad))
+        line, col = _position(source, index)
+        raise ParseError(f"unexpected character {tokens[index]!r}", filename, line, col)
     return tokens
 
 
+def _position(source: str, index: int) -> tuple[int, int]:
+    """Line and column of token number index; for error reports only."""
+    offset = next(islice(_TOKEN_RE.finditer(source), index, None)).start(1)
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+# a validated token's kind shows in its text; the end token "" has none
+_KINDS: dict[str, Callable[[str], bool]] = {
+    "name": str.isidentifier, "int": str.isdigit, "string": lambda t: t[:1] == '"', "arrow": "->".__eq__
+}
+
+
 def _unescape(raw: str) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", r"\1", raw[1:-1])
 
 
 def _escape(text: str) -> str:
@@ -170,98 +153,105 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    def __init__(self, source: str, filename: str):
+        self.source = source
+        self.tokens = _tokenize(source, filename)
         self.pos = 0
         self.filename = filename
         self.doc = Document()
         self.depth = 0
 
-    # token plumbing
+    # token plumbing: tokens are texts, anchors are token indices
 
-    def _peek(self) -> Token:
+    def _peek(self) -> str:
         return self.tokens[self.pos]
 
-    def _advance(self) -> Token:
+    def _advance(self) -> int:
+        """Step past a statement keyword; return its index as the anchor."""
+        self.pos += 1
+        return self.pos - 1
+
+    def _fail(self, anchor: int, message: str) -> NoReturn:
+        line, col = _position(self.source, anchor)
+        raise ParseError(message, self.filename, line, col)
+
+    def _expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self._unexpected(text)
+        self.pos += 1
+
+    def _expect_kind(self, kind: str) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if not _KINDS[kind](tok):
+            self._unexpected(kind)
+        self.pos += 1
         return tok
 
-    def _fail(self, tok: Token, message: str) -> NoReturn:
-        raise ParseError(message, self.filename, tok.line, tok.col)
+    def _unexpected(self, want: str) -> NoReturn:
+        got = self.tokens[self.pos] or "end of input"
+        self._fail(self.pos, f"expected {want!r}, got {got!r}")
 
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self._peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            self._fail(tok, f"expected {want!r}, got {got!r}")
-        return self._advance()
+    def _accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self._peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self._advance()
-        return None
-
-    def _expect_punct(self, ch: str) -> Token:
-        return self._expect("punct", ch)
-
-    def _descend(self, tok: Token) -> None:
-        """Open one nesting level at tok; the caller closes it on return."""
+    def _descend(self, anchor: int) -> None:
+        """Open one nesting level at anchor; the caller closes it on return."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self._fail(tok, f"nested more than {MAX_NESTING} levels deep")
+            self._fail(anchor, f"nested more than {MAX_NESTING} levels deep")
 
     # small literals
 
     def _signed_int(self) -> int:
-        neg = self._accept("punct", "-") is not None
-        tok = self._expect("int")
-        return -int(tok.text) if neg else int(tok.text)
+        neg = self._accept("-")
+        value = int(self._expect_kind("int"))
+        return -value if neg else value
 
     def _int_list(self) -> list[int]:
-        self._expect_punct("[")
+        self._expect("[")
         items: list[int] = []
-        if not self._accept("punct", "]"):
+        if not self._accept("]"):
             items.append(self._signed_int())
-            while self._accept("punct", ","):
+            while self._accept(","):
                 items.append(self._signed_int())
-            self._expect_punct("]")
+            self._expect("]")
         return items
 
     def _string(self) -> str:
-        return _unescape(self._expect("string").text)
+        return _unescape(self._expect_kind("string"))
 
     # ring specifications
 
     def _ring_spec(self) -> RingSpec:
-        anchor = self._expect("name", "Z")
+        anchor = self.pos
+        self._expect("Z")
         names: list[str] = []
         degrees: list[int] = []
         inverted: set[str] = set()
-        if self._accept("punct", "["):
+        if self._accept("["):
             while True:
-                name_tok = self._expect("name")
-                if self._accept("punct", "^"):
-                    self._expect_punct("-")
-                    one = self._expect("int")
-                    if one.text != "1":
-                        self._fail(one, "only ^-1 marks an invertible generator")
-                    if name_tok.text not in names:
-                        self._fail(name_tok, f"{name_tok.text}^-1 before {name_tok.text} is declared")
-                    inverted.add(name_tok.text)
+                at = self.pos
+                name = self._expect_kind("name")
+                if self._accept("^"):
+                    self._expect("-")
+                    if self._expect_kind("int") != "1":
+                        self._fail(self.pos - 1, "only ^-1 marks an invertible generator")
+                    if name not in names:
+                        self._fail(at, f"{name}^-1 before {name} is declared")
+                    inverted.add(name)
                 else:
-                    if name_tok.text in names:
-                        self._fail(name_tok, f"generator {name_tok.text} declared twice")
-                    self._expect_punct(":")
-                    names.append(name_tok.text)
+                    if name in names:
+                        self._fail(at, f"generator {name} declared twice")
+                    self._expect(":")
+                    names.append(name)
                     degrees.append(self._signed_int())
-                if not self._accept("punct", ","):
+                if not self._accept(","):
                     break
-            self._expect_punct("]")
-        grading = GRADING_Z2 if self._accept("name", "mod2") else GRADING_Z
+            self._expect("]")
+        grading = GRADING_Z2 if self._accept("mod2") else GRADING_Z
         try:
             if not names:
                 if inverted:
@@ -276,7 +266,7 @@ class _Parser:
         except ValueError as exc:
             self._fail(anchor, str(exc))
 
-    def _current_ring(self, anchor: Token) -> RingSpec:
+    def _current_ring(self, anchor: int) -> RingSpec:
         if self.doc.ring is None:
             self._fail(anchor, "no ring declared yet; add a 'ring ...;' statement first")
         return self.doc.ring
@@ -286,96 +276,95 @@ class _Parser:
     def _element(self, ring: RingSpec) -> RingElement:
         value = self._element_term(ring)
         while True:
-            if self._accept("punct", "+"):
+            if self._accept("+"):
                 value = value + self._element_term(ring)
-            elif self._accept("punct", "-"):
+            elif self._accept("-"):
                 value = value - self._element_term(ring)
             else:
                 return value
 
     def _element_term(self, ring: RingSpec) -> RingElement:
         value = self._element_factor(ring)
-        while self._accept("punct", "*"):
+        while self._accept("*"):
             value = value * self._element_factor(ring)
         return value
 
     def _element_factor(self, ring: RingSpec) -> RingElement:
-        tok = self._peek()
-        if self._accept("punct", "-"):
-            self._descend(tok)
+        at = self.pos
+        if self._accept("-"):
+            self._descend(at)
             value = -self._element_factor(ring)
             self.depth -= 1
             return value
         base = self._element_atom(ring)
-        if self._accept("punct", "^"):
-            anchor = self._peek()
+        if self._accept("^"):
+            at = self.pos
             power = self._signed_int()
             try:
                 return base ** power
             except ValueError as exc:
-                self._fail(anchor, str(exc))
+                self._fail(at, str(exc))
         return base
 
     def _element_atom(self, ring: RingSpec) -> RingElement:
-        tok = self._peek()
-        if tok.kind == "int":
-            self._advance()
-            return ring.const(int(tok.text))
-        if tok.kind == "name":
-            self._advance()
-            if tok.text not in ring.var_names:
-                self._fail(tok, f"unknown generator {tok.text!r} in ring {ring}")
-            return ring.gen(tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self._advance()
-            self._descend(tok)
+        at = self.pos
+        tok = self.tokens[at]
+        if tok.isdigit():
+            self.pos += 1
+            return ring.const(int(tok))
+        if tok.isidentifier():
+            self.pos += 1
+            if tok not in ring.var_names:
+                self._fail(at, f"unknown generator {tok!r} in ring {ring}")
+            return ring.gen(tok)
+        if tok == "(":
+            self.pos += 1
+            self._descend(at)
             value = self._element(ring)
-            self._expect_punct(")")
+            self._expect(")")
             self.depth -= 1
             return value
-        self._fail(tok, f"expected an element, got {tok.text!r}")
+        self._fail(at, f"expected an element, got {tok!r}")
 
     # nested list literals over a ring: rows of a matrix, or oracle payloads
 
     def _element_list(self, ring: RingSpec) -> list[RingElement]:
-        self._expect_punct("[")
+        self._expect("[")
         items: list[RingElement] = []
-        if not self._accept("punct", "]"):
+        if not self._accept("]"):
             items.append(self._element(ring))
-            while self._accept("punct", ","):
+            while self._accept(","):
                 items.append(self._element(ring))
-            self._expect_punct("]")
+            self._expect("]")
         return items
 
     def _element_table(self, ring: RingSpec) -> list[list[RingElement]]:
-        self._expect_punct("[")
+        self._expect("[")
         rows: list[list[RingElement]] = []
-        if not self._accept("punct", "]"):
+        if not self._accept("]"):
             rows.append(self._element_list(ring))
-            while self._accept("punct", ","):
+            while self._accept(","):
                 rows.append(self._element_list(ring))
-            self._expect_punct("]")
+            self._expect("]")
         return rows
 
     def _payload_item(self, ring: RingSpec):
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == "[":
-            self._advance()
-            self._descend(tok)
+        at = self.pos
+        if self._accept("["):
+            self._descend(at)
             items = []
-            if not self._accept("punct", "]"):
+            if not self._accept("]"):
                 items.append(self._payload_item(ring))
-                while self._accept("punct", ","):
+                while self._accept(","):
                     items.append(self._payload_item(ring))
-                self._expect_punct("]")
+                self._expect("]")
             self.depth -= 1
             return items
         return self._element(ring)
 
     def _payload(self, ring: RingSpec) -> list:
-        tok = self._peek()
-        if tok.kind != "punct" or tok.text != "[":
-            self._fail(tok, "oracle payload must be a [...] list")
+        if self._peek() != "[":
+            self._fail(self.pos, "oracle payload must be a [...] list")
         item = self._payload_item(ring)
         assert isinstance(item, list)
         return item
@@ -383,18 +372,20 @@ class _Parser:
     # name lookups
 
     def _lookup(self, table: dict, label: str) -> tuple[str, object]:
-        tok = self._expect("name")
-        if tok.text not in table:
-            self._fail(tok, f"unknown {label} {tok.text!r}")
-        return tok.text, table[tok.text]
+        at = self.pos
+        name = self._expect_kind("name")
+        if name not in table:
+            self._fail(at, f"unknown {label} {name!r}")
+        return name, table[name]
 
-    def _declare(self, table: dict, label: str) -> tuple[str, Token]:
-        tok = self._expect("name")
-        if tok.text in table:
-            self._fail(tok, f"{label} {tok.text!r} already defined")
-        return tok.text, tok
+    def _declare(self, table: dict, label: str) -> str:
+        at = self.pos
+        name = self._expect_kind("name")
+        if name in table:
+            self._fail(at, f"{label} {name!r} already defined")
+        return name
 
-    def _build(self, anchor: Token, make: Callable):
+    def _build(self, anchor: int, make: Callable):
         """Run a library constructor; report its rejection at the statement."""
         try:
             return make()
@@ -408,45 +399,46 @@ class _Parser:
     def parse_document(self) -> Document:
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if not tok:
                 return self.doc
-            if tok.kind != "name" or tok.text not in _STATEMENTS:
-                self._fail(tok, f"expected one of {', '.join(_STATEMENTS)}, got {tok.text!r}")
-            getattr(self, f"_stmt_{tok.text}")()
+            if tok not in _STATEMENTS:
+                self._fail(self.pos, f"expected one of {', '.join(_STATEMENTS)}, got {tok!r}")
+            getattr(self, f"_stmt_{tok}")()
 
     def _stmt_ring(self) -> None:
         self._advance()
         self.doc.ring = self._ring_spec()
-        self._accept("punct", ";")
+        self._accept(";")
 
     def _stmt_free(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.modules, "module")
+        name = self._declare(self.doc.modules, "module")
         ring = self._current_ring(anchor)
         shifts = self._int_list()
-        self._accept("punct", ";")
+        self._accept(";")
         module = self._build(anchor, lambda: free_presentation(GradedFreeModule(ring, tuple(shifts))))
         self.doc.modules[name] = module
 
     def _stmt_module(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.modules, "module")
+        name = self._declare(self.doc.modules, "module")
         ring = self._current_ring(anchor)
-        self._expect_punct("{")
+        self._expect("{")
         gens: list[int] | None = None
         rels: list[list[RingElement]] | None = None
         reldegree = 1
-        while not self._accept("punct", "}"):
-            item = self._expect("name")
-            if item.text == "gens":
+        while not self._accept("}"):
+            at = self.pos
+            item = self._expect_kind("name")
+            if item == "gens":
                 gens = self._int_list()
-            elif item.text == "rels":
+            elif item == "rels":
                 rels = self._element_table(ring)
-            elif item.text == "reldegree":
+            elif item == "reldegree":
                 reldegree = self._signed_int()
             else:
-                self._fail(item, f"unknown module item {item.text!r} (gens, rels, reldegree)")
-            self._accept("punct", ";")
+                self._fail(at, f"unknown module item {item!r} (gens, rels, reldegree)")
+            self._accept(";")
         if gens is None:
             self._fail(anchor, "module needs a 'gens [...];' item")
         columns = rels if rels is not None else []
@@ -456,34 +448,35 @@ class _Parser:
         self.doc.modules[name] = module
 
     def _arrow_heads(self) -> tuple[PresentedModule, PresentedModule]:
-        self._expect_punct(":")
+        self._expect(":")
         _, source = self._lookup(self.doc.modules, "module")
-        self._expect("arrow")
+        self._expect_kind("arrow")
         _, target = self._lookup(self.doc.modules, "module")
         return source, target
 
     def _rows_block(
         self, ring: RingSpec, body_key: str
     ) -> tuple[int, list[list[RingElement]]]:
-        self._expect_punct("{")
+        self._expect("{")
         degree = 0
         rows: list[list[RingElement]] | None = None
-        while not self._accept("punct", "}"):
-            item = self._expect("name")
-            if item.text == "degree":
+        while not self._accept("}"):
+            at = self.pos
+            item = self._expect_kind("name")
+            if item == "degree":
                 degree = self._signed_int()
-            elif item.text == body_key:
+            elif item == body_key:
                 rows = self._element_table(ring)
             else:
-                self._fail(item, f"unknown item {item.text!r} (degree, {body_key})")
-            self._accept("punct", ";")
+                self._fail(at, f"unknown item {item!r} (degree, {body_key})")
+            self._accept(";")
         if rows is None:
-            self._fail(self._peek(), f"missing '{body_key} [...];' item")
+            self._fail(self.pos, f"missing '{body_key} [...];' item")
         return degree, rows
 
     def _stmt_matrix(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.matrices, "matrix")
+        name = self._declare(self.doc.matrices, "matrix")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(source.ring, "rows")
         matrix = self._build(
@@ -494,7 +487,7 @@ class _Parser:
 
     def _stmt_hom(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.homs, "hom")
+        name = self._declare(self.doc.homs, "hom")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(source.ring, "lift")
         hom = self._build(
@@ -508,7 +501,7 @@ class _Parser:
         self.doc.homs[name] = hom
 
     def _endo_from_rows(
-        self, anchor: Token, module: PresentedModule, degree: int, rows
+        self, anchor: int, module: PresentedModule, degree: int, rows
     ) -> ModuleHom:
         return self._build(
             anchor,
@@ -521,36 +514,37 @@ class _Parser:
 
     def _stmt_ses(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.sequences, "ses")
-        self._expect_punct("{")
+        name = self._declare(self.doc.sequences, "ses")
+        self._expect("{")
         parts: dict[str, PresentedModule] = {}
         rows_a = rows_b = rows_fa = rows_fb = None
         endo_degree = 0
-        while not self._accept("punct", "}"):
-            item = self._expect("name")
-            if item.text == "modules":
+        while not self._accept("}"):
+            at = self.pos
+            item = self._expect_kind("name")
+            if item == "modules":
                 _, left = self._lookup(self.doc.modules, "module")
-                self._expect_punct(",")
+                self._expect(",")
                 _, middle = self._lookup(self.doc.modules, "module")
-                self._expect_punct(",")
+                self._expect(",")
                 _, right = self._lookup(self.doc.modules, "module")
                 parts = {"left": left, "middle": middle, "right": right}
-            elif item.text in ("a", "b", "fA", "fB"):
-                ring = self._current_ring(item)
+            elif item in ("a", "b", "fA", "fB"):
+                ring = self._current_ring(at)
                 table = self._element_table(ring)
-                if item.text == "a":
+                if item == "a":
                     rows_a = table
-                elif item.text == "b":
+                elif item == "b":
                     rows_b = table
-                elif item.text == "fA":
+                elif item == "fA":
                     rows_fa = table
                 else:
                     rows_fb = table
-            elif item.text == "degree":
+            elif item == "degree":
                 endo_degree = self._signed_int()
             else:
-                self._fail(item, f"unknown ses item {item.text!r} (modules, a, b, fA, fB, degree)")
-            self._accept("punct", ";")
+                self._fail(at, f"unknown ses item {item!r} (modules, a, b, fA, fB, degree)")
+            self._accept(";")
         if not parts:
             self._fail(anchor, "ses needs a 'modules A, B, C;' item")
         if rows_a is None or rows_b is None:
@@ -579,8 +573,8 @@ class _Parser:
 
     def _stmt_case(self) -> None:
         anchor = self._advance()
-        name, _ = self._declare(self.doc.cases, "case")
-        self._expect_punct("{")
+        name = self._declare(self.doc.cases, "case")
+        self._expect("{")
         title = ""
         note = ""
         even = odd = None
@@ -588,38 +582,39 @@ class _Parser:
         payload: list | None = None
         ring_map: RingMap | None = None
         saw_oracle = False
-        while not self._accept("punct", "}"):
-            item = self._expect("name")
-            if item.text == "title":
+        while not self._accept("}"):
+            at = self.pos
+            item = self._expect_kind("name")
+            if item == "title":
                 title = self._string()
-                self._accept("punct", ";")
-            elif item.text == "note":
+                self._accept(";")
+            elif item == "note":
                 note = self._string()
-                self._accept("punct", ";")
-            elif item.text == "even":
+                self._accept(";")
+            elif item == "even":
                 _, even = self._lookup(self.doc.homs, "hom")
-                self._accept("punct", ";")
-            elif item.text == "odd":
+                self._accept(";")
+            elif item == "odd":
                 _, odd = self._lookup(self.doc.homs, "hom")
-                self._accept("punct", ";")
-            elif item.text == "map":
+                self._accept(";")
+            elif item == "map":
                 if saw_oracle:
-                    self._fail(item, "map must come before oracle (payload parses over the map target)")
-                ring_map = self._case_map(item)
-            elif item.text == "oracle":
-                oracle_tok = self._expect("name")
-                if oracle_tok.text not in ORACLES:
+                    self._fail(at, "map must come before oracle (payload parses over the map target)")
+                ring_map = self._case_map(at)
+            elif item == "oracle":
+                oracle_at = self.pos
+                oracle_name = self._expect_kind("name")
+                if oracle_name not in ORACLES:
                     known = ", ".join(sorted(ORACLES))
-                    self._fail(oracle_tok, f"unknown oracle {oracle_tok.text!r} (known: {known})")
-                oracle_name = oracle_tok.text
-                comparison = ring_map.target if ring_map else self._current_ring(item)
+                    self._fail(oracle_at, f"unknown oracle {oracle_name!r} (known: {known})")
+                comparison = ring_map.target if ring_map else self._current_ring(at)
                 payload = self._payload(comparison)
-                self._accept("punct", ";")
+                self._accept(";")
                 saw_oracle = True
             else:
                 self._fail(
-                    item,
-                    f"unknown case item {item.text!r} (title, even, odd, map, oracle, note)",
+                    at,
+                    f"unknown case item {item!r} (title, even, odd, map, oracle, note)",
                 )
         if even is None or odd is None:
             self._fail(anchor, "case needs both 'even HOM;' and 'odd HOM;' items")
@@ -631,20 +626,21 @@ class _Parser:
         )
         self.doc.cases[name] = case
 
-    def _case_map(self, anchor: Token) -> RingMap:
+    def _case_map(self, anchor: int) -> RingMap:
         source = self._current_ring(anchor)
         target = self._ring_spec()
-        self._expect_punct("{")
+        self._expect("{")
         images: dict[str, RingElement] = {}
-        while not self._accept("punct", "}"):
-            gen_tok = self._expect("name")
-            if gen_tok.text not in source.var_names:
-                self._fail(gen_tok, f"unknown generator {gen_tok.text!r} in ring {source}")
-            if gen_tok.text in images:
-                self._fail(gen_tok, f"generator {gen_tok.text} mapped twice")
-            self._expect("arrow")
-            images[gen_tok.text] = self._element(target)
-            self._accept("punct", ";")
+        while not self._accept("}"):
+            at = self.pos
+            gen = self._expect_kind("name")
+            if gen not in source.var_names:
+                self._fail(at, f"unknown generator {gen!r} in ring {source}")
+            if gen in images:
+                self._fail(at, f"generator {gen} mapped twice")
+            self._expect_kind("arrow")
+            images[gen] = self._element(target)
+            self._accept(";")
         missing = [n for n in source.var_names if n not in images]
         if missing:
             self._fail(anchor, f"map does not send {missing} anywhere")
@@ -654,7 +650,7 @@ class _Parser:
 
 def parse_source(source: str, filename: str = "<input>") -> Document:
     """Parse a document from text; raise ParseError with position on error."""
-    return _Parser(_tokenize(source, filename), filename).parse_document()
+    return _Parser(source, filename).parse_document()
 
 
 def parse_file(path: str) -> Document:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradedtrace import builtin_catalog, hs_trace, parse_source, run_case, run_suite
+from gradedtrace import builtin_catalog, hs_trace, parse_source, run_case, run_suite, textio
 from gradedtrace.cli import EXIT_CODES, main
 
 CATALOG = builtin_catalog()
@@ -135,6 +135,27 @@ def test_cli_trace_hs(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trace"] == {"value": "0", "degree": 2}
     assert payload["module"] == "M" and payload["hom"] == "g"
+
+
+def test_cli_trace_hs_parses_a_shared_file_once(workdir, monkeypatch, capsys):
+    parsed = []
+    parse = textio.parse_source
+
+    def counting_parse(source, filename="<input>"):
+        parsed.append(filename)
+        return parse(source, filename)
+
+    monkeypatch.setattr(textio, "parse_source", counting_parse)
+    (workdir / "copy.txt").write_text((workdir / "endo.txt").read_text())
+    outputs = []
+    for hom_file in ("endo.txt", "copy.txt"):
+        for fmt in ("text", "json"):
+            parsed.clear()
+            argv = ["trace", "hs", "-M", str(workdir / "endo.txt"), "-f", str(workdir / hom_file)]
+            assert main(argv + ["--module-name", "M", "--name", "g", "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert len(parsed) == (1 if hom_file == "endo.txt" else 2)
+    assert outputs[:2] == outputs[2:]
 
 
 def test_cli_resolve(workdir, capsys):

@@ -1,19 +1,39 @@
 """The text format: parsing, printing, and round trips."""
 
-import pytest
+import os
+import random
+import re
+import subprocess
+import sys
+import textwrap
+from bisect import bisect_right
+from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from genutils import RING_POOL, random_matrix, random_module_endo, random_presented_module, random_shifts
 from gradedtrace import (
     GRAMMAR,
+    Document,
+    ExampleCase,
+    GradedFreeModule,
     ParseError,
     document_source,
+    free_presentation,
     hs_trace,
     integers,
     laurent_ring,
     parse_source,
     polynomial_ring,
+    textio,
 )
 from gradedtrace.textio import MAX_NESTING
 
+ROOT = Path(__file__).resolve().parent.parent
 Z = integers()
 
 
@@ -228,3 +248,197 @@ def test_grammar_text_mentions_every_statement():
     for word in ["ring", "free", "module", "matrix", "hom", "ses", "case", "oracle"]:
         assert word in GRAMMAR
     assert "semicolons are optional" in GRAMMAR
+
+
+# -- the one-scan lexer against the tokenizer it replaced ----------------------
+#
+# Token, _TOKEN_RE and _tokenize below are the earlier lexer, kept verbatim
+# as the reference: one Python-level match per token and a line and column
+# for every token.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # name, int, string, arrow, punct, eof
+    text: str
+    line: int
+    col: int
+
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[\ \t\r\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>[0-9]+)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<arrow>->)
+    | (?P<punct>[{}\[\]():;,+\-*^])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(source: str, filename: str) -> list[Token]:
+    line_starts = [0]
+    for i, ch in enumerate(source):
+        if ch == "\n":
+            line_starts.append(i + 1)
+
+    def position(pos: int) -> tuple[int, int]:
+        line = bisect_right(line_starts, pos)
+        return line, pos - line_starts[line - 1] + 1
+
+    tokens: list[Token] = []
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            line, col = position(pos)
+            raise ParseError(f"unexpected character {source[pos]!r}", filename, line, col)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            line, col = position(pos)
+            tokens.append(Token(kind, m.group(), line, col))
+        pos = m.end()
+    line, col = position(len(source))
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+GRAMMAR_FRAGMENTS = [
+    "ring", "Z", "[", "]", "x", "t", ":", "2", "0", "17", ",", "^", "-", "1", "mod2", ";",
+    "free", "P", "module", "M", "{", "}", "gens", "rels", "matrix", "->", "hom", "lift",
+    "rows", "degree", "(", ")", "+", "*", "case", "title", "_x9", '"plain"', '"say \\"hi\\""',
+    '"back\\\\slash"', '"\\\\"', '""',
+]
+NOISE = [
+    " ", "   ", "\t", "\n", "\r\n", " \n\n  ", "# note\n", "#", "# tail", "#]\n",
+    "@", "é", "\f", '"', "\\", ">",
+]
+texts = st.lists(st.sampled_from(GRAMMAR_FRAGMENTS + NOISE), max_size=40).map("".join)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(source=texts)
+def test_lexer_matches_the_reference(source):
+    try:
+        reference = _tokenize(source, "doc.txt")
+    except ParseError as want:
+        with pytest.raises(ParseError) as got:
+            parse_source(source, "doc.txt")
+        assert (got.value.message, got.value.line, got.value.col) == (want.message, want.line, want.col)
+        return
+    tokens = textio._tokenize(source, "doc.txt")
+    assert tokens == [t.text for t in reference]
+    # parse errors are reported at a token index; its line and column must not move
+    assert [textio._position(source, i) for i in range(len(tokens))] == [(t.line, t.col) for t in reference]
+
+
+def test_lexer_matches_the_reference_on_the_catalog():
+    for entry in resources.files("gradedtrace").joinpath("catalog").iterdir():
+        source = entry.read_text()
+        assert textio._tokenize(source, entry.name) == [t.text for t in _tokenize(source, entry.name)]
+
+
+def test_comments_are_never_read_as_tokens():
+    doc = parse_source("ring Z; # a [ comment\nmodule M { gens [0 # ]\n]; rels [[2] # ]]\n] } # end")
+    assert doc.modules["M"].relations.column(0) == (Z.const(2),)
+    with pytest.raises(ParseError) as err:
+        parse_source('ring Z;\n  free P [0, "x\\\n];')
+    assert (err.value.message, err.value.line, err.value.col) == ("unexpected character '\"'", 2, 14)
+
+
+def _timed_in_child(code: str) -> list[str]:
+    """Run code in a fresh interpreter; a hang fails the test instead of the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=30
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("did not finish within 30 s")
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_long_blank_runs_lex_in_linear_time():
+    # A nested skip such as (?:[ \t]+|#.*)* before a token that can fail
+    # backtracks exponentially: 22 blanks before '@' took 0.4 s that way.
+    line, col, seconds = _timed_in_child(
+        """
+        import time
+        from gradedtrace import ParseError, parse_source
+        start = time.perf_counter()
+        try:
+            parse_source(" " * 200_000 + "@")
+        except ParseError as exc:
+            print(exc.line, exc.col, time.perf_counter() - start)
+        """
+    )
+    assert (line, col) == ("1", "200001")
+    assert float(seconds) < 1.0
+
+
+def test_long_comment_runs_lex_in_linear_time():
+    """50 000 comment lines before a statement lex in well under a second.
+
+    The regex engine keeps state for each repeat of the comment skip, so the
+    peak memory of one scan grows by about 200 bytes per consecutive comment
+    line (10 MB here, Python 3.10 and 3.11); blank runs cost none.
+    """
+    ring, seconds = _timed_in_child(
+        """
+        import time
+        from gradedtrace import parse_source
+        start = time.perf_counter()
+        doc = parse_source("# a comment line\\n" * 50_000 + "ring Z;")
+        print(doc.ring, time.perf_counter() - start)
+        """
+    )
+    assert ring == "Z"
+    assert float(seconds) < 1.0
+
+
+# -- parse(print(x)) at sizes the corpus never reaches ---------------------------
+
+titles = st.text(
+    st.one_of(st.sampled_from('"\\#;'), st.characters(blacklist_characters="\n", blacklist_categories=("Cs",))),
+    max_size=16,
+)
+
+
+@settings(
+    max_examples=12,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(rng=st.randoms(use_true_random=False), title=titles, note=titles)
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_round_trip_at_scale(ring, rng: random.Random, title, note):
+    doc = Document()
+    for k in range(rng.randint(1, 3)):
+        doc.modules[f"P{k}"] = free_presentation(GradedFreeModule(ring, random_shifts(rng, max_rank=6)))
+    frees = list(doc.modules.values())
+    for k in range(rng.randint(1, 3)):
+        source, target = rng.choice(frees), rng.choice(frees)
+        doc.matrices[f"F{k}"] = random_matrix(rng, source.generators, target.generators, rng.randint(-2, 2))
+    for k in range(rng.randint(1, 2)):
+        module = random_presented_module(rng, ring)
+        doc.modules[f"M{k}"] = module
+        doc.homs[f"h{k}"] = random_module_endo(rng, module)
+        doc.homs[f"z{k}"] = random_module_endo(rng, module)
+    doc.cases["c"] = ExampleCase(
+        "c", title, doc.homs["h0"], doc.homs["z0"], "weight_sum", [ring.one(), ring.const(-2)], None, note
+    )
+    printed = document_source(doc)
+    again = parse_source(printed)
+    assert document_source(again) == printed
+    assert again.modules == doc.modules
+    assert again.matrices == doc.matrices
+    assert again.homs == doc.homs
+    assert again.cases == doc.cases
+    assert (again.cases["c"].title, again.cases["c"].note) == (title, note)
