@@ -110,10 +110,12 @@ class GradedMatrixHom:
     Rows index the target, columns the source: _rows[i] maps j to the entry
     (i, j) when it is nonzero.  The constructor validates shapes and the entry
     degree law, and _closed takes rows that are legal by construction, so an
-    instance is always a legal graded map.
+    instance is always a legal graded map.  An instance never changes, so the
+    span of its columns in the target is built at most once: solvers.column_span
+    builds it on first use and keeps it in _span.
     """
 
-    __slots__ = ("source", "target", "degree", "_rows")
+    __slots__ = ("source", "target", "degree", "_rows", "_span")
 
     def __init__(
         self,
@@ -152,6 +154,7 @@ class GradedMatrixHom:
             rows.append(sparse)
         self.source, self.target, self.degree = source, target, degree
         self._rows = tuple(rows)
+        self._span = None
 
     @classmethod
     def _closed(cls, source, target, degree: int, rows) -> GradedMatrixHom:
@@ -159,6 +162,7 @@ class GradedMatrixHom:
         hom = object.__new__(cls)
         hom.source, hom.target, hom.degree = source, target, degree
         hom._rows = tuple(rows)
+        hom._span = None
         return hom
 
     @property

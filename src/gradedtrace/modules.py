@@ -16,7 +16,7 @@ matching the syzygy maps produced by the solvers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .freemod import (
     GradedFreeModule,
@@ -27,7 +27,7 @@ from .freemod import (
     identity_hom,
 )
 from .rings import ANY_DEGREE, INHOMOGENEOUS, HomogeneityError, RingSpec
-from .solvers import ColumnSpan, EngineError, prune_columns, syzygies
+from .solvers import ColumnSpan, EngineError, column_span, prune_columns, syzygies
 
 
 class ResolutionTooLong(RuntimeError):
@@ -65,17 +65,16 @@ class PresentedModule:
 
     Elements are represented by vectors in the generator module; reduce()
     rewrites a representative to its canonical normal form modulo the
-    relation span.
+    relation span, which is the span of the relation map's own columns.
     """
 
-    __slots__ = ("generators", "relations", "_span")
+    __slots__ = ("generators", "relations")
 
     def __init__(self, generators: GradedFreeModule, relations: GradedMatrixHom):
         if relations.target != generators:
             raise ValueError("relations must map into the generator module")
         self.generators = generators
         self.relations = relations
-        self._span: ColumnSpan | None = None
 
     @property
     def ring(self) -> RingSpec:
@@ -83,9 +82,7 @@ class PresentedModule:
 
     @property
     def span(self) -> ColumnSpan:
-        if self._span is None:
-            self._span = ColumnSpan(self.generators, self.relations.columns())
-        return self._span
+        return column_span(self.relations)
 
     def reduce(self, v) -> Vector:
         remainder, _ = self.span.normal_form(v)
@@ -254,13 +251,19 @@ def kernel_of_hom(h: ModuleHom) -> list[Vector]:
     relations]; the result generates the full preimage of the target
     relation span, pruned to an irredundant list.
     """
-    ambient = h.target.generators
-    lift_cols = h.lift.columns()
-    block = lift_cols + h.target.relations.columns()
-    kernel = ColumnSpan(ambient, block).syzygy_vectors()
-    s = len(lift_cols)
+    return _kernel_in_block(h, _block_span(h))
+
+
+def _block_span(h: ModuleHom) -> ColumnSpan:
+    """The span of the block [lift | target relations] in the target generators."""
+    return ColumnSpan(h.target.generators, h.lift.columns() + h.target.relations.columns())
+
+
+def _kernel_in_block(h: ModuleHom, block: ColumnSpan) -> list[Vector]:
+    """kernel_of_hom(h), read off the span _block_span(h) returns."""
+    s = h.source.generators.rank
     vectors: list[Vector] = []
-    for vec in kernel:
+    for vec in block.syzygy_vectors():
         v = h.source.generators.coerce_vector(vec[:s])
         if any(v):
             vectors.append(v)
@@ -279,35 +282,20 @@ class Resolution:
     """P_n -> ... -> P_1 -> P_0 with coker(P_1 -> P_0) the resolved module.
 
     maps[i] is the differential modules[i+1] -> modules[i]; the augmentation
-    P_0 -> module is the identity on generators.  The span of each map's
-    columns is built on first use and kept, for membership and certificates
-    only, so the maps must not change once a resolution is in use.
+    P_0 -> module is the identity on generators.  Each map carries the one
+    span of its columns (solvers.column_span): resolve builds it to take the
+    map's kernel, and verify_resolution and lift_endomorphism read the same
+    span.  resolve puts the module's relation map first, so that span is the
+    module's own.
     """
 
     module: PresentedModule
     modules: list[GradedFreeModule]
     maps: list[GradedMatrixHom]
-    _spans: dict[int, ColumnSpan] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @property
     def length(self) -> int:
         return len(self.maps)
-
-    def image_span(self, j: int) -> ColumnSpan:
-        """The span of the columns of maps[j], inside modules[j].
-
-        A first map that is the module's own relation map shares the
-        module's relation span.
-        """
-        if j == 0 and self.maps[0] is self.module.relations:
-            return self.module.span
-        if j not in self._spans:
-            span = ColumnSpan(self.maps[j].target, self.maps[j].columns())
-            span.drop_syzygies()
-            self._spans[j] = span
-        return self._spans[j]
 
     def __str__(self) -> str:
         chain = " -> ".join(str(m) for m in reversed(self.modules))
@@ -346,9 +334,12 @@ def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
 def verify_resolution(res: Resolution) -> None:
     """Certify exactness; raises EngineError with a reason on failure.
 
-    Checks: the first map is the relation map, consecutive maps compose to
-    zero, every kernel generator of one map lies in the image of the next,
-    and the last map has vanishing kernel.
+    Checks: the first map spans the relations of the module, consecutive
+    maps compose to zero (by multiplying them), every kernel generator of
+    one map lies in the image of the next, and the last map has vanishing
+    kernel.  The kernels and images come from each map's own span, the one
+    resolve built from the same columns; a span is a deterministic function
+    of its columns, so sharing it checks exactly what a rebuilt span would.
     """
     if not res.maps:
         if res.module.relations.source.rank:
@@ -358,9 +349,7 @@ def verify_resolution(res: Resolution) -> None:
     rel = res.module.relations
     if first.target != rel.target:
         raise EngineError("resolution does not start at the generator module")
-    # one span per map, built here and not taken from the resolution: it
-    # tests that the previous kernel lies in the image, then gives the kernel
-    image = ColumnSpan(first.target, first.columns())
+    image = column_span(first)
     # alternative resolutions may present the relation submodule differently;
     # only the column span must agree
     if not all(res.module.span.contains(c) for c in first.columns()) or not all(
@@ -373,8 +362,7 @@ def verify_resolution(res: Resolution) -> None:
     for j in range(len(res.maps)):
         kernel = [v for v in image.syzygy_vectors() if any(v)]
         if j + 1 < len(res.maps):
-            nxt = res.maps[j + 1]
-            image = ColumnSpan(nxt.target, nxt.columns())
+            image = column_span(res.maps[j + 1])
             for c in kernel:
                 if not image.contains(c):
                     raise EngineError(
@@ -389,9 +377,10 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
 
     Returns [f_0, .., f_n] with f_0 the given lift on generators and
     d_j f_j = f_{j-1} d_j throughout.  Each column is solved by a membership
-    certificate and projected to its forced homogeneous component, so the
-    result is a legal graded map; failure to solve means the resolution is
-    not exact and raises EngineError.
+    certificate from the span the differential carries (the one resolve
+    built) and projected to its forced homogeneous component, so the result
+    is a legal graded map; failure to solve means the resolution is not
+    exact and raises EngineError.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
@@ -400,7 +389,7 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     for j, dj in enumerate(res.maps):
         pj = dj.source
         prev = lifts[-1]
-        span = res.image_span(j)
+        span = column_span(dj)
         cols = []
         for c in range(pj.rank):
             v = prev.apply(dj.column(c))

@@ -558,9 +558,6 @@ class _IntBackend:
         kernels = [(cols, k) for _, cols, _, _, kernel in self.blocks for k in kernel]
         return self._embed(len(self.columns), kernels)
 
-    def drop_syzygies(self) -> None:
-        """Nothing is recorded: the kernels are kept with the blocks."""
-
     def basis_vectors(self) -> list[Vector]:
         return self._embed(self.ambient.rank, [(b[0], h) for b in self.blocks for h in b[3]])
 
@@ -646,17 +643,12 @@ class _PolyBackend:
         return self.gb.contains(_to_engine(self.ring, v))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        if self.gb.syzygies is None:
-            raise EngineError("the syzygies of this span were dropped")
         out = []
         for cert in self.gb.syzygies:
             vec = self._vector(cert, len(self.columns))
             if any(vec):
                 out.append(vec)
         return out
-
-    def drop_syzygies(self) -> None:
-        self.gb.syzygies = None
 
     def basis_vectors(self) -> list[Vector]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
@@ -674,7 +666,10 @@ class ColumnSpan:
     normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
-    Results are deterministic for a fixed column order.
+    Results are deterministic for a fixed column order.  A span does no lazy
+    work: syzygy_vectors() converts the kernel fixed at construction anew on
+    each call, and nothing is cached or released later.  The span of a
+    matrix's columns is built once, by column_span, and kept on the matrix.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
@@ -684,7 +679,6 @@ class ColumnSpan:
             self._backend = _IntBackend(ambient, self.columns)
         else:
             self._backend = _PolyBackend(ambient, self.columns)
-        self._syz: list[tuple[RingElement, ...]] | None = None
 
     def normal_form(self, v) -> tuple[Vector, list[RingElement]]:
         return self._backend.normal_form(self.ambient.coerce_vector(v))
@@ -693,19 +687,7 @@ class ColumnSpan:
         return self._backend.contains(self.ambient.coerce_vector(v))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        if self._syz is None:
-            self._syz = self._backend.syzygy_vectors()
-        return self._syz
-
-    def drop_syzygies(self) -> None:
-        """Free the syzygies recorded while the span was built.
-
-        For a span kept for membership and certificates alone: over
-        polynomial and Laurent rings the recorded syzygies can take as much
-        memory as the basis, and syzygy_vectors() raises EngineError after
-        this unless it was asked before.
-        """
-        self._backend.drop_syzygies()
+        return self._backend.syzygy_vectors()
 
     def basis_vectors(self) -> list[Vector]:
         return self._backend.basis_vectors()
@@ -784,6 +766,14 @@ def _degree_groups(
     return [(d, by_degree[d]) for d in sorted(by_degree)]
 
 
+def column_span(f: GradedMatrixHom) -> ColumnSpan:
+    """The span of f's columns in f.target, built on first use and kept on f."""
+    if f._span is None:
+        f._span = ColumnSpan(f.target, f.columns())
+    return f._span
+
+
+# No caller in the package: kept for the tracer of perfbench/layers.py, which wraps it.
 def kernel_columns(ambient: GradedFreeModule, columns: list) -> list[tuple[RingElement, ...]]:
     """Generators of {c : sum c_j * column_j = 0}, as tuples over the ring."""
     return ColumnSpan(ambient, list(columns)).syzygy_vectors()
@@ -795,8 +785,9 @@ def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
     Each kernel generator is homogeneous as an element of f.source; giving
     the generator shift 1 - (its module degree) makes the resulting map have
     degree exactly 1, which is the resolution convention used throughout.
+    The kernel is read off column_span(f), which stays on f.
     """
-    raw = kernel_columns(f.target, f.columns())
+    raw = column_span(f).syzygy_vectors()
     vectors: list[Vector] = []
     for vec in raw:
         v = f.source.coerce_vector(vec)

@@ -116,11 +116,11 @@ _KINDS: dict[str, Callable[[str], bool]] = {
 
 
 def _unescape(raw: str) -> str:
-    return re.sub(r"\\(.)", r"\1", raw[1:-1])
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], raw[1:-1])
 
 
 def _escape(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
 @dataclass
@@ -877,7 +877,7 @@ atom       := INTEGER | NAME | "(" expr ")"
 NAME       := [A-Za-z_][A-Za-z0-9_]*
 INTEGER    := [0-9]+
 SIGNED     := "-"? INTEGER
-STRING     := '"' (escaped with backslash) '"'
+STRING     := '"' (escaped with backslash; \\n is a newline) '"'
 comments   := "#" to end of line
 semicolons are optional separators; each ";" above may be omitted
 """ + f'"(", unary "-" and payload "[" nest at most {MAX_NESTING} levels deep\n'

@@ -32,13 +32,13 @@ from .modules import (
     ModuleHom,
     PresentedModule,
     Resolution,
+    _block_span,
+    _kernel_in_block,
     compose_module_homs,
-    kernel_of_hom,
     lift_endomorphism,
     resolve,
 )
 from .rings import RingElement, RingMap
-from .solvers import ColumnSpan
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,15 @@ class ShortExactSequence:
         )
         if not zero_cols:
             raise ValueError("b∘a is not zero")
-        # a injective: anything a sends into middle relations dies in left
-        for v in kernel_of_hom(self.a):
+        # a injective: anything a sends into middle relations dies in left;
+        # the span of [a | middle relations] also serves the last check
+        cover = _block_span(self.a)
+        for v in _kernel_in_block(self.a, cover):
             if not self.left.is_zero_element(v):
                 raise ValueError("a is not injective")
         # b surjective, with certificates
         self._preimages = []
-        image_span = ColumnSpan(
-            self.right.generators,
-            self.b.lift.columns() + self.right.relations.columns(),
-        )
+        image_span = _block_span(self.b)
         nb = self.middle.generators.rank
         for i in range(self.right.generators.rank):
             target = self.right.generators.basis_vector(i)
@@ -194,11 +193,7 @@ class ShortExactSequence:
                 self.middle.generators.coerce_vector(cert[:nb])
             )
         # ker b is contained in im a + relations
-        cover = ColumnSpan(
-            self.middle.generators,
-            self.a.lift.columns() + self.middle.relations.columns(),
-        )
-        for v in kernel_of_hom(self.b):
+        for v in _kernel_in_block(self.b, image_span):
             if not cover.contains(v):
                 raise ValueError("the kernel of b escapes the image of a")
 

@@ -12,6 +12,7 @@ from gradedtrace import (
     GradedFreeModule,
     GradedMatrixHom,
     ModuleHom,
+    Resolution,
     ResolutionTooLong,
     add_redundant_generator,
     compose_module_homs,
@@ -34,7 +35,6 @@ from gradedtrace import (
     zero_hom,
 )
 
-import gradedtrace.modules as modules_impl
 import gradedtrace.solvers as solvers_impl
 import genutils as gu
 
@@ -195,39 +195,7 @@ def test_lift_identity_and_verify():
         assert len(lifts) == res.length + 1
 
 
-def test_lifts_build_one_span_per_differential(monkeypatch):
-    built = []
-
-    class CountingSpan(ColumnSpan):
-        def __init__(self, ambient, columns):
-            built.append(len(columns))
-            super().__init__(ambient, columns)
-
-    monkeypatch.setattr(modules_impl, "ColumnSpan", CountingSpan)
-    ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
-    x = [ring.gen(n) for n in ring.var_names]
-    cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
-    m = presented_module(ring, [0], cube)
-    endos = [module_hom(m, m, 0, [[ring.const(c)]]) for c in (2, 3, 5)]
-    res = resolve(m)
-    assert [p.rank for p in res.modules] == [1, 10, 15, 6]
-    for f in endos:
-        verify_lift(res, f, lift_endomorphism(res, f))
-    # the module's relation span (built by module_hom) serves the first
-    # differential; every other differential gets one span for all three lifts
-    assert len(built) == len(res.maps)
-    assert sorted(built) == sorted(d.source.rank for d in res.maps)
-    with pytest.raises(EngineError):
-        res.image_span(1).syzygy_vectors()
-
-
-def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
-    ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
-    x = [ring.gen(n) for n in ring.var_names]
-    cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
-    m = presented_module(ring, [0], cube)
-    res = resolve(m)
-    m.span  # built before counting: the module's span is not one of the maps'
+def test_resolve_verify_and_lifts_build_one_span_per_differential(monkeypatch):
     built = []
     span_init = ColumnSpan.__init__
 
@@ -236,9 +204,36 @@ def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
         span_init(span, ambient, columns)
 
     monkeypatch.setattr(ColumnSpan, "__init__", counting_init)
+    ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
+    x = [ring.gen(n) for n in ring.var_names]
+    cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
+    m = presented_module(ring, [0], cube)
+    endos = [module_hom(m, m, 0, [[ring.const(c)]]) for c in (2, 3, 5)]
+    res = resolve(m)
     verify_resolution(res)
-    # each span tests the previous kernel and gives its own map's kernel
+    for f in endos:
+        verify_lift(res, f, lift_endomorphism(res, f))
+        hs_trace(f, resolution=res)
+    assert [p.rank for p in res.modules] == [1, 10, 15, 6]
+    # the module's span, built by the first module_hom, is the first map's;
+    # resolve builds one span per later map, and verifying and lifting build none
+    assert m.span is solvers_impl.column_span(res.maps[0])
     assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
+
+
+def test_verify_resolution_still_certifies_shared_spans():
+    m = presented_module(integers(), [0, 0], [(2, 0), (0, 3), (2, 3)])
+    res = resolve(m)
+    verify_resolution(res)
+    assert [p.rank for p in res.modules] == [2, 3, 1]
+    assert all(d._span is not None for d in res.maps)
+    # the same map objects, each carrying the span it was verified with
+    short = Resolution(m, res.modules[:-1], res.maps[:-1])
+    with pytest.raises(EngineError, match="nonzero kernel"):
+        verify_resolution(short)
+    doubled = Resolution(m, res.modules, [res.maps[0], res.maps[1] + res.maps[1]])
+    with pytest.raises(EngineError, match="not covered"):
+        verify_resolution(doubled)
 
 
 def _mpower(n, d):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gradedtrace import (
+    ColumnSpan,
     GradedFreeModule,
     GradedMatrixHom,
     ModuleHom,
@@ -326,6 +327,27 @@ def test_random_stable_sequences_have_zero_defect():
             assert report.holds()
             produced += 1
     assert produced >= 10
+
+
+def test_validate_builds_one_span_per_block(monkeypatch):
+    out = gu.random_stable_ses(random.Random(33), ZX)
+    assert out is not None
+    ses = out[0]
+    built = []
+    span_init = ColumnSpan.__init__
+
+    def counting_init(span, ambient, columns):
+        built.append(len(columns))
+        span_init(span, ambient, columns)
+
+    # the modules' relation spans were built by the first validate
+    monkeypatch.setattr(ColumnSpan, "__init__", counting_init)
+    ses.validate()
+    blocks = [
+        ses.a.lift.source.rank + ses.middle.relations.source.rank,
+        ses.b.lift.source.rank + ses.right.relations.source.rank,
+    ]
+    assert built == blocks
 
 
 def test_mod2_graded_ring_traces():
