@@ -195,7 +195,7 @@ def test_lift_identity_and_verify():
         assert len(lifts) == res.length + 1
 
 
-def test_resolve_verify_and_lifts_build_one_span_per_differential(monkeypatch):
+def _count_spans(monkeypatch):
     built = []
     span_init = ColumnSpan.__init__
 
@@ -204,20 +204,43 @@ def test_resolve_verify_and_lifts_build_one_span_per_differential(monkeypatch):
         span_init(span, ambient, columns)
 
     monkeypatch.setattr(ColumnSpan, "__init__", counting_init)
+    return built
+
+
+def _cube_module():
     ring = polynomial_ring(["x0", "x1", "x2"], [2, 2, 2])
     x = [ring.gen(n) for n in ring.var_names]
     cube = [(x[i] * x[j] * x[k],) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
-    m = presented_module(ring, [0], cube)
+    return presented_module(ring, [0], cube)
+
+
+def test_lifts_build_one_span_per_differential(monkeypatch):
+    built = _count_spans(monkeypatch)
+    m = _cube_module()
+    ring = m.ring
     endos = [module_hom(m, m, 0, [[ring.const(c)]]) for c in (2, 3, 5)]
     res = resolve(m)
-    verify_resolution(res)
+    assert [p.rank for p in res.modules] == [1, 10, 15, 6]
     for f in endos:
         verify_lift(res, f, lift_endomorphism(res, f))
         hs_trace(f, resolution=res)
-    assert [p.rank for p in res.modules] == [1, 10, 15, 6]
     # the module's span, built by the first module_hom, is the first map's;
-    # resolve builds one span per later map, and verifying and lifting build none
+    # resolve builds one span per later map, and the lifts build none
     assert m.span is solvers_impl.column_span(res.maps[0])
+    assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
+
+
+def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
+    m = _cube_module()
+    res = resolve(m)
+    m.span  # built before counting: the module's span is not one of the maps'
+    built = _count_spans(monkeypatch)
+    verify_resolution(res)
+    # the maps of a resolve already carry their spans
+    assert built == []
+    bare = [type(d)._closed(d.source, d.target, d.degree, d._rows) for d in res.maps]
+    verify_resolution(Resolution(m, res.modules, bare))
+    # each span tests the previous kernel and gives its own map's kernel
     assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
 
 
