@@ -25,7 +25,7 @@ from .lefschetz import builtin_catalog, run_suite
 from .modules import Resolution, ResolutionTooLong, resolve, verify_resolution
 from .monoidal import categorical_trace, standard_duality, zigzag_defects
 from .solvers import EngineError
-from .textio import GRAMMAR, MAX_NESTING, Document, ParseError, parse_file
+from .textio import _POWER_CAPS, GRAMMAR, MAX_NESTING, Document, ParseError, parse_file
 from .trace import TraceValue, additivity_defect, free_trace, hs_trace
 
 OK, MISMATCH, BAD_INPUT = 0, 1, 2
@@ -38,7 +38,9 @@ exit codes:
      values differ
   2  bad input: an unreadable or unparseable file, an unknown name, a
      malformed object, an element nested more than {MAX_NESTING} levels
-     deep, a module with no resolution within --max-length, a catalog case
+     deep, a power past the parser's caps of
+     {_POWER_CAPS},
+     a module with no resolution within --max-length, a catalog case
      that raised, or a usage error; an EngineError (a failed internal
      invariant, which is a bug rather than bad input, or an exponent past
      the Groebner engine's bound of 32767) also exits 2, with its message

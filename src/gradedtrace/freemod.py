@@ -14,7 +14,8 @@ A map stores sparse rows and never a zero entry; `entries` is a dense view.
 The public constructor and hom_from_columns validate outside input once.
 Closed operations (sums, compose, direct sums, tensor products, braidings and
 dualities) give legal maps by construction: after their own shape and ring
-checks they build unchecked and touch nonzero entries only.
+checks they build unchecked and touch nonzero entries only.  Syzygy maps
+and chain lifts build unchecked from their columns, through _from_columns.
 """
 
 from __future__ import annotations
@@ -289,6 +290,12 @@ def hom_from_columns(
         raise ValueError(f"expected {source.rank} columns, got {len(cols)}")
     rows = [[cols[j][i] for j in range(source.rank)] for i in range(target.rank)]
     return GradedMatrixHom(source, target, degree, rows)
+
+
+def _from_columns(source, target, degree: int, columns: list[Vector]) -> GradedMatrixHom:
+    """The map with these columns, unchecked: legal by construction."""
+    rows = [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(target.rank)]
+    return GradedMatrixHom._closed(source, target, degree, rows)
 
 
 def direct_sum_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:

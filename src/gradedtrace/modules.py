@@ -6,7 +6,9 @@ by lifts on generators; construction checks that relations land in
 relations, so every ModuleHom is honestly well defined.  Resolutions
 iterate the syzygy functor until the kernel vanishes and certify their own
 exactness; endomorphisms lift along them column by column, using membership
-certificates from the solvers.
+certificates from the solvers.  Maps from outside columns validate through
+hom_from_columns; syzygy maps and chain lifts are legal by construction and
+build unchecked, and verify_resolution and verify_lift certify them.
 
 Relation columns follow one convention throughout: a homogeneous column of
 module degree k is assigned generator shift (degree - k), so that the
@@ -22,9 +24,11 @@ from .freemod import (
     GradedFreeModule,
     GradedMatrixHom,
     Vector,
+    _from_columns,
     compose,
     hom_from_columns,
     identity_hom,
+    zero_hom,
 )
 from .rings import ANY_DEGREE, INHOMOGENEOUS, HomogeneityError, RingSpec
 from .solvers import ColumnSpan, EngineError, column_span, prune_columns, syzygies
@@ -52,10 +56,7 @@ def relation_hom_from_columns(
         k = generators.vector_degree(v)
         if k is INHOMOGENEOUS:
             raise HomogeneityError(f"relation column {idx} is not homogeneous")
-        if k is ANY_DEGREE:
-            shifts.append(0)
-        else:
-            shifts.append(degree - k)
+        shifts.append(0 if k is ANY_DEGREE else degree - k)
     source = GradedFreeModule(generators.ring, tuple(shifts))
     return hom_from_columns(source, generators, degree, cols)
 
@@ -127,9 +128,7 @@ def presented_module(
 
 
 def free_presentation(free: GradedFreeModule) -> PresentedModule:
-    empty = GradedFreeModule(free.ring, ())
-    relations = hom_from_columns(empty, free, 1, [])
-    return PresentedModule(free, relations)
+    return PresentedModule(free, zero_hom(GradedFreeModule(free.ring, ()), free, 1))
 
 
 def same_quotient(a: PresentedModule, b: PresentedModule) -> bool:
@@ -163,8 +162,7 @@ class ModuleHom:
         if lift.target != target.generators:
             raise ValueError("lift target must be the target generator module")
         if check:
-            for j in range(source.relations.source.rank):
-                image = lift.apply(source.relations.column(j))
+            for j, image in enumerate(compose(lift, source.relations).columns()):
                 if not target.span.contains(image):
                     raise ValueError(
                         f"lift does not descend: image of relation {j} "
@@ -262,11 +260,7 @@ def _block_span(h: ModuleHom) -> ColumnSpan:
 def _kernel_in_block(h: ModuleHom, block: ColumnSpan) -> list[Vector]:
     """kernel_of_hom(h), read off the span _block_span(h) returns."""
     s = h.source.generators.rank
-    vectors: list[Vector] = []
-    for vec in block.syzygy_vectors():
-        v = h.source.generators.coerce_vector(vec[:s])
-        if any(v):
-            vectors.append(v)
+    vectors = [vec[:s] for vec in block.syzygy_vectors() if any(vec[:s])]
     if vectors:
         vectors, _ = prune_columns(h.source.generators, vectors)
     return vectors
@@ -305,29 +299,24 @@ class Resolution:
 def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
     """Iterate syzygies until the kernel vanishes.
 
-    max_length bounds the number of syzygy steps: past it ResolutionTooLong
-    is raised instead of looping forever.  It does not bound the work inside
-    one step.  Over the integers a step is one reduced Hermite form per
-    grading block, whose entries stay within the bound smith_normal_form
-    states, 3 * N * log2(B * sqrt(N)) + 64 bits for N x N blocks with
-    entries of size B; a kernel basis has no kernel, so the resolution has
+    max_length bounds the length, the number of maps with the relation map
+    counted first: past it ResolutionTooLong is raised instead of looping
+    forever.  It does not bound the work inside one step.  Over the
+    integers a step is one reduced Hermite form per grading block, whose
+    entries stay within the bound smith_normal_form states,
+    3 * N * log2(B * sqrt(N)) + 64 bits for N x N blocks with entries of
+    size B; a kernel basis has no kernel, so the resolution has
     length at most 2.
     """
     modules = [module.generators]
     maps: list[GradedMatrixHom] = []
-    if module.relations.source.rank:
-        maps.append(module.relations)
-        modules.append(module.relations.source)
-        while True:
-            nxt = syzygies(maps[-1])
-            if nxt.source.rank == 0:
-                break
-            if len(maps) >= max_length:
-                raise ResolutionTooLong(
-                    f"no free resolution of length <= {max_length} found"
-                )
-            maps.append(nxt)
-            modules.append(nxt.source)
+    nxt = module.relations
+    while nxt.source.rank:
+        if len(maps) >= max_length:
+            raise ResolutionTooLong(f"no free resolution of length <= {max_length} found")
+        maps.append(nxt)
+        modules.append(nxt.source)
+        nxt = syzygies(nxt)
     return Resolution(module, modules, maps)
 
 
@@ -360,7 +349,7 @@ def verify_resolution(res: Resolution) -> None:
         if not compose(res.maps[j], res.maps[j + 1]).is_zero():
             raise EngineError(f"maps {j} and {j + 1} do not compose to zero")
     for j in range(len(res.maps)):
-        kernel = [v for v in image.syzygy_vectors() if any(v)]
+        kernel = image.syzygy_vectors()
         if j + 1 < len(res.maps):
             image = column_span(res.maps[j + 1])
             for c in kernel:
@@ -376,33 +365,29 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     """Lift a module endomorphism to a chain endomorphism of the resolution.
 
     Returns [f_0, .., f_n] with f_0 the given lift on generators and
-    d_j f_j = f_{j-1} d_j throughout.  Each column is solved by a membership
-    certificate from the span the differential carries (the one resolve
-    built) and projected to its forced homogeneous component, so the result
-    is a legal graded map; failure to solve means the resolution is not
-    exact and raises EngineError.
+    d_j f_j = f_{j-1} d_j throughout.  Each column of f_{j-1} d_j is solved
+    by a membership certificate from the span the differential carries (the
+    one resolve built) and projected to its forced homogeneous component, so
+    the result is a legal graded map and builds unchecked; failure to solve
+    means the resolution is not exact and raises EngineError.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
     d = endo.degree
     lifts = [endo.lift]
-    for j, dj in enumerate(res.maps):
+    for dj in res.maps:
         pj = dj.source
-        prev = lifts[-1]
         span = column_span(dj)
         cols = []
-        for c in range(pj.rank):
-            v = prev.apply(dj.column(c))
+        for c, v in enumerate(compose(lifts[-1], dj).columns()):
             remainder, cert = span.normal_form(v)
             if any(remainder):
                 raise EngineError(
                     "endomorphism does not lift: image escapes the next "
                     "differential (resolution not exact?)"
                 )
-            x = pj.coerce_vector(cert)
-            x = pj.vector_component(x, d - pj.shifts[c])
-            cols.append(x)
-        lifts.append(hom_from_columns(pj, pj, d, cols))
+            cols.append(pj.vector_component(cert, d - pj.shifts[c]))
+        lifts.append(_from_columns(pj, pj, d, cols))
     return lifts
 
 

@@ -5,7 +5,9 @@ over the integers, and Laurent polynomials over the integers (every variable
 invertible).  All generator degrees are even, so the rings are honestly
 commutative and no Koszul signs enter ring arithmetic.  Elements are sparse
 maps from exponent vectors to nonzero arbitrary-precision integers; there is
-no floating point anywhere.
+no floating point anywhere.  RingElement(...), RingSpec.element and
+RingSpec.monomial validate outside input; arithmetic results are legal by
+construction and build unchecked through RingElement._clean.
 """
 
 from __future__ import annotations
@@ -92,12 +94,10 @@ class RingSpec:
         return RingElement(self, terms)
 
     def const(self, c: int) -> RingElement:
-        if c == 0:
-            return RingElement(self, {})
-        return RingElement(self, {(0,) * self.nvars: c})
+        return RingElement._clean(self, {(0,) * self.nvars: c} if c else {})
 
     def zero(self) -> RingElement:
-        return RingElement(self, {})
+        return RingElement._clean(self, {})
 
     def one(self) -> RingElement:
         return self.const(1)
@@ -186,6 +186,13 @@ class RingElement:
         self._terms = clean
         self._hash: int | None = None
 
+    @classmethod
+    def _clean(cls, ring: RingSpec, terms: dict[tuple[int, ...], int]) -> RingElement:
+        """The element that takes over terms, a fresh zero-free dict of legal exponents."""
+        element = object.__new__(cls)
+        element.ring, element._terms, element._hash = ring, terms, None
+        return element
+
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, ...], int]:
@@ -231,7 +238,7 @@ class RingElement:
             for exp, c in self._terms.items()
             if self.ring.term_degree(exp) == want
         }
-        return RingElement(self.ring, picked)
+        return RingElement._clean(self.ring, picked)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -255,12 +262,12 @@ class RingElement:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return RingElement(self.ring, out)
+        return RingElement._clean(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> RingElement:
-        return RingElement(self.ring, {e: -c for e, c in self._terms.items()})
+        return RingElement._clean(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> RingElement:
         other = self._coerce(other)
@@ -284,7 +291,7 @@ class RingElement:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        return RingElement(self.ring, out)
+        return RingElement._clean(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -293,14 +300,10 @@ class RingElement:
             return NotImplemented
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not n:
+            return self.ring.one()
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     # -- units ---------------------------------------------------------------
 
@@ -318,7 +321,7 @@ class RingElement:
         if not self.is_unit():
             raise ValueError(f"{self} is not a unit in {self.ring}")
         (exp, coeff), = self._terms.items()
-        return RingElement(self.ring, {tuple(-e for e in exp): coeff})
+        return RingElement._clean(self.ring, {tuple(-e for e in exp): coeff})
 
     # -- equality and printing ------------------------------------------------
 

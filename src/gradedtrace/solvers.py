@@ -33,7 +33,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 
-from .freemod import GradedFreeModule, GradedMatrixHom, Vector, hom_from_columns
+from .freemod import GradedFreeModule, GradedMatrixHom, Vector, _from_columns
 from .rings import (
     ANY_DEGREE,
     GRADING_Z,
@@ -606,22 +606,19 @@ class _PolyBackend:
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        # one shared zero: most entries of syzygies and certificates are zero
-        self.zero = self.ring.zero()
         engine_cols = [_to_engine(self.ring, c) for c in columns] + _unit_columns(ambient)
         self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
 
     def _element(self, terms: dict) -> RingElement:
-        if not terms:
-            return self.zero
-        if not self.laurent:
-            return RingElement(self.ring, terms)
-        n = self.ring.nvars
-        merged: dict = {}
-        for exp, c in terms.items():
-            key = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
-            merged[key] = merged.get(key, 0) + c
-        return RingElement(self.ring, merged)
+        """The ring element of a fresh, zero-free dict of engine exponents."""
+        if self.laurent:
+            n = self.ring.nvars
+            merged: dict = {}
+            for exp, c in terms.items():
+                key = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
+                merged[key] = merged.get(key, 0) + c
+            terms = {exp: c for exp, c in merged.items() if c}
+        return RingElement._clean(self.ring, terms)
 
     def _vector(self, vec: dict, length: int) -> Vector:
         """Positions 0..length-1 of an engine vector or certificate, as ring elements."""
@@ -667,9 +664,10 @@ class ColumnSpan:
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
     Results are deterministic for a fixed column order.  A span does no lazy
-    work: syzygy_vectors() converts the kernel fixed at construction anew on
-    each call, and nothing is cached or released later.  The span of a
-    matrix's columns is built once, by column_span, and kept on the matrix.
+    work: syzygy_vectors() converts the nonzero kernel generators fixed at
+    construction anew on each call, and nothing is cached or released
+    later.  The span of a matrix's columns is built once, by column_span,
+    and kept on the matrix.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
@@ -784,25 +782,18 @@ def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
 
     Each kernel generator is homogeneous as an element of f.source; giving
     the generator shift 1 - (its module degree) makes the resulting map have
-    degree exactly 1, which is the resolution convention used throughout.
-    The kernel is read off column_span(f), which stays on f.
+    degree exactly 1, which is the resolution convention used throughout,
+    so the map builds unchecked.  The kernel is read off column_span(f),
+    which stays on f.
     """
-    raw = column_span(f).syzygy_vectors()
-    vectors: list[Vector] = []
-    for vec in raw:
-        v = f.source.coerce_vector(vec)
-        if all(e.is_zero() for e in v):
-            continue
-        vectors.append(v)
+    vectors = column_span(f).syzygy_vectors()
     if prune and vectors and f.ring.kind != INTEGERS:
         vectors, _ = prune_columns(f.source, vectors)
     shifts = []
     for v in vectors:
         k = f.source.vector_degree(v)
-        if k is INHOMOGENEOUS:
+        if not isinstance(k, int):
             raise EngineError("syzygy generator is not homogeneous")
-        if k is ANY_DEGREE:
-            raise EngineError("zero syzygy column survived filtering")
         shifts.append(1 - k)
     source = GradedFreeModule(f.ring, tuple(shifts))
-    return hom_from_columns(source, f.source, 1, vectors)
+    return _from_columns(source, f.source, 1, vectors)

@@ -43,6 +43,7 @@ state for each repeat of the comment skip.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import islice
@@ -68,6 +69,7 @@ from .rings import (
     laurent_ring,
     polynomial_ring,
 )
+from .solvers import _LIMIT
 from .trace import ShortExactSequence
 
 
@@ -150,6 +152,13 @@ _STATEMENTS = ("ring", "free", "module", "matrix", "hom", "ses", "case")
 # parser recurses at most four frames per level, so this cap keeps every
 # document far below the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# A power p^n of a k-term p is refused unexpanded when n passes the engine's
+# exponent bound, when its comb(n + k - 1, k - 1) terms pass _POWER_TERMS, or
+# when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.
+_POWER_TERMS = 256
+_POWER_BITS = 2048
+_POWER_CAPS = f"exponent {_LIMIT}, {_POWER_TERMS} terms, {_POWER_BITS} coefficient bits"
 
 
 class _Parser:
@@ -300,6 +309,10 @@ class _Parser:
         if self._accept("^"):
             at = self.pos
             power = self._signed_int()
+            n, k = abs(power), len(base)
+            bits = n * max(sum(abs(c) for _, c in base.items()) - 1, 0).bit_length()
+            if n > _LIMIT or bits > _POWER_BITS or (k > 1 and math.comb(n + k - 1, k - 1) > _POWER_TERMS):
+                self._fail(at, f"power too large to expand: the caps are {_POWER_CAPS}")
             try:
                 return base ** power
             except ValueError as exc:
@@ -881,3 +894,4 @@ STRING     := '"' (escaped with backslash; \\n is a newline) '"'
 comments   := "#" to end of line
 semicolons are optional separators; each ";" above may be omitted
 """ + f'"(", unary "-" and payload "[" nest at most {MAX_NESTING} levels deep\n'
+GRAMMAR += f'"^" expands a power within its caps: {_POWER_CAPS}\n'

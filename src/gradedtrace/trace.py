@@ -59,12 +59,9 @@ def free_trace(f: GradedMatrixHom) -> TraceValue:
     """Signed diagonal sum of a free endomorphism."""
     if f.source != f.target:
         raise ValueError("trace needs an endomorphism (equal source and target)")
-    ring = f.ring
-    total = ring.zero()
+    total = f.ring.zero()
     for i, shift in enumerate(f.source.shifts):
-        sign = -1 if shift % 2 else 1
-        entry = f[i, i]
-        total = total + (entry if sign > 0 else -entry)
+        total = total - f[i, i] if shift % 2 else total + f[i, i]
     return TraceValue(total, f.degree)
 
 
@@ -109,10 +106,7 @@ def hs_trace(
         resolution = resolve(endo.source)
     if lifts is None:
         lifts = lift_endomorphism(resolution, endo)
-    ring = endo.ring
-    total = ring.zero()
-    for fj in lifts:
-        total = total + free_trace(fj).value
+    total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
     return TraceValue(total, endo.degree)
 
 

@@ -218,6 +218,15 @@ def test_cli_bad_input_paths(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_resolve_counts_the_relation_map_against_max_length(workdir, capsys):
+    (workdir / "x.txt").write_text("ring Z[x:2]; module M { gens [0]; rels [[x]]; }")
+    for bound in ("0", "-3"):
+        assert main(["resolve", "-f", str(workdir / "x.txt"), "--max-length", bound]) == 2
+        assert f"no free resolution of length <= {bound} found" in capsys.readouterr().err
+    assert main(["resolve", "-f", str(workdir / "x.txt"), "--max-length", "1"]) == 0
+    assert "length 1" in capsys.readouterr().out
+
+
 def test_cli_emit_grammar(capsys):
     assert main(["--emit-grammar"]) == 0
     out = capsys.readouterr().out

@@ -14,9 +14,11 @@ from gradedtrace import (
     ModuleHom,
     Resolution,
     ResolutionTooLong,
+    RingElement,
     add_redundant_generator,
     compose_module_homs,
     free_presentation,
+    hom_from_columns,
     hs_trace,
     identity_module_hom,
     integers,
@@ -24,6 +26,7 @@ from gradedtrace import (
     laurent_ring,
     lift_endomorphism,
     module_hom,
+    parse_source,
     perturb_lift,
     polynomial_ring,
     presented_module,
@@ -147,6 +150,15 @@ def test_resolution_too_long_raises():
         resolve(_koszul_point(), max_length=1)
 
 
+def test_max_length_bounds_the_length_counting_the_relation_map():
+    for bound in (0, -3):
+        with pytest.raises(ResolutionTooLong):
+            resolve(_dual_numbers(), max_length=bound)
+        assert resolve(free_presentation(GradedFreeModule(ZX, (0,))), max_length=bound).length == 0
+    assert resolve(_dual_numbers(), max_length=1).length == 1
+    assert resolve(_koszul_point(), max_length=2).length == 2
+
+
 def test_verify_resolution_rejects_wrong_start():
     module = _mod2()
     res = resolve(module)
@@ -257,6 +269,84 @@ def test_verify_resolution_still_certifies_shared_spans():
     doubled = Resolution(m, res.modules, [res.maps[0], res.maps[1] + res.maps[1]])
     with pytest.raises(EngineError, match="not covered"):
         verify_resolution(doubled)
+
+
+def _per_column_lifts(res, endo):
+    """Chain lifts the way they were first built: apply, then hom_from_columns."""
+    lifts = [endo.lift]
+    for dj in res.maps:
+        pj, span = dj.source, solvers_impl.column_span(dj)
+        cols = []
+        for c in range(pj.rank):
+            remainder, cert = span.normal_form(lifts[-1].apply(dj.column(c)))
+            assert not any(remainder)
+            cols.append(pj.vector_component(pj.coerce_vector(cert), endo.degree - pj.shifts[c]))
+        lifts.append(hom_from_columns(pj, pj, endo.degree, cols))
+    return lifts
+
+
+def _random_integer_presentation(rng, size):
+    gens = rng.randint(1, size)
+    rels = rng.randint(1, size)
+    columns = [[rng.randint(-4, 4) for _ in range(gens)] for _ in range(rels)]
+    return presented_module(Z, [0] * gens, [c for c in columns if any(c)] or [[2] * gens])
+
+
+def _check_lifts_against_per_column(module, endo):
+    res = resolve(module)
+    lifts = lift_endomorphism(res, endo)
+    assert lifts == _per_column_lifts(res, endo)
+    verify_lift(res, endo, lifts)
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_lifts_match_the_per_column_lifts(ring):
+    rng = random.Random(71)
+    for _ in range(6):
+        module = gu.random_presented_module(rng, ring)
+        for degree in (0, 2):
+            _check_lifts_against_per_column(module, gu.random_module_endo(rng, module, degree))
+
+
+def test_integer_lifts_match_the_per_column_lifts_up_to_six_by_six():
+    rng = random.Random(72)
+    for size in (2, 3, 4, 5, 6, 6, 6):
+        module = _random_integer_presentation(rng, size)
+        _check_lifts_against_per_column(module, gu.random_module_endo(rng, module))
+
+
+def test_closed_operations_build_nothing_through_the_validating_constructors(monkeypatch):
+    doc = parse_source(
+        """
+        ring Z[x0:2, x1:2, x2:2];
+        module M { gens [0]; rels [[x0^2], [x0*x1], [x1^2 - x2^2], [x1*x2 + x2^2]]; }
+        hom f : M -> M { lift [[3]]; }
+        hom g : M -> M { degree 2; lift [[x0 - x1]]; }
+        hom h : M -> M { degree 4; lift [[x2^2]]; }
+        """
+    )
+    m, endos = doc.modules["M"], list(doc.homs.values())
+    x, t = m.ring.gen("x0"), ZL.gen("t")
+    built = {GradedMatrixHom: 0, RingElement: 0}
+    for cls in built:
+        init = cls.__init__
+
+        def counting(obj, *args, cls=cls, init=init):
+            built[cls] += 1
+            init(obj, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    res = resolve(m)
+    verify_resolution(res)
+    for f in endos:
+        verify_lift(res, f, lift_endomorphism(res, f))
+        hs_trace(f, resolution=res)
+    assert [p.rank for p in res.modules] == [1, 4, 4, 1]
+    a, b = x + 2, 3 * x - 1
+    for value in (a + b, a - b, a * b, -a, a**5, b - 4, 2 - b, a.homogeneous_component(2), m.ring.one()):
+        assert value
+    assert t.unit_inverse() ** 3 == t**-3 != m.ring.zero()
+    assert built == {GradedMatrixHom: 0, RingElement: 0}
 
 
 def _mpower(n, d):

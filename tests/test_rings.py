@@ -10,6 +10,7 @@ from gradedtrace import (
     INHOMOGENEOUS,
     GradedFreeModule,
     HomogeneityError,
+    RingElement,
     RingMap,
     RingMismatch,
     RingSpec,
@@ -107,6 +108,34 @@ def test_units():
         ZX.gen("x").unit_inverse()
     assert (t**3).unit_inverse() * t**3 == 1
     assert t ** (-2) == t.unit_inverse() ** 2
+
+
+def _random_element(rng, ring):
+    """A sum of homogeneous parts of two degrees."""
+    total = ring.zero()
+    for degree in rng.sample(range(-4, 5, 2), 2):
+        total = total + gu.random_homogeneous(rng, ring, degree, span=2, max_terms=3)
+    return total
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_arithmetic_results_are_clean_and_own_their_terms(ring):
+    rng = random.Random(17)
+    for _ in range(40):
+        a, b = _random_element(rng, ring), _random_element(rng, ring)
+        exp = tuple(rng.randint(-2, 2) if ring.kind == "laurent" else 0 for _ in range(ring.nvars))
+        unit = ring.monomial(exp, rng.choice((1, -1)))
+        results = [
+            (a + b, (a, b)), (a - b, (a, b)), (a * b, (a, b)), (-a, (a,)),
+            (a + -a, (a,)), (a * b - b * a, (a, b)), (a + 3, (a,)), (3 - a, (a,)), (2 * a, (a,)),
+            (a**3, (a,)), (a.homogeneous_component(rng.randrange(-4, 5, 2)), (a,)),
+            (unit.unit_inverse(), (unit,)), (unit**-2, (unit,)),
+        ]
+        for r, operands in results:
+            assert r == RingElement(ring, r.terms())
+            assert 0 not in r.terms().values()
+            assert all(r._terms is not x._terms for x in operands)
+        assert unit * unit.unit_inverse() == 1
 
 
 def test_ring_mismatch_raises():

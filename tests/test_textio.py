@@ -442,3 +442,59 @@ def test_round_trip_at_scale(ring, rng: random.Random, title, note):
     assert again.homs == doc.homs
     assert again.cases == doc.cases
     assert (again.cases["c"].title, again.cases["c"].note) == (title, note)
+
+
+# -- powers are refused before they expand past the parser's caps ---------------
+
+
+def test_powers_past_the_caps_exit_2_at_once():
+    # unrefused, each of them expands for more than ten seconds
+    codes = _timed_in_child(
+        """
+        import contextlib, io, pathlib, re, tempfile, time
+        from gradedtrace.cli import main
+        docs = [
+            "ring Z[x:2]; module M { gens [0]; rels [[(x+1)^3000]]; }",
+            "ring Z; module M { gens [0]; rels [[3^200000000]]; }",
+            "ring Z; module M { gens [0]; rels [[3^10000000]]; }",
+        ]
+        for doc in docs:
+            path = pathlib.Path(tempfile.mkdtemp()) / "m.txt"
+            path.write_text(doc)
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                rc = main(["resolve", "-f", str(path)])
+            where = re.search(r"m\\.txt:(\\d+:\\d+): power too large", err.getvalue())
+            print(rc, time.perf_counter() - start, where and where.group(1))
+        """
+    )
+    rows = [codes[i : i + 3] for i in range(0, len(codes), 3)]
+    assert [(rc, at) for rc, _, at in rows] == [("2", "1:48"), ("2", "1:39"), ("2", "1:39")]
+    assert all(float(seconds) < 1.0 for _, seconds, _ in rows)
+
+
+def test_the_largest_powers_the_caps_admit_parse_quickly():
+    (seconds,) = _timed_in_child(
+        """
+        import time
+        from gradedtrace import parse_source
+        start = time.perf_counter()
+        parse_source(
+            "ring Z[s:0, t:0]; free P [0]; matrix F : P -> P { rows [[(7*t + 7)^255 + (s + t + 1)^21]]; }"
+            "ring Z; free Q [0]; matrix G : Q -> Q { rows [[3^1024 + (-1)^32767]]; }"
+        )
+        print(time.perf_counter() - start)
+        """
+    )
+    assert float(seconds) < 1.0
+
+
+def test_one_step_past_each_cap_is_refused_with_its_position():
+    zst = "ring Z[s:0, t:0]; free P [0]; matrix F : P -> P { rows [[%s]]; }"
+    for power in ["(t + 1)^256", "(s + t + 1)^22", "3^1025", "t^32768", "t^-32768"]:
+        with pytest.raises(ParseError, match="power too large to expand") as err:
+            parse_source(zst % power)
+        # the error points at the exponent
+        assert (err.value.line, err.value.col) == (1, (zst % power).index("^") + 2)
+    assert "256 terms, 2048 coefficient bits" in GRAMMAR
