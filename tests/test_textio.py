@@ -106,6 +106,45 @@ def test_parse_errors_carry_positions():
     assert "2:" in msg  # line number of the offending token
 
 
+# Each malformed document is refused with this exact message at this line and column.
+_HEAD = "ring Z;\nfree P [0];\nmodule M { gens [0]; }\nhom f : M -> M { lift [[1]]; }\n"
+MALFORMED = [
+    ('module item', 'ring Z;\nmodule M { gens [0]; bogus [1]; }\n', "unknown module item 'bogus' (gens, rels, reldegree)", 2, 22),
+    ('matrix item', _HEAD + 'matrix F : P -> P { degree 0; lift [[1]]; }\n', "unknown item 'lift' (degree, rows)", 5, 31),
+    ('hom item', _HEAD + 'hom g : M -> M { rows [[1]]; }\n', "unknown item 'rows' (degree, lift)", 5, 18),
+    ('ses item', _HEAD + 'ses S { modules M, M, M; c [[1]]; }\n', "unknown ses item 'c' (modules, a, b, fA, fB, degree)", 5, 26),
+    ('case item', _HEAD + 'case c { title "t"; colour f; }\n', "unknown case item 'colour' (title, even, odd, map, oracle, note)", 5, 21),
+    ('no gens', 'ring Z;\nmodule M { rels [[2]]; }\n', "module needs a 'gens [...];' item", 2, 1),
+    ('no rows', _HEAD + 'matrix F : P -> P { degree 0; }\n', "missing 'rows [...];' item", 6, 1),
+    ('no lift', _HEAD + 'hom g : M -> M { degree 0; }\nfree Q [0];\n', "missing 'lift [...];' item", 6, 1),
+    ('no modules', _HEAD + 'ses S { a [[1]]; b [[1]]; }\n', "ses needs a 'modules A, B, C;' item", 5, 1),
+    ('no b', _HEAD + 'ses S { modules M, M, M; a [[1]]; }\n', "ses needs both 'a [...];' and 'b [...];' items", 5, 1),
+    ('no odd', _HEAD + 'case c { title "t"; even f; oracle weight_sum [1]; }\n', "case needs both 'even HOM;' and 'odd HOM;' items", 5, 1),
+    ('no oracle', _HEAD + 'case c { title "t"; even f; odd f; }\n', "case needs an 'oracle NAME [...];' item", 5, 1),
+    ('unknown oracle', _HEAD + 'case c { even f; odd f; oracle guess [1]; }\n', "unknown oracle 'guess' (known: circle_fixed_points, count_eigenlines, cw_alternating_sum, det_i_minus_m, signed_rank_sum, suspension_fixed_points, weight_sum)", 5, 32),
+    ('map after oracle', _HEAD + 'case c { even f; odd f; oracle weight_sum [1];\n  map Z { } }\n', 'map must come before oracle (payload parses over the map target)', 6, 3),
+    ('payload not a list', _HEAD + 'case c { even f; odd f; oracle weight_sum 1; }\n', 'oracle payload must be a [...] list', 5, 43),
+    ('trailing comma, shifts', 'ring Z;\nfree P [0, ];\n', "expected 'int', got ']'", 2, 12),
+    ('trailing comma, row', _HEAD + 'matrix F : P -> P { rows [[1, ]]; }\n', "expected an element, got ']'", 5, 31),
+    ('trailing comma, table', _HEAD + 'matrix F : P -> P { rows [[1], ]; }\n', "expected '[', got ']'", 5, 32),
+    ('trailing comma, payload', _HEAD + 'case c { even f; odd f; oracle weight_sum [1, ]; }\n', "expected an element, got ']'", 5, 47),
+    ('missing comma, row', _HEAD + 'matrix F : P -> P { rows [[1 2]]; }\n', "expected ']', got '2'", 5, 30),
+    ('missing comma, table', _HEAD + 'matrix F : P -> P { rows [[1] [2]]; }\n', "expected ']', got '['", 5, 31),
+    ('missing comma, payload', _HEAD + 'case c { even f; odd f; oracle weight_sum [[1] [2]]; }\n', "expected ']', got '['", 5, 48),
+    ('missing comma, modules', _HEAD + 'ses S { modules M, M M; }\n', "expected ',', got 'M'", 5, 22),
+    ('arity, row', _HEAD + 'matrix F : P -> P { rows [[1, 2]]; }\n', 'row 0: expected 1 entries, got 2', 5, 1),
+    ('arity, table', _HEAD + 'matrix F : P -> P {\n  rows [[1], [2]];\n}\n', 'expected 1 rows, got 2', 5, 1),
+    ('arity, rels', 'ring Z;\nmodule M { gens [0, 0]; rels [[1]]; }\n', 'expected 2 entries, got 1', 2, 1),
+]
+
+
+@pytest.mark.parametrize("label, source, message, line, col", MALFORMED, ids=[row[0] for row in MALFORMED])
+def test_malformed_documents_are_refused_with_message_and_position(label, source, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 def test_nesting_is_capped_at_the_offending_token():
     head = "ring Z;\nfree P [0];\nmatrix F : P -> P { rows [["
     at_cap = "-(" * (MAX_NESTING // 2) + "1" + ")" * (MAX_NESTING // 2)
