@@ -38,7 +38,7 @@ exit codes:
      values differ
   2  bad input: an unreadable or unparseable file, an unknown name, a
      malformed object, an element nested more than {MAX_NESTING} levels
-     deep, a power past the parser's caps of
+     deep, a power or product past the parser's caps of
      {_POWER_CAPS},
      a module with no resolution within --max-length, a catalog case
      that raised, or a usage error; an EngineError (a failed internal
@@ -364,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         return BAD_INPUT
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except (ParseError, EngineError, ValueError, ResolutionTooLong) as exc:
+    except (CliError, ParseError, EngineError, ValueError, ResolutionTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 

@@ -3,7 +3,9 @@
 A presented module is the cokernel of a homogeneous relation map into a
 graded free module of generators.  Maps between presented modules are given
 by lifts on generators; construction checks that relations land in
-relations, so every ModuleHom is honestly well defined.  Resolutions
+relations, so every ModuleHom is honestly well defined.  Sums, composites
+and identities descend by construction and build through the unchecked
+ModuleHom._closed; the public constructor always checks.  Resolutions
 iterate the syzygy functor until the kernel vanishes and certify their own
 exactness; endomorphisms lift along them column by column, using membership
 certificates from the solvers.  Maps from outside columns validate through
@@ -150,27 +152,27 @@ class ModuleHom:
 
     __slots__ = ("source", "target", "lift")
 
-    def __init__(
-        self,
-        source: PresentedModule,
-        target: PresentedModule,
-        lift: GradedMatrixHom,
-        check: bool = True,
-    ):
+    def __init__(self, source: PresentedModule, target: PresentedModule, lift: GradedMatrixHom):
         if lift.source != source.generators:
             raise ValueError("lift source must be the source generator module")
         if lift.target != target.generators:
             raise ValueError("lift target must be the target generator module")
-        if check:
-            for j, image in enumerate(compose(lift, source.relations).columns()):
-                if not target.span.contains(image):
-                    raise ValueError(
-                        f"lift does not descend: image of relation {j} "
-                        "is not in the target relation span"
-                    )
+        for j, image in enumerate(compose(lift, source.relations).columns()):
+            if not target.span.contains(image):
+                raise ValueError(
+                    f"lift does not descend: image of relation {j} "
+                    "is not in the target relation span"
+                )
         self.source = source
         self.target = target
         self.lift = lift
+
+    @classmethod
+    def _closed(cls, source: PresentedModule, target: PresentedModule, lift) -> ModuleHom:
+        """The map lifted by lift, unchecked: it descends by construction."""
+        hom = object.__new__(cls)
+        hom.source, hom.target, hom.lift = source, target, lift
+        return hom
 
     @property
     def degree(self) -> int:
@@ -203,14 +205,14 @@ class ModuleHom:
 
     def __add__(self, other: ModuleHom) -> ModuleHom:
         self._check_parallel(other)
-        return ModuleHom(self.source, self.target, self.lift + other.lift, check=False)
+        return ModuleHom._closed(self.source, self.target, self.lift + other.lift)
 
     def __neg__(self) -> ModuleHom:
-        return ModuleHom(self.source, self.target, -self.lift, check=False)
+        return ModuleHom._closed(self.source, self.target, -self.lift)
 
     def __sub__(self, other: ModuleHom) -> ModuleHom:
         self._check_parallel(other)
-        return ModuleHom(self.source, self.target, self.lift - other.lift, check=False)
+        return ModuleHom._closed(self.source, self.target, self.lift - other.lift)
 
     def _check_parallel(self, other: ModuleHom) -> None:
         if self.source != other.source or self.target != other.target:
@@ -228,11 +230,11 @@ class ModuleHom:
 def compose_module_homs(g: ModuleHom, f: ModuleHom) -> ModuleHom:
     if f.target != g.source:
         raise ValueError("cannot compose: inner modules differ")
-    return ModuleHom(f.source, g.target, compose(g.lift, f.lift), check=False)
+    return ModuleHom._closed(f.source, g.target, compose(g.lift, f.lift))
 
 
 def identity_module_hom(module: PresentedModule) -> ModuleHom:
-    return ModuleHom(module, module, identity_hom(module.generators), check=False)
+    return ModuleHom._closed(module, module, identity_hom(module.generators))
 
 
 def module_hom(
@@ -460,12 +462,8 @@ def add_redundant_generator(
         tuple(ring.one() if i == j else zero for i in range(n + 1))
         for j in range(n)
     ]
-    inclusion = ModuleHom(
-        module,
-        bigger,
-        hom_from_columns(module.generators, gens2, 0, inc_cols),
-        check=False,
-    )
+    inclusion_lift = hom_from_columns(module.generators, gens2, 0, inc_cols)
+    inclusion = ModuleHom._closed(module, bigger, inclusion_lift)
     proj_cols = [module.generators.basis_vector(j) for j in range(n)] + [v]
     projection = ModuleHom(
         bigger,

@@ -25,6 +25,15 @@ are lists of columns.  Element expressions use integer literals, declared
 generators, +, -, *, ^ and parentheses; exponents may be negative only when
 the generator is invertible.  Comments run from '#' to end of line.
 
+The parser is recursive descent, and two rules carry most of it.  The list
+rule `_list` reads "[" (item ("," item)*)? "]" for shift lists, rows,
+tables and payloads.  The item-block rule `_items` reads the braces of
+module, matrix, hom, ses and case: each NAME is looked up in a table of
+item readers, an unknown one is refused with the names the block knows,
+and an optional ";" follows every item.  Integer tokens are converted in
+one place, and products and powers are refused before they expand past
+the caps in GRAMMAR.
+
 Parsing is strict: every object is rebuilt through the library constructors,
 so shape, homogeneity, and well-definedness failures surface as ParseError
 with a line and column.  The printers emit exactly this grammar, and
@@ -46,6 +55,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable, NoReturn
 
@@ -155,10 +165,16 @@ MAX_NESTING = 100
 
 # A power p^n of a k-term p is refused unexpanded when n passes the engine's
 # exponent bound, when its comb(n + k - 1, k - 1) terms pass _POWER_TERMS, or
-# when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.
+# when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.  A
+# product p*q is refused unexpanded when len(p) * len(q) passes _PRODUCT_TERMS,
+# so no single product or power makes more terms than that.
 _POWER_TERMS = 256
 _POWER_BITS = 2048
-_POWER_CAPS = f"exponent {_LIMIT}, {_POWER_TERMS} terms, {_POWER_BITS} coefficient bits"
+_PRODUCT_TERMS = _POWER_TERMS**2
+_POWER_CAPS = (
+    f"exponent {_LIMIT}, {_POWER_TERMS} terms, {_POWER_BITS} coefficient bits, "
+    f"{_PRODUCT_TERMS} terms in a product"
+)
 
 
 class _Parser:
@@ -176,7 +192,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def _advance(self) -> int:
-        """Step past a statement keyword; return its index as the anchor."""
+        """Step past one token; return its index as the anchor."""
         self.pos += 1
         return self.pos - 1
 
@@ -212,22 +228,51 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self._fail(anchor, f"nested more than {MAX_NESTING} levels deep")
 
+    # the two shared rules
+
+    def _list(self, item: Callable[[], object]) -> list:
+        """Read "[" (item ("," item)*)? "]"."""
+        self._expect("[")
+        if self._accept("]"):
+            return []
+        items = [item()]
+        while self._accept(","):
+            items.append(item())
+        self._expect("]")
+        return items
+
+    def _items(self, label: str, readers: dict[str, Callable[[int], object]], values: dict) -> dict:
+        """Read "{" (NAME body ";"?)* "}" into values, which holds the defaults.
+
+        Each NAME must be a key of readers; its reader, given the NAME's
+        anchor, reads the body, and its result replaces values[NAME].
+        Readers may look at the values read before them.
+        """
+        self._expect("{")
+        while not self._accept("}"):
+            at = self.pos
+            item = self._expect_kind("name")
+            if item not in readers:
+                self._fail(at, f"unknown {label} {item!r} ({', '.join(readers)})")
+            values[item] = readers[item](at)
+            self._accept(";")
+        return values
+
     # small literals
+
+    def _int(self) -> int:
+        """Convert an integer token; every integer literal goes through here."""
+        at = self.pos
+        tok = self._expect_kind("int")
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on digits
+            self._fail(at, f"integer literal too long to convert ({len(tok)} digits)")
 
     def _signed_int(self) -> int:
         neg = self._accept("-")
-        value = int(self._expect_kind("int"))
+        value = self._int()
         return -value if neg else value
-
-    def _int_list(self) -> list[int]:
-        self._expect("[")
-        items: list[int] = []
-        if not self._accept("]"):
-            items.append(self._signed_int())
-            while self._accept(","):
-                items.append(self._signed_int())
-            self._expect("]")
-        return items
 
     def _string(self) -> str:
         return _unescape(self._expect_kind("string"))
@@ -294,8 +339,12 @@ class _Parser:
 
     def _element_term(self, ring: RingSpec) -> RingElement:
         value = self._element_factor(ring)
-        while self._accept("*"):
-            value = value * self._element_factor(ring)
+        while self._peek() == "*":
+            at = self._advance()
+            factor = self._element_factor(ring)
+            if len(value) * len(factor) > _PRODUCT_TERMS:
+                self._fail(at, f"product too large to expand: the caps are {_POWER_CAPS}")
+            value = value * factor
         return value
 
     def _element_factor(self, ring: RingSpec) -> RingElement:
@@ -323,8 +372,7 @@ class _Parser:
         at = self.pos
         tok = self.tokens[at]
         if tok.isdigit():
-            self.pos += 1
-            return ring.const(int(tok))
+            return ring.const(self._int())
         if tok.isidentifier():
             self.pos += 1
             if tok not in ring.var_names:
@@ -341,55 +389,26 @@ class _Parser:
 
     # nested list literals over a ring: rows of a matrix, or oracle payloads
 
-    def _element_list(self, ring: RingSpec) -> list[RingElement]:
-        self._expect("[")
-        items: list[RingElement] = []
-        if not self._accept("]"):
-            items.append(self._element(ring))
-            while self._accept(","):
-                items.append(self._element(ring))
-            self._expect("]")
-        return items
-
-    def _element_table(self, ring: RingSpec) -> list[list[RingElement]]:
-        self._expect("[")
-        rows: list[list[RingElement]] = []
-        if not self._accept("]"):
-            rows.append(self._element_list(ring))
-            while self._accept(","):
-                rows.append(self._element_list(ring))
-            self._expect("]")
-        return rows
-
-    def _payload_item(self, ring: RingSpec):
-        at = self.pos
-        if self._accept("["):
-            self._descend(at)
-            items = []
-            if not self._accept("]"):
-                items.append(self._payload_item(ring))
-                while self._accept(","):
-                    items.append(self._payload_item(ring))
-                self._expect("]")
-            self.depth -= 1
-            return items
-        return self._element(ring)
+    def _table(self, ring: RingSpec) -> list[list[RingElement]]:
+        return self._list(partial(self._list, partial(self._element, ring)))
 
     def _payload(self, ring: RingSpec) -> list:
+        at = self.pos
         if self._peek() != "[":
-            self._fail(self.pos, "oracle payload must be a [...] list")
-        item = self._payload_item(ring)
-        assert isinstance(item, list)
-        return item
+            self._fail(at, "oracle payload must be a [...] list")
+        self._descend(at)
+        items = self._list(lambda: self._payload(ring) if self._peek() == "[" else self._element(ring))
+        self.depth -= 1
+        return items
 
     # name lookups
 
-    def _lookup(self, table: dict, label: str) -> tuple[str, object]:
+    def _lookup(self, table: dict, label: str):
         at = self.pos
         name = self._expect_kind("name")
         if name not in table:
             self._fail(at, f"unknown {label} {name!r}")
-        return name, table[name]
+        return table[name]
 
     def _declare(self, table: dict, label: str) -> str:
         at = self.pos
@@ -427,217 +446,141 @@ class _Parser:
         anchor = self._advance()
         name = self._declare(self.doc.modules, "module")
         ring = self._current_ring(anchor)
-        shifts = self._int_list()
+        shifts = self._list(self._signed_int)
         self._accept(";")
-        module = self._build(anchor, lambda: free_presentation(GradedFreeModule(ring, tuple(shifts))))
-        self.doc.modules[name] = module
+        self.doc.modules[name] = self._build(
+            anchor, lambda: free_presentation(GradedFreeModule(ring, tuple(shifts)))
+        )
 
     def _stmt_module(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.modules, "module")
         ring = self._current_ring(anchor)
-        self._expect("{")
-        gens: list[int] | None = None
-        rels: list[list[RingElement]] | None = None
-        reldegree = 1
-        while not self._accept("}"):
-            at = self.pos
-            item = self._expect_kind("name")
-            if item == "gens":
-                gens = self._int_list()
-            elif item == "rels":
-                rels = self._element_table(ring)
-            elif item == "reldegree":
-                reldegree = self._signed_int()
-            else:
-                self._fail(at, f"unknown module item {item!r} (gens, rels, reldegree)")
-            self._accept(";")
-        if gens is None:
-            self._fail(anchor, "module needs a 'gens [...];' item")
-        columns = rels if rels is not None else []
-        module = self._build(
-            anchor, lambda: presented_module(ring, gens, columns, reldegree)
+        items = self._items(
+            "module item",
+            {
+                "gens": lambda at: self._list(self._signed_int),
+                "rels": lambda at: self._table(ring),
+                "reldegree": lambda at: self._signed_int(),
+            },
+            {"rels": [], "reldegree": 1},
         )
-        self.doc.modules[name] = module
+        if "gens" not in items:
+            self._fail(anchor, "module needs a 'gens [...];' item")
+        self.doc.modules[name] = self._build(
+            anchor, lambda: presented_module(ring, items["gens"], items["rels"], items["reldegree"])
+        )
 
     def _arrow_heads(self) -> tuple[PresentedModule, PresentedModule]:
         self._expect(":")
-        _, source = self._lookup(self.doc.modules, "module")
+        source = self._lookup(self.doc.modules, "module")
         self._expect_kind("arrow")
-        _, target = self._lookup(self.doc.modules, "module")
-        return source, target
+        return source, self._lookup(self.doc.modules, "module")
 
-    def _rows_block(
-        self, ring: RingSpec, body_key: str
-    ) -> tuple[int, list[list[RingElement]]]:
-        self._expect("{")
-        degree = 0
-        rows: list[list[RingElement]] | None = None
-        while not self._accept("}"):
-            at = self.pos
-            item = self._expect_kind("name")
-            if item == "degree":
-                degree = self._signed_int()
-            elif item == body_key:
-                rows = self._element_table(ring)
-            else:
-                self._fail(at, f"unknown item {item!r} (degree, {body_key})")
-            self._accept(";")
-        if rows is None:
+    def _rows_block(self, ring: RingSpec, body_key: str) -> tuple[int, list[list[RingElement]]]:
+        items = self._items(
+            "item",
+            {"degree": lambda at: self._signed_int(), body_key: lambda at: self._table(ring)},
+            {"degree": 0},
+        )
+        if body_key not in items:
             self._fail(self.pos, f"missing '{body_key} [...];' item")
-        return degree, rows
+        return items["degree"], items[body_key]
+
+    def _hom(
+        self, anchor: int, source: PresentedModule, target: PresentedModule, degree: int, rows
+    ) -> ModuleHom:
+        """The map of presented modules lifted by rows; a rejection fails at anchor."""
+        gens = source.generators, target.generators
+        return self._build(anchor, lambda: ModuleHom(source, target, GradedMatrixHom(*gens, degree, rows)))
 
     def _stmt_matrix(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.matrices, "matrix")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(source.ring, "rows")
-        matrix = self._build(
-            anchor,
-            lambda: GradedMatrixHom(source.generators, target.generators, degree, rows),
+        self.doc.matrices[name] = self._build(
+            anchor, lambda: GradedMatrixHom(source.generators, target.generators, degree, rows)
         )
-        self.doc.matrices[name] = matrix
 
     def _stmt_hom(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.homs, "hom")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(source.ring, "lift")
-        hom = self._build(
-            anchor,
-            lambda: ModuleHom(
-                source,
-                target,
-                GradedMatrixHom(source.generators, target.generators, degree, rows),
-            ),
-        )
-        self.doc.homs[name] = hom
-
-    def _endo_from_rows(
-        self, anchor: int, module: PresentedModule, degree: int, rows
-    ) -> ModuleHom:
-        return self._build(
-            anchor,
-            lambda: ModuleHom(
-                module,
-                module,
-                GradedMatrixHom(module.generators, module.generators, degree, rows),
-            ),
-        )
+        self.doc.homs[name] = self._hom(anchor, source, target, degree, rows)
 
     def _stmt_ses(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.sequences, "ses")
-        self._expect("{")
-        parts: dict[str, PresentedModule] = {}
-        rows_a = rows_b = rows_fa = rows_fb = None
-        endo_degree = 0
-        while not self._accept("}"):
-            at = self.pos
-            item = self._expect_kind("name")
-            if item == "modules":
-                _, left = self._lookup(self.doc.modules, "module")
+
+        def modules(at: int) -> list[PresentedModule]:
+            parts = [self._lookup(self.doc.modules, "module")]
+            for _ in range(2):
                 self._expect(",")
-                _, middle = self._lookup(self.doc.modules, "module")
-                self._expect(",")
-                _, right = self._lookup(self.doc.modules, "module")
-                parts = {"left": left, "middle": middle, "right": right}
-            elif item in ("a", "b", "fA", "fB"):
-                ring = self._current_ring(at)
-                table = self._element_table(ring)
-                if item == "a":
-                    rows_a = table
-                elif item == "b":
-                    rows_b = table
-                elif item == "fA":
-                    rows_fa = table
-                else:
-                    rows_fb = table
-            elif item == "degree":
-                endo_degree = self._signed_int()
-            else:
-                self._fail(at, f"unknown ses item {item!r} (modules, a, b, fA, fB, degree)")
-            self._accept(";")
-        if not parts:
+                parts.append(self._lookup(self.doc.modules, "module"))
+            return parts
+
+        def table(at: int) -> list[list[RingElement]]:
+            return self._table(self._current_ring(at))
+
+        items = self._items(
+            "ses item",
+            dict(modules=modules, a=table, b=table, fA=table, fB=table, degree=lambda at: self._signed_int()),
+            {"degree": 0},
+        )
+        if "modules" not in items:
             self._fail(anchor, "ses needs a 'modules A, B, C;' item")
-        if rows_a is None or rows_b is None:
+        if "a" not in items or "b" not in items:
             self._fail(anchor, "ses needs both 'a [...];' and 'b [...];' items")
-        left, middle, right = parts["left"], parts["middle"], parts["right"]
-
-        def assemble() -> ShortExactSequence:
-            a = ModuleHom(left, middle, GradedMatrixHom(left.generators, middle.generators, 0, rows_a))
-            b = ModuleHom(middle, right, GradedMatrixHom(middle.generators, right.generators, 0, rows_b))
-            ses = ShortExactSequence(left, middle, right, a, b)
-            ses.validate()
-            return ses
-
-        ses = self._build(anchor, assemble)
-        left_endo = (
-            self._endo_from_rows(anchor, left, endo_degree, rows_fa)
-            if rows_fa is not None
-            else None
-        )
-        middle_endo = (
-            self._endo_from_rows(anchor, middle, endo_degree, rows_fb)
-            if rows_fb is not None
-            else None
-        )
-        self.doc.sequences[name] = SequencePackage(ses, left_endo, middle_endo)
+        left, middle, right = items["modules"]
+        a = self._hom(anchor, left, middle, 0, items["a"])
+        b = self._hom(anchor, middle, right, 0, items["b"])
+        ses = self._build(anchor, lambda: ShortExactSequence(left, middle, right, a, b))
+        self._build(anchor, ses.validate)
+        endos = [
+            self._hom(anchor, module, module, items["degree"], items[key]) if key in items else None
+            for key, module in (("fA", left), ("fB", middle))
+        ]
+        self.doc.sequences[name] = SequencePackage(ses, *endos)
 
     def _stmt_case(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.cases, "case")
-        self._expect("{")
-        title = ""
-        note = ""
-        even = odd = None
-        oracle_name: str | None = None
-        payload: list | None = None
-        ring_map: RingMap | None = None
-        saw_oracle = False
-        while not self._accept("}"):
-            at = self.pos
-            item = self._expect_kind("name")
-            if item == "title":
-                title = self._string()
-                self._accept(";")
-            elif item == "note":
-                note = self._string()
-                self._accept(";")
-            elif item == "even":
-                _, even = self._lookup(self.doc.homs, "hom")
-                self._accept(";")
-            elif item == "odd":
-                _, odd = self._lookup(self.doc.homs, "hom")
-                self._accept(";")
-            elif item == "map":
-                if saw_oracle:
-                    self._fail(at, "map must come before oracle (payload parses over the map target)")
-                ring_map = self._case_map(at)
-            elif item == "oracle":
-                oracle_at = self.pos
-                oracle_name = self._expect_kind("name")
-                if oracle_name not in ORACLES:
-                    known = ", ".join(sorted(ORACLES))
-                    self._fail(oracle_at, f"unknown oracle {oracle_name!r} (known: {known})")
-                comparison = ring_map.target if ring_map else self._current_ring(at)
-                payload = self._payload(comparison)
-                self._accept(";")
-                saw_oracle = True
-            else:
-                self._fail(
-                    at,
-                    f"unknown case item {item!r} (title, even, odd, map, oracle, note)",
-                )
-        if even is None or odd is None:
-            self._fail(anchor, "case needs both 'even HOM;' and 'odd HOM;' items")
-        if oracle_name is None or payload is None:
-            self._fail(anchor, "case needs an 'oracle NAME [...];' item")
-        case = self._build(
-            anchor,
-            lambda: ExampleCase(name, title, even, odd, oracle_name, payload, ring_map, note),
+        items: dict = {"title": "", "note": "", "map": None}
+
+        def ring_map(at: int) -> RingMap:
+            if "oracle" in items:
+                self._fail(at, "map must come before oracle (payload parses over the map target)")
+            return self._case_map(at)
+
+        def oracle(at: int) -> tuple[str, list]:
+            oracle_at = self.pos
+            oracle_name = self._expect_kind("name")
+            if oracle_name not in ORACLES:
+                known = ", ".join(sorted(ORACLES))
+                self._fail(oracle_at, f"unknown oracle {oracle_name!r} (known: {known})")
+            comparison = items["map"].target if items["map"] else self._current_ring(at)
+            return oracle_name, self._payload(comparison)
+
+        self._items(
+            "case item",
+            {
+                "title": lambda at: self._string(),
+                "even": lambda at: self._lookup(self.doc.homs, "hom"),
+                "odd": lambda at: self._lookup(self.doc.homs, "hom"),
+                "map": ring_map,
+                "oracle": oracle,
+                "note": lambda at: self._string(),
+            },
+            items,
         )
-        self.doc.cases[name] = case
+        if "even" not in items or "odd" not in items:
+            self._fail(anchor, "case needs both 'even HOM;' and 'odd HOM;' items")
+        if "oracle" not in items:
+            self._fail(anchor, "case needs an 'oracle NAME [...];' item")
+        fields = items["title"], items["even"], items["odd"], *items["oracle"], items["map"], items["note"]
+        self.doc.cases[name] = self._build(anchor, lambda: ExampleCase(name, *fields))
 
     def _case_map(self, anchor: int) -> RingMap:
         source = self._current_ring(anchor)
@@ -674,12 +617,10 @@ def parse_file(path: str) -> Document:
 # printers: emit exactly the grammar above
 
 
-def _row_source(row) -> str:
-    return "[" + ", ".join(str(e) for e in row) + "]"
-
-
-def _table_source(rows) -> str:
-    return "[" + ", ".join(_row_source(r) for r in rows) + "]"
+def _table_source(items) -> str:
+    """Nested lists or tuples of elements: a table, a row or a payload."""
+    inner = (_table_source(x) if isinstance(x, (list, tuple)) else str(x) for x in items)
+    return "[" + ", ".join(inner) + "]"
 
 
 def ring_statement(ring: RingSpec) -> str:
@@ -704,22 +645,16 @@ def module_statement(name: str, module: PresentedModule) -> str:
     return "\n".join(lines)
 
 
+def _map_statement(head: str, f: GradedMatrixHom, body_key: str) -> str:
+    return f"{head} {{\n  degree {f.degree};\n  {body_key} {_table_source(f.entries)};\n}}"
+
+
 def matrix_statement(name: str, f: GradedMatrixHom, source: str, target: str) -> str:
-    return (
-        f"matrix {name} : {source} -> {target} {{\n"
-        f"  degree {f.degree};\n"
-        f"  rows {_table_source(f.entries)};\n"
-        f"}}"
-    )
+    return _map_statement(f"matrix {name} : {source} -> {target}", f, "rows")
 
 
 def hom_statement(name: str, h: ModuleHom, source: str, target: str) -> str:
-    return (
-        f"hom {name} : {source} -> {target} {{\n"
-        f"  degree {h.degree};\n"
-        f"  lift {_table_source(h.lift.entries)};\n"
-        f"}}"
-    )
+    return _map_statement(f"hom {name} : {source} -> {target}", h.lift, "lift")
 
 
 def ses_statement(name: str, pkg: SequencePackage, module_names: tuple[str, str, str]) -> str:
@@ -732,12 +667,10 @@ def ses_statement(name: str, pkg: SequencePackage, module_names: tuple[str, str,
         f"  b {_table_source(seq.b.lift.entries)};",
     ]
     degree = None
-    if pkg.left_endo is not None:
-        lines.append(f"  fA {_table_source(pkg.left_endo.lift.entries)};")
-        degree = pkg.left_endo.degree
-    if pkg.middle_endo is not None:
-        lines.append(f"  fB {_table_source(pkg.middle_endo.lift.entries)};")
-        degree = pkg.middle_endo.degree
+    for key, endo in (("fA", pkg.left_endo), ("fB", pkg.middle_endo)):
+        if endo is not None:
+            lines.append(f"  {key} {_table_source(endo.lift.entries)};")
+            degree = endo.degree
     if degree:
         lines.append(f"  degree {degree};")
     lines.append("}")
@@ -745,20 +678,15 @@ def ses_statement(name: str, pkg: SequencePackage, module_names: tuple[str, str,
 
 
 def payload_source(payload) -> str:
-    if isinstance(payload, list):
-        return "[" + ", ".join(payload_source(p) for p in payload) + "]"
-    return str(payload)
+    return _table_source(payload) if isinstance(payload, list) else str(payload)
 
 
 def case_statement(name: str, case: ExampleCase, even_name: str, odd_name: str) -> str:
     lines = [f"case {name} {{", f"  title {_escape(case.title)};"]
-    lines.append(f"  even {even_name};")
-    lines.append(f"  odd {odd_name};")
+    lines += [f"  even {even_name};", f"  odd {odd_name};"]
     if case.ring_map is not None:
         rm = case.ring_map
-        inner = " ".join(
-            f"{n} -> {img};" for n, img in zip(rm.source.var_names, rm.images)
-        )
+        inner = " ".join(f"{n} -> {img};" for n, img in zip(rm.source.var_names, rm.images))
         body = f" {inner} " if inner else " "
         lines.append(f"  map {rm.target} {{{body}}}")
     lines.append(f"  oracle {case.oracle_name} {payload_source(case.oracle_payload)};")
@@ -779,58 +707,42 @@ def document_source(doc: Document) -> str:
             chunks.append(ring_statement(ring))
             current = ring
 
+    def name_of(names: dict, key, what: str, context: str) -> str:
+        if key not in names:
+            raise ValueError(f"{context} references a {what} not declared in the document")
+        return names[key]
+
     module_names: dict[PresentedModule, str] = {}
+    gen_names: dict[GradedFreeModule, str] = {}
     for mname, module in doc.modules.items():
         need_ring(module.ring)
         chunks.append(module_statement(mname, module))
         module_names.setdefault(module, mname)
-
-    def module_name(m: PresentedModule, context: str) -> str:
-        if m not in module_names:
-            raise ValueError(f"{context} references a module not declared in the document")
-        return module_names[m]
+        gen_names.setdefault(module.generators, mname)
 
     for fname, f in doc.matrices.items():
         need_ring(f.ring)
-        src = next((n for n, m in doc.modules.items() if m.generators == f.source), None)
-        tgt = next((n for n, m in doc.modules.items() if m.generators == f.target), None)
-        if src is None or tgt is None:
-            raise ValueError(f"matrix {fname} references a module not declared in the document")
+        src, tgt = (name_of(gen_names, g, "module", f"matrix {fname}") for g in (f.source, f.target))
         chunks.append(matrix_statement(fname, f, src, tgt))
 
     hom_names: dict[int, str] = {}
     for hname, h in doc.homs.items():
         need_ring(h.ring)
-        chunks.append(
-            hom_statement(hname, h, module_name(h.source, f"hom {hname}"), module_name(h.target, f"hom {hname}"))
-        )
+        src, tgt = (name_of(module_names, m, "module", f"hom {hname}") for m in (h.source, h.target))
+        chunks.append(hom_statement(hname, h, src, tgt))
         hom_names.setdefault(id(h), hname)
 
     for sname, pkg in doc.sequences.items():
         seq = pkg.sequence
         need_ring(seq.middle.ring)
-        names = (
-            module_name(seq.left, f"ses {sname}"),
-            module_name(seq.middle, f"ses {sname}"),
-            module_name(seq.right, f"ses {sname}"),
-        )
+        parts = (seq.left, seq.middle, seq.right)
+        names = tuple(name_of(module_names, m, "module", f"ses {sname}") for m in parts)
         chunks.append(ses_statement(sname, pkg, names))
-
-    def hom_name(h: ModuleHom, context: str) -> str:
-        if id(h) not in hom_names:
-            raise ValueError(f"{context} references a hom not declared in the document")
-        return hom_names[id(h)]
 
     for cname, case in doc.cases.items():
         need_ring(case.ring)
-        chunks.append(
-            case_statement(
-                cname,
-                case,
-                hom_name(case.even, f"case {cname}"),
-                hom_name(case.odd, f"case {cname}"),
-            )
-        )
+        even, odd = (name_of(hom_names, id(h), "hom", f"case {cname}") for h in (case.even, case.odd))
+        chunks.append(case_statement(cname, case, even, odd))
 
     return "\n\n".join(chunks) + "\n"
 
@@ -841,23 +753,23 @@ statement  := ring | free | module | matrix | hom | ses | case
 
 ring       := "ring" ringspec ";"
 ringspec   := "Z" ("[" rgen ("," rgen)* "]")? ("mod2")?
-rgen       := NAME ":" INTEGER            # generator with its even degree
+rgen       := NAME ":" SIGNED             # generator with its even degree
             | NAME "^" "-" "1"            # marks a declared generator invertible
                                           # (all or none must carry the marker)
 
-free       := "free" NAME "[" integers "]" ";"        # free module, basis shifts
+free       := "free" NAME list(SIGNED) ";"           # free module, basis shifts
 module     := "module" NAME "{"
-                 "gens" "[" integers "]" ";"          # generator shifts
+                 "gens" list(SIGNED) ";"              # generator shifts
                  ("rels" table ";")?                  # relation COLUMNS
-                 ("reldegree" INTEGER ";")?           # odd; default 1
+                 ("reldegree" SIGNED ";")?            # odd; default 1
               "}"
 
 matrix     := "matrix" NAME ":" NAME "->" NAME "{"    # map of generator modules
-                 ("degree" INTEGER ";")?              # default 0
+                 ("degree" SIGNED ";")?               # default 0
                  "rows" table ";"                     # rows index the target
               "}"
 hom        := "hom" NAME ":" NAME "->" NAME "{"       # map of presented modules
-                 ("degree" INTEGER ";")?
+                 ("degree" SIGNED ";")?
                  "lift" table ";"                     # verified on relations
               "}"
 
@@ -865,22 +777,21 @@ ses        := "ses" NAME "{"
                  "modules" NAME "," NAME "," NAME ";" # left, middle, right
                  "a" table ";"  "b" table ";"         # degree-0 maps, validated exact
                  ("fA" table ";")? ("fB" table ";")?  # optional endomorphisms
-                 ("degree" INTEGER ";")?              # degree of fA/fB
+                 ("degree" SIGNED ";")?               # degree of fA/fB
               "}"
 
 case       := "case" NAME "{"
                  "title" STRING ";"
                  "even" NAME ";"  "odd" NAME ";"       # endomorphisms, equal degree
-                 ("map" ringspec "{" (NAME "->" expr ";")* "}")?
+                 ("map" ringspec "{" (NAME "->" expr ";")* "}" ";")?
                  "oracle" NAME payload ";"             # payload over the map target
                  ("note" STRING ";")?
               "}"
 
-table      := "[" (row ("," row)*)? "]"
-row        := "[" (expr ("," expr)*)? "]"
-payload    := "[" (pitem ("," pitem)*)? "]"
+list(x)    := "[" (x ("," x)*)? "]"
+table      := list(list(expr))
+payload    := list(pitem)
 pitem      := expr | payload
-integers   := (SIGNED ("," SIGNED)*)?
 
 expr       := term (("+" | "-") term)*
 term       := factor ("*" factor)*
@@ -893,5 +804,7 @@ SIGNED     := "-"? INTEGER
 STRING     := '"' (escaped with backslash; \\n is a newline) '"'
 comments   := "#" to end of line
 semicolons are optional separators; each ";" above may be omitted
+the items inside a statement's "{ }" may come in any order, except that map
+comes before oracle; an item given twice keeps its last value
 """ + f'"(", unary "-" and payload "[" nest at most {MAX_NESTING} levels deep\n'
-GRAMMAR += f'"^" expands a power within its caps: {_POWER_CAPS}\n'
+GRAMMAR += f'"^" and "*" expand within the caps: {_POWER_CAPS}\n'

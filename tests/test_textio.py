@@ -31,6 +31,7 @@ from gradedtrace import (
     polynomial_ring,
     textio,
 )
+from gradedtrace.cli import main
 from gradedtrace.textio import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,6 +238,18 @@ case demo {
     assert case.comparison_ring == Z
     assert case.oracle_name == "cw_alternating_sum"
     assert case.note == "augmented"
+
+
+def test_a_case_map_block_may_end_in_a_semicolon_like_every_item():
+    src = """
+ring Z[t:0,t^-1];
+module K { gens [0]; rels [[t - 1]]; }
+hom ev : K -> K { lift [[1]]; }
+case c { title "t"; even ev; odd ev; map Z { t -> 1; }%s oracle weight_sum [1]; }
+"""
+    with_semicolon, without = parse_source(src % ";"), parse_source(src % "")
+    assert with_semicolon.cases == without.cases
+    assert with_semicolon.cases["c"].ring_map.target == Z
 
 
 def test_case_map_must_precede_oracle():
@@ -537,3 +550,47 @@ def test_one_step_past_each_cap_is_refused_with_its_position():
         # the error points at the exponent
         assert (err.value.line, err.value.col) == (1, (zst % power).index("^") + 2)
     assert "256 terms, 2048 coefficient bits" in GRAMMAR
+
+
+def test_products_past_the_cap_exit_2_at_once():
+    # unrefused, the first of them expands to 531,441 terms in about ten seconds
+    ring = "ring Z[x:0, y:0, z:0]; free P [0]; matrix F : P -> P { rows [[%s]]; }"
+    products = ["(x+1)^80*(y+1)^80*(z+1)^80", "(x+1)^255*(y+1)^255*(z+1)"]
+    rows = _timed_in_child(
+        f"""
+        import contextlib, io, pathlib, re, tempfile, time
+        from gradedtrace.cli import main
+        for product in {products!r}:
+            path = pathlib.Path(tempfile.mkdtemp()) / "f.txt"
+            path.write_text({ring!r} % product)
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                rc = main(["trace", "free", "-m", str(path)])
+            where = re.search(r"f\\.txt:(\\d+:\\d+): product too large to expand", err.getvalue())
+            print(rc, time.perf_counter() - start, where and where.group(1))
+        """
+    )
+    rows = [rows[i : i + 3] for i in range(0, len(rows), 3)]
+    # each refusal points at the second "*", where the product passes the cap
+    want = [("2", f"1:{ring.index('%s') + p.rindex('*') + 1}") for p in products]
+    assert [(rc, at) for rc, _, at in rows] == want
+    assert all(float(seconds) < 1.0 for _, seconds, _ in rows)
+
+
+def test_the_largest_product_the_cap_admits_parses():
+    doc = parse_source("ring Z[x:0, y:0]; free P [0]; matrix F : P -> P { rows [[(x+1)^255*(y+1)^255]]; }")
+    assert len(doc.matrices["F"].entries[0][0]) == 256 * 256
+    assert "65536 terms in a product" in GRAMMAR
+
+
+def test_an_integer_literal_too_long_to_convert_fails_at_its_position(tmp_path, capsys):
+    source = "ring Z;\nfree P [0];\nmatrix F : P -> P { rows [[1 + %s]]; }\n" % ("9" * 5000)
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    message, col = "integer literal too long to convert (5000 digits)", source.split("\n")[2].index("9") + 1
+    assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
+    path = tmp_path / "f.txt"
+    path.write_text(source)
+    assert main(["trace", "free", "-m", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3:{col}: {message}\n"
