@@ -72,7 +72,6 @@ from .solvers import (
     EngineError,
     SNFResult,
     int_determinant,
-    kernel_columns,
     prune_columns,
     smith_normal_form,
     syzygies,

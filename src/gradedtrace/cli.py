@@ -23,7 +23,7 @@ import sys
 from .freemod import GradedMatrixHom
 from .lefschetz import builtin_catalog, run_suite
 from .modules import Resolution, ResolutionTooLong, resolve, verify_resolution
-from .monoidal import categorical_trace, standard_duality, zigzag_defects
+from .monoidal import categorical_trace, standard_duality, zigzag_holds
 from .solvers import EngineError
 from .textio import _POWER_CAPS, GRAMMAR, MAX_NESTING, Document, ParseError, parse_file
 from .trace import TraceValue, additivity_defect, free_trace, hs_trace
@@ -167,9 +167,7 @@ def _cmd_zigzag(args) -> int:
     name, module = _pick(doc.modules, args.name, "module", args.module_file)
     if module.relations.source.rank:
         raise CliError(f"module {name} is not free; zigzag works on free modules")
-    duality = standard_duality(module.generators)
-    left, right = zigzag_defects(duality)
-    holds = left.is_zero() and right.is_zero()
+    holds = zigzag_holds(standard_duality(module.generators))
     _emit(
         {"module": name, "holds": holds},
         f"zigzag identities on {name}: {'hold' if holds else 'FAIL'}",

@@ -247,25 +247,18 @@ def module_hom(
 def kernel_of_hom(h: ModuleHom) -> list[Vector]:
     """Generators of {v : h(v) = 0}, as vectors in the source generators.
 
-    Computed as the projection of the syzygies of the block [lift | target
-    relations]; the result generates the full preimage of the target
-    relation span, pruned to an irredundant list.
+    The syzygies of the block [lift | target relations], projected to the
+    lift's part, generate the full preimage of the target relation span;
+    they are returned pruned to an irredundant list (prune_columns).
     """
-    return _kernel_in_block(h, _block_span(h))
+    s = h.source.generators.rank
+    vectors = [vec[:s] for vec in _block_span(h).syzygy_vectors() if any(vec[:s])]
+    return prune_columns(h.source.generators, vectors)[0] if vectors else []
 
 
 def _block_span(h: ModuleHom) -> ColumnSpan:
     """The span of the block [lift | target relations] in the target generators."""
     return ColumnSpan(h.target.generators, h.lift.columns() + h.target.relations.columns())
-
-
-def _kernel_in_block(h: ModuleHom, block: ColumnSpan) -> list[Vector]:
-    """kernel_of_hom(h), read off the span _block_span(h) returns."""
-    s = h.source.generators.rank
-    vectors = [vec[:s] for vec in block.syzygy_vectors() if any(vec[:s])]
-    if vectors:
-        vectors, _ = prune_columns(h.source.generators, vectors)
-    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,23 @@ def laurent_ring(
     return RingSpec(LAURENT, tuple(names), tuple(degrees), grading)
 
 
+_CHUNK = 10**600  # the interpreter's limit on str(int) is never below 640 digits
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0, however many, converted 600 at a time."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def _monomial_sort_key(exp: tuple[int, ...]) -> tuple:
     # Degree-reverse-lexicographic: higher total exponent first, ties broken
-    # by the reversed negated exponent vector.  Used for printing and for the
-    # term order in the Groebner engine, so output is deterministic.
+    # by the reversed negated exponent vector.  Used for printing, so output
+    # is deterministic; the Groebner engine's packed term keys order the
+    # monomials at one position the same way.
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
@@ -346,27 +359,17 @@ class RingElement:
         )
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
+        text, names = "", self.ring.var_names
         for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.var_names, exp):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors:
-                body = str(abs(coeff))
-            else:
-                mono = "*".join(factors)
-                body = mono if abs(coeff) == 1 else f"{abs(coeff)}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))  # type: ignore[arg-type]
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, _decimal(abs(coeff)))
+            if text:
+                text += " - " if coeff < 0 else " + "
+            elif coeff < 0:
+                text = "-"
+            text += "*".join(factors)
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"<{self} over {self.ring}>"

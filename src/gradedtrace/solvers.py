@@ -17,8 +17,9 @@ division step scans only the elements at the term's own position.  An
 exponent or degree past 32767 raises EngineError instead of wrapping.
 
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
-in the span of others.  When the columns are grouped by degree, each such
-test completes its basis only up to the degree of the column it asks about.
+in the span of others, over the integers with the Hermite form alone.  When
+the columns are grouped by degree, each Groebner test completes its basis
+only up to the degree of the column it asks about.
 
 A Laurent ring enters the same engine with a formal inverse y_i for every
 variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
@@ -697,17 +698,18 @@ def prune_columns(
     """Drop columns lying in the span of the others (greedy, deterministic).
 
     The greedy pass visits the columns in index order and drops each one
-    that lies in the span of the other columns still kept.  In a ring graded
-    by Z with every variable of positive degree, a homogeneous column of
-    degree d lies in a span iff it lies in the span of that span's columns
-    of degree <= d, and dropping a column never changes the span of the kept
-    columns of degree <= e, for any e.  So the decision on a degree-d column
-    depends only on N_<d, the span of all columns of lower degree, and on
-    the kept columns of degree d: the groups of equal degree are taken in
-    increasing degree against one growing Groebner basis of N_<d, a column
-    in N_<d is dropped at once, and the greedy pass runs over the rest of
-    its group.  Every other ring or input forms one group, on which this is
-    the plain greedy pass.  The kept indices are the same either way.
+    that lies in the span of the other columns still kept; over Z each test
+    is one Hermite membership.  In a polynomial ring graded by Z with every
+    variable of positive degree, a homogeneous column of degree d lies in a
+    span iff it lies in the span of that span's columns of degree <= d, and
+    dropping a column never changes the span of the kept columns of degree
+    <= e, for any e.  So the decision on a degree-d column depends only on
+    N_<d, the span of all columns of lower degree, and on the kept columns
+    of degree d: the groups of equal degree are taken in increasing degree
+    against one growing Groebner basis of N_<d, a column in N_<d is dropped
+    at once, and the greedy pass runs over the rest of its group.  Every
+    other ring or input forms one group, on which this is the plain greedy
+    pass.  The kept indices are the same either way.
 
     Grouped by degree, a basis is completed only up to the degree it is
     asked about, since for homogeneous input a strong basis truncated at
@@ -716,23 +718,27 @@ def prune_columns(
     """
     cols = [ambient.coerce_vector(c) for c in columns]
     ring = ambient.ring
+    if ring.kind == INTEGERS:
+        kept = list(range(len(cols)))
+        for j in range(len(cols)):
+            others = [cols[k] for k in kept if k != j]
+            if others and _IntBackend(ambient, others).contains(cols[j]):
+                kept.remove(j)
+        return [cols[k] for k in kept], kept
     engine = [_to_engine(ring, c) for c in cols]
     groups = _degree_groups(ambient, cols)
     top = groups[-1][0] if groups else None
     lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
     lower = lower.grown(_unit_columns(ambient), top)
-    kept: list[int] = []
+    kept = []
     for g, (degree, group) in enumerate(groups):
         if g:
             group = [j for j in group if not lower.contains(engine[j])]
-        i = 0
-        while i < len(group):
+        for j in list(group):
             # alone in a later group, a column was just tested against N_<d
-            others = [engine[k] for k in group if k != group[i]]
-            if others and lower.grown(others, degree).contains(engine[group[i]]):
-                group.pop(i)
-            else:
-                i += 1
+            others = [engine[k] for k in group if k != j]
+            if others and lower.grown(others, degree).contains(engine[j]):
+                group.remove(j)
         kept.extend(group)
         if g + 1 < len(groups):
             # with N_<d, the kept columns span what the whole group does

@@ -477,14 +477,14 @@ class _Parser:
         self._expect_kind("arrow")
         return source, self._lookup(self.doc.modules, "module")
 
-    def _rows_block(self, ring: RingSpec, body_key: str) -> tuple[int, list[list[RingElement]]]:
+    def _rows_block(self, anchor: int, ring: RingSpec, body_key: str) -> tuple[int, list[list[RingElement]]]:
         items = self._items(
             "item",
             {"degree": lambda at: self._signed_int(), body_key: lambda at: self._table(ring)},
             {"degree": 0},
         )
         if body_key not in items:
-            self._fail(self.pos, f"missing '{body_key} [...];' item")
+            self._fail(anchor, f"missing '{body_key} [...];' item")
         return items["degree"], items[body_key]
 
     def _hom(
@@ -498,7 +498,7 @@ class _Parser:
         anchor = self._advance()
         name = self._declare(self.doc.matrices, "matrix")
         source, target = self._arrow_heads()
-        degree, rows = self._rows_block(source.ring, "rows")
+        degree, rows = self._rows_block(anchor, source.ring, "rows")
         self.doc.matrices[name] = self._build(
             anchor, lambda: GradedMatrixHom(source.generators, target.generators, degree, rows)
         )
@@ -507,7 +507,7 @@ class _Parser:
         anchor = self._advance()
         name = self._declare(self.doc.homs, "hom")
         source, target = self._arrow_heads()
-        degree, rows = self._rows_block(source.ring, "lift")
+        degree, rows = self._rows_block(anchor, source.ring, "lift")
         self.doc.homs[name] = self._hom(anchor, source, target, degree, rows)
 
     def _stmt_ses(self) -> None:

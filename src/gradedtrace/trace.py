@@ -33,7 +33,6 @@ from .modules import (
     PresentedModule,
     Resolution,
     _block_span,
-    _kernel_in_block,
     compose_module_homs,
     lift_endomorphism,
     resolve,
@@ -169,10 +168,12 @@ class ShortExactSequence:
         if not zero_cols:
             raise ValueError("b∘a is not zero")
         # a injective: anything a sends into middle relations dies in left;
-        # the span of [a | middle relations] also serves the last check
+        # the span of [a | middle relations] also serves the last check.
+        # Kernel generators are tested unpruned: a submodule holds them all
+        # iff it holds a list spanning what they span.
         cover = _block_span(self.a)
-        for v in _kernel_in_block(self.a, cover):
-            if not self.left.is_zero_element(v):
+        for v in cover.syzygy_vectors():
+            if not self.left.is_zero_element(v[: self.left.generators.rank]):
                 raise ValueError("a is not injective")
         # b surjective, with certificates
         self._preimages = []
@@ -187,8 +188,8 @@ class ShortExactSequence:
                 self.middle.generators.coerce_vector(cert[:nb])
             )
         # ker b is contained in im a + relations
-        for v in _kernel_in_block(self.b, image_span):
-            if not cover.contains(v):
+        for v in image_span.syzygy_vectors():
+            if not cover.contains(v[:nb]):
                 raise ValueError("the kernel of b escapes the image of a")
 
     @property

@@ -1,11 +1,13 @@
 """The integer engine: inputs that once hung, and properties at sizes the corpus never reaches.
 
-The first three tests run in a subprocess under a deadline, so that an
-engine whose coefficients swell fails them instead of hanging the suite.
+The first three tests and the pruning deadline run in a subprocess under a
+deadline, so that an engine whose coefficients swell fails them instead of
+hanging the suite.
 """
 
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,7 +18,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gradedtrace import ColumnSpan, GradedFreeModule, int_determinant, integers, smith_normal_form
+import genutils as gu
+import gradedtrace.solvers as solvers_impl
+from gradedtrace import (
+    ColumnSpan,
+    GradedFreeModule,
+    int_determinant,
+    integers,
+    kernel_of_hom,
+    lift_endomorphism,
+    module_hom,
+    presented_module,
+    prune_columns,
+    resolve,
+    smith_normal_form,
+    verify_lift,
+    verify_resolution,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 # about 0.2 s here, interpreter start included; swelling coefficients take minutes
@@ -208,3 +226,56 @@ def test_integer_spans_at_scale(rows, data):
     # every stored Hermite column, transform column and kernel entry is bounded
     stored = [vec for block in span._backend.blocks for vec in block[3] + block[4]]
     assert _bits(stored) <= _bit_bound(m, n, 50)
+
+
+def test_thirty_integer_columns_prune_within_the_deadline():
+    # one Hermite membership per column; a zero-variable Groebner completion per test takes about 15 s
+    code = """
+        import random, time
+        from gradedtrace import GradedFreeModule, integers, prune_columns
+        rng = random.Random(7)
+        m = GradedFreeModule(integers(), (0,) * 16)
+        cols = [[rng.randint(-20, 20) for _ in range(16)] for _ in range(30)]
+        start = time.perf_counter()
+        kept = prune_columns(m, cols)[1]
+        print(time.perf_counter() - start, *kept)
+    """
+    done = _run(["-c", textwrap.dedent(code)])
+    assert done.returncode == 0, done.stderr
+    seconds, *kept = done.stdout.split()
+    assert float(seconds) < 2.0
+    Z = integers()
+    rng = random.Random(7)
+    m = GradedFreeModule(Z, (0,) * 16)
+    cols = [m.coerce_vector([rng.randint(-20, 20) for _ in range(16)]) for _ in range(30)]
+    kept = [int(k) for k in kept]
+    span = ColumnSpan(m, [cols[k] for k in kept])
+    assert all(span.contains(c) for c in cols)
+    for k in kept:
+        assert not ColumnSpan(m, [cols[j] for j in kept if j != k]).contains(cols[k])
+
+
+def test_integer_work_never_builds_the_groebner_engine(monkeypatch):
+    # the Hermite routine answers every integer question, pruning included
+    engines = []
+    gb_init = solvers_impl._ModuleGB.__init__
+
+    def recording_init(gb, nvars, columns, grading=None):
+        engines.append(nvars)
+        gb_init(gb, nvars, columns, grading)
+
+    monkeypatch.setattr(solvers_impl._ModuleGB, "__init__", recording_init)
+    Z = integers()
+    module = presented_module(Z, [0] * 4, [[Z.const(c) for c in col] for col in SLOW_4X6])
+    res = resolve(module)
+    verify_resolution(res)
+    endo = module_hom(module, module, 0, [[Z.const(3 * (i == j) + (j == i + 1)) for i in range(4)] for j in range(4)])
+    verify_lift(res, endo, lift_endomorphism(res, endo))
+    assert kernel_of_hom(endo)
+    ambient = GradedFreeModule(Z, (0,) * 6)
+    assert len(prune_columns(ambient, BASELINE_6X6 + SMITH_6X6)[1]) < 12
+    rng = random.Random(11)
+    sequences = [out[0] for out in (gu.random_stable_ses(rng, Z) for _ in range(8)) if out is not None]
+    for ses in sequences:
+        ses.validate()
+    assert len(sequences) >= 5 and engines == []

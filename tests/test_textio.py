@@ -116,8 +116,8 @@ MALFORMED = [
     ('ses item', _HEAD + 'ses S { modules M, M, M; c [[1]]; }\n', "unknown ses item 'c' (modules, a, b, fA, fB, degree)", 5, 26),
     ('case item', _HEAD + 'case c { title "t"; colour f; }\n', "unknown case item 'colour' (title, even, odd, map, oracle, note)", 5, 21),
     ('no gens', 'ring Z;\nmodule M { rels [[2]]; }\n', "module needs a 'gens [...];' item", 2, 1),
-    ('no rows', _HEAD + 'matrix F : P -> P { degree 0; }\n', "missing 'rows [...];' item", 6, 1),
-    ('no lift', _HEAD + 'hom g : M -> M { degree 0; }\nfree Q [0];\n', "missing 'lift [...];' item", 6, 1),
+    ('no rows', _HEAD + 'matrix F : P -> P { degree 0; }\n', "missing 'rows [...];' item", 5, 1),
+    ('no lift', _HEAD + 'hom g : M -> M { degree 0; }\nfree Q [0];\n', "missing 'lift [...];' item", 5, 1),
     ('no modules', _HEAD + 'ses S { a [[1]]; b [[1]]; }\n', "ses needs a 'modules A, B, C;' item", 5, 1),
     ('no b', _HEAD + 'ses S { modules M, M, M; a [[1]]; }\n', "ses needs both 'a [...];' and 'b [...];' items", 5, 1),
     ('no odd', _HEAD + 'case c { title "t"; even f; oracle weight_sum [1]; }\n', "case needs both 'even HOM;' and 'odd HOM;' items", 5, 1),
@@ -594,3 +594,31 @@ def test_an_integer_literal_too_long_to_convert_fails_at_its_position(tmp_path, 
     path.write_text(source)
     assert main(["trace", "free", "-m", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}:3:{col}: {message}\n"
+
+
+def _decimal_digits(n):
+    """n >= 0 in decimal, one digit at a time, so no limit on str(int) applies."""
+    digits = []
+    while True:
+        n, d = divmod(n, 10)
+        digits.append("0123456789"[d])
+        if not n:
+            return "".join(reversed(digits))
+
+
+@pytest.mark.parametrize("limit", [640, sys.get_int_max_str_digits()])
+def test_coefficients_past_the_digit_limit_print_in_full(tmp_path, capsys, limit):
+    # nine factors of 3^1024 make 3^9216, 4398 digits: past the default 4300
+    product = " * ".join(["3^1024"] * 9)
+    path = tmp_path / "f.txt"
+    path.write_text(f"ring Z[t:0];\nfree P [0];\nmatrix F : P -> P {{ rows [[-({product})*t + {product}]]; }}\n")
+    digits = _decimal_digits(3**9216)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert main(["trace", "free", "-m", str(path)]) == 0
+        assert capsys.readouterr().out == f"trace F = -{digits}*t + {digits} (degree 0)\n"
+        assert sys.get_int_max_str_digits() == limit
+        assert f"[[-{digits}*t + {digits}]]" in document_source(parse_source(path.read_text()))
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -34,6 +34,8 @@ from gradedtrace import (
 from gradedtrace.rings import GRADING_Z2
 
 import genutils as gu
+import gradedtrace.modules as modules_impl
+import gradedtrace.solvers as solvers_impl
 
 Z = integers()
 ZX = polynomial_ring(["x"], [2])
@@ -348,6 +350,20 @@ def test_validate_builds_one_span_per_block(monkeypatch):
         ses.b.lift.source.rank + ses.right.relations.source.rank,
     ]
     assert built == blocks
+
+
+def test_validate_prunes_no_kernel(monkeypatch):
+    # validate only tests kernel generators, so pruning them buys nothing
+    rng = random.Random(33)
+    built = [gu.random_stable_ses(rng, ring) for ring in gu.THREE_KINDS for _ in range(3)]
+    sequences = [out[0] for out in built if out is not None]
+    calls = []
+    for module in (modules_impl, solvers_impl):
+        prune = module.prune_columns
+        monkeypatch.setattr(module, "prune_columns", lambda *args, prune=prune: calls.append(args) or prune(*args))
+    for ses in sequences:
+        ses.validate()
+    assert len(sequences) >= 6 and calls == []
 
 
 def test_mod2_graded_ring_traces():
