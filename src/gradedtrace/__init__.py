@@ -90,15 +90,9 @@ from .textio import (
     GRAMMAR,
     ParseError,
     SequencePackage,
-    case_statement,
     document_source,
-    hom_statement,
-    matrix_statement,
-    module_statement,
     parse_file,
     parse_source,
-    ring_statement,
-    ses_statement,
 )
 from .trace import (
     AdditivityReport,

@@ -63,6 +63,8 @@ def _eye(n: int) -> list[list[int]]:
 def int_determinant(rows: list[list[int]]) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix."""
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"determinant of a non-square matrix with {n} rows")
     if n == 0:
         return 1
     a = [list(r) for r in rows]

@@ -36,8 +36,10 @@ the caps in GRAMMAR.
 
 Parsing is strict: every object is rebuilt through the library constructors,
 so shape, homogeneity, and well-definedness failures surface as ParseError
-with a line and column.  The printers emit exactly this grammar, and
-parse(print(x)) reproduces x.
+with a line and column.  `document_source` is the one printer and emits
+exactly this grammar: every braced statement goes through `_block`, the
+printing side of `_items`, which writes the head and "{", one item a line
+indented two spaces, and "}".  parse(print(x)) reproduces x.
 
 Lexing is one scan of the compiled `_TOKEN_RE` over the whole text.  Each
 match skips blanks and comments, then takes one token, the end of input, or
@@ -262,12 +264,15 @@ class _Parser:
 
     def _int(self) -> int:
         """Convert an integer token; every integer literal goes through here."""
-        at = self.pos
         tok = self._expect_kind("int")
         try:
             return int(tok)
-        except ValueError:  # past the interpreter's limit on digits
-            self._fail(at, f"integer literal too long to convert ({len(tok)} digits)")
+        except ValueError:  # past the interpreter's limit on digits: 600 at a time
+            value = 0
+            for i in range(0, len(tok), 600):
+                chunk = tok[i : i + 600]
+                value = value * 10 ** len(chunk) + int(chunk)
+            return value
 
     def _signed_int(self) -> int:
         neg = self._accept("-")
@@ -623,77 +628,39 @@ def _table_source(items) -> str:
     return "[" + ", ".join(inner) + "]"
 
 
-def ring_statement(ring: RingSpec) -> str:
-    return f"ring {ring};"
+def _block(head: str, items) -> str:
+    """The printing side of `_Parser._items`: head {, one item a line, }."""
+    return "\n".join([f"{head} {{", *(f"  {item}" for item in items), "}"])
 
 
-def module_statement(name: str, module: PresentedModule) -> str:
-    gens = ", ".join(str(s) for s in module.generators.shifts)
+def _module_statement(name: str, module: PresentedModule) -> str:
+    gens = _table_source(module.generators.shifts)
     rel = module.relations
     if rel.source.rank == 0:
-        return f"free {name} [{gens}];"
+        return f"free {name} {gens};"
     rebuilt = relation_hom_from_columns(module.generators, rel.columns(), rel.degree)
     if rebuilt.source.shifts != rel.source.shifts:
         raise ValueError(
             f"module {name}: relation shifts do not follow the column rule; "
             "this module cannot be serialized"
         )
-    lines = [f"module {name} {{", f"  gens [{gens}];", f"  rels {_table_source(rel.columns())};"]
+    items = [f"gens {gens};", f"rels {_table_source(rel.columns())};"]
     if rel.degree != 1:
-        lines.append(f"  reldegree {rel.degree};")
-    lines.append("}")
-    return "\n".join(lines)
+        items.append(f"reldegree {rel.degree};")
+    return _block(f"module {name}", items)
 
 
-def _map_statement(head: str, f: GradedMatrixHom, body_key: str) -> str:
-    return f"{head} {{\n  degree {f.degree};\n  {body_key} {_table_source(f.entries)};\n}}"
-
-
-def matrix_statement(name: str, f: GradedMatrixHom, source: str, target: str) -> str:
-    return _map_statement(f"matrix {name} : {source} -> {target}", f, "rows")
-
-
-def hom_statement(name: str, h: ModuleHom, source: str, target: str) -> str:
-    return _map_statement(f"hom {name} : {source} -> {target}", h.lift, "lift")
-
-
-def ses_statement(name: str, pkg: SequencePackage, module_names: tuple[str, str, str]) -> str:
-    ln, mn, rn = module_names
-    seq = pkg.sequence
-    lines = [
-        f"ses {name} {{",
-        f"  modules {ln}, {mn}, {rn};",
-        f"  a {_table_source(seq.a.lift.entries)};",
-        f"  b {_table_source(seq.b.lift.entries)};",
-    ]
-    degree = None
-    for key, endo in (("fA", pkg.left_endo), ("fB", pkg.middle_endo)):
-        if endo is not None:
-            lines.append(f"  {key} {_table_source(endo.lift.entries)};")
-            degree = endo.degree
-    if degree:
-        lines.append(f"  degree {degree};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def payload_source(payload) -> str:
-    return _table_source(payload) if isinstance(payload, list) else str(payload)
-
-
-def case_statement(name: str, case: ExampleCase, even_name: str, odd_name: str) -> str:
-    lines = [f"case {name} {{", f"  title {_escape(case.title)};"]
-    lines += [f"  even {even_name};", f"  odd {odd_name};"]
+def _case_statement(name: str, case: ExampleCase, even: str, odd: str) -> str:
+    items = [f"title {_escape(case.title)};", f"even {even};", f"odd {odd};"]
     if case.ring_map is not None:
         rm = case.ring_map
-        inner = " ".join(f"{n} -> {img};" for n, img in zip(rm.source.var_names, rm.images))
-        body = f" {inner} " if inner else " "
-        lines.append(f"  map {rm.target} {{{body}}}")
-    lines.append(f"  oracle {case.oracle_name} {payload_source(case.oracle_payload)};")
+        images = "".join(f" {n} -> {img};" for n, img in zip(rm.source.var_names, rm.images))
+        items.append(f"map {rm.target} {{{images} }}")
+    payload = case.oracle_payload
+    items.append(f"oracle {case.oracle_name} {_table_source(payload) if isinstance(payload, list) else payload};")
     if case.note:
-        lines.append(f"  note {_escape(case.note)};")
-    lines.append("}")
-    return "\n".join(lines)
+        items.append(f"note {_escape(case.note)};")
+    return _block(f"case {name}", items)
 
 
 def document_source(doc: Document) -> str:
@@ -704,7 +671,7 @@ def document_source(doc: Document) -> str:
     def need_ring(ring: RingSpec) -> None:
         nonlocal current
         if ring != current:
-            chunks.append(ring_statement(ring))
+            chunks.append(f"ring {ring};")
             current = ring
 
     def name_of(names: dict, key, what: str, context: str) -> str:
@@ -716,33 +683,37 @@ def document_source(doc: Document) -> str:
     gen_names: dict[GradedFreeModule, str] = {}
     for mname, module in doc.modules.items():
         need_ring(module.ring)
-        chunks.append(module_statement(mname, module))
+        chunks.append(_module_statement(mname, module))
         module_names.setdefault(module, mname)
         gen_names.setdefault(module.generators, mname)
 
-    for fname, f in doc.matrices.items():
+    maps = [("matrix", fname, f, f, gen_names, "rows") for fname, f in doc.matrices.items()]
+    maps += [("hom", hname, h, h.lift, module_names, "lift") for hname, h in doc.homs.items()]
+    for keyword, fname, f, lift, names, body_key in maps:
         need_ring(f.ring)
-        src, tgt = (name_of(gen_names, g, "module", f"matrix {fname}") for g in (f.source, f.target))
-        chunks.append(matrix_statement(fname, f, src, tgt))
-
-    hom_names: dict[int, str] = {}
-    for hname, h in doc.homs.items():
-        need_ring(h.ring)
-        src, tgt = (name_of(module_names, m, "module", f"hom {hname}") for m in (h.source, h.target))
-        chunks.append(hom_statement(hname, h, src, tgt))
-        hom_names.setdefault(id(h), hname)
+        src, tgt = (name_of(names, m, "module", f"{keyword} {fname}") for m in (f.source, f.target))
+        items = [f"degree {f.degree};", f"{body_key} {_table_source(lift.entries)};"]
+        chunks.append(_block(f"{keyword} {fname} : {src} -> {tgt}", items))
 
     for sname, pkg in doc.sequences.items():
         seq = pkg.sequence
         need_ring(seq.middle.ring)
         parts = (seq.left, seq.middle, seq.right)
-        names = tuple(name_of(module_names, m, "module", f"ses {sname}") for m in parts)
-        chunks.append(ses_statement(sname, pkg, names))
+        modules = ", ".join(name_of(module_names, m, "module", f"ses {sname}") for m in parts)
+        tables = dict(a=seq.a, b=seq.b, fA=pkg.left_endo, fB=pkg.middle_endo)
+        items = [f"modules {modules};"]
+        items += [f"{key} {_table_source(h.lift.entries)};" for key, h in tables.items() if h is not None]
+        degree = next((h.degree for h in (pkg.middle_endo, pkg.left_endo) if h is not None), 0)
+        if degree:
+            items.append(f"degree {degree};")
+        chunks.append(_block(f"ses {sname}", items))
 
+    # a case names a hom by its first declaration
+    hom_names = {id(h): hname for hname, h in reversed(doc.homs.items())}
     for cname, case in doc.cases.items():
         need_ring(case.ring)
         even, odd = (name_of(hom_names, id(h), "hom", f"case {cname}") for h in (case.even, case.odd))
-        chunks.append(case_statement(cname, case, even, odd))
+        chunks.append(_case_statement(cname, case, even, odd))
 
     return "\n\n".join(chunks) + "\n"
 

@@ -18,7 +18,7 @@ additivity defect tr(f_C) - tr(f_B) + tr(f_A) computable and testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .freemod import (
     GradedFreeModule,
@@ -148,7 +148,7 @@ class ShortExactSequence:
     right: PresentedModule
     a: ModuleHom
     b: ModuleHom
-    _preimages: list[Vector] | None = None
+    _preimages: list[Vector] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a.source != self.left or self.a.target != self.middle:

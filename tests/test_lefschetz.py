@@ -158,6 +158,45 @@ def test_cli_trace_hs_parses_a_shared_file_once(workdir, monkeypatch, capsys):
     assert outputs[:2] == outputs[2:]
 
 
+RESOLUTION_FILES = {
+    # d1 of the minimal resolution 0 -> R[-3] -x^2-> R[0] of M = Z[x:2]/(x^2)
+    "d1.txt": "ring Z[x:2]; free G [0]; free S [-3]; matrix d1 : S -> G { degree 1; rows [[x^2]]; }",
+    "kernel.txt": "ring Z[x:2]; free G [0]; free S [-3, -3]; matrix d1 : S -> G { degree 1; rows [[x^2, x^2]]; }",
+    "outside.txt": "ring Z[x:2]; free G [2]; free S [-1]; matrix d1 : S -> G { degree 1; rows [[x^2]]; }",
+}
+
+
+@pytest.fixture()
+def resolution_argv(workdir):
+    for name, text in RESOLUTION_FILES.items():
+        (workdir / name).write_text(text)
+    endo = str(workdir / "endo.txt")
+    return lambda name: ["trace", "hs", "-M", endo, "-f", endo, "--module-name", "M", "--name", "g"] + (
+        ["--resolution", str(workdir / name)] if name else []
+    )
+
+
+def test_cli_trace_hs_reuses_a_resolution_file(resolution_argv, capsys):
+    for fmt in ("text", "json"):
+        outputs = []
+        for name in (None, "d1.txt"):
+            assert main(resolution_argv(name) + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert json.loads(outputs[0].out)["trace"] == {"value": "0", "degree": 2}
+
+
+def test_cli_trace_hs_refuses_a_resolution_file_with_a_kernel(resolution_argv, workdir, capsys):
+    assert main(resolution_argv("kernel.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir / 'kernel.txt'} is not a resolution: ")
+
+
+def test_cli_trace_hs_refuses_a_d1_outside_the_generator_module(resolution_argv, capsys):
+    assert main(resolution_argv("outside.txt")) == 2
+    assert capsys.readouterr().err == "error: d1 must land in the generator module of the resolved module\n"
+
+
 def test_cli_resolve(workdir, capsys):
     assert main(["resolve", "-f", str(workdir / "endo.txt"), "-m", "M"]) == 0
     assert "length" in capsys.readouterr().out

@@ -102,6 +102,12 @@ def test_int_determinant():
     assert int_determinant([]) == 1
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3]], [[]]])
+def test_int_determinant_refuses_a_matrix_that_is_not_square(rows):
+    with pytest.raises(ValueError, match="non-square"):
+        int_determinant(rows)
+
+
 # -- membership and certificates ---------------------------------------------
 
 

@@ -281,6 +281,17 @@ def test_additivity_on_fixed_sequences(make):
     assert report.defect.is_zero()
 
 
+@pytest.mark.parametrize("make", FIXED_SEQUENCES, ids=lambda f: f.__name__.strip("_"))
+def test_validated_preimages_are_no_part_of_a_sequences_value(make):
+    ses, other = make()[0], make()[0]
+    before = repr(ses)
+    ses.validate()
+    assert ses == other and repr(ses) == before
+    parts = ses.left, ses.middle, ses.right, ses.a, ses.b
+    with pytest.raises(TypeError):
+        ShortExactSequence(*parts, _preimages=ses.preimages)
+
+
 def test_additivity_defect_values_frozen():
     ses, f_left, f_middle = _ses_z_mult2()
     report = additivity_defect(ses, f_left, f_middle)
