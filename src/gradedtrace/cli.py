@@ -4,6 +4,11 @@ Inputs are plain-text documents in the grammar printed by --emit-grammar.
 Exit codes (also printed by --help): 0 everything checked out, 1 an
 identity failed to hold, 2 bad input or an internal EngineError.
 
+build_parser declares each leaf command once: its arguments, then --format,
+then its handler as the parser default run, so argparse does the dispatch
+and main calls args.run(args).  Every handler but lefschetz answers through
+_emit, which prints text or sorted JSON and returns the exit code.
+
     gradedtrace trace free -m endo.txt
     gradedtrace trace hs -M module.txt -f endo.txt
     gradedtrace resolve -f module.txt -m M
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 
 from .freemod import GradedMatrixHom
 from .lefschetz import builtin_catalog, run_suite
@@ -39,7 +45,7 @@ exit codes:
   2  bad input: an unreadable or unparseable file, an unknown name, a
      malformed object, an element nested more than {MAX_NESTING} levels
      deep, a power or product past the parser's caps of
-     {_POWER_CAPS},
+{textwrap.fill(_POWER_CAPS + ",", 75, initial_indent=" " * 5, subsequent_indent=" " * 5)}
      a module with no resolution within --max-length, a catalog case
      that raised, or a usage error; an EngineError (a failed internal
      invariant, which is a bug rather than bad input, or an exponent past
@@ -57,8 +63,6 @@ def _load(path: str) -> Document:
         return parse_file(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except ParseError as exc:
-        raise CliError(str(exc))
 
 
 def _pick(table: dict, name: str | None, what: str, path: str):
@@ -73,34 +77,35 @@ def _pick(table: dict, name: str | None, what: str, path: str):
     if not table:
         raise CliError(f"{path} declares no {what}")
     known = ", ".join(table)
-    raise CliError(f"{path} declares several {what}s ({known}); pick one with --name")
+    raise CliError(f"{path} declares more than one {what} ({known}); pick one with --name")
 
 
-def _emit(payload: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _emit(payload: dict, text: str, fmt: str, holds: bool = True) -> int:
+    """Print the answer in the chosen format; exit 0 if the identity held, else 1."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else text)
+    return OK if holds else MISMATCH
 
 
 def _trace_payload(t: TraceValue) -> dict:
     return {"value": str(t.value), "degree": t.degree}
 
 
-def _cmd_trace(args) -> int:
-    if args.kind == "free":
-        doc = _load(args.matrix_file)
-        name, f = _pick(doc.matrices, args.name, "matrix", args.matrix_file)
-        if f.source != f.target:
-            raise CliError(f"matrix {name} is not an endomorphism")
-        t = free_trace(f)
-        _emit(
-            {"trace": _trace_payload(t), "matrix": name},
-            f"trace {name} = {t}",
-            args.format,
-        )
-        return OK
+def _matrix_endo(args) -> tuple[str, GradedMatrixHom]:
+    """The matrix that trace free and ctrace read; it must be an endomorphism."""
+    doc = _load(args.matrix_file)
+    name, f = _pick(doc.matrices, args.name, "matrix", args.matrix_file)
+    if f.source != f.target:
+        raise CliError(f"matrix {name} is not an endomorphism")
+    return name, f
 
+
+def _cmd_trace_free(args) -> int:
+    name, f = _matrix_endo(args)
+    t = free_trace(f)
+    return _emit({"trace": _trace_payload(t), "matrix": name}, f"trace {name} = {t}", args.format)
+
+
+def _cmd_trace_hs(args) -> int:
     module_doc = _load(args.module_file)
     module_name, module = _pick(module_doc.modules, args.module_name, "module", args.module_file)
     # one file may hold both; parse it once, so the hom's source is the module itself
@@ -108,16 +113,13 @@ def _cmd_trace(args) -> int:
     hom_name, hom = _pick(hom_doc.homs, args.name, "hom", args.hom_file)
     if hom.source != module or hom.target != module:
         raise CliError(f"hom {hom_name} is not an endomorphism of module {module_name}")
-    resolution = None
-    if args.resolution:
-        resolution = _resolution_from_file(args.resolution, module)
+    resolution = _resolution_from_file(args.resolution, module) if args.resolution else None
     t = hs_trace(hom, resolution=resolution)
-    _emit(
+    return _emit(
         {"trace": _trace_payload(t), "module": module_name, "hom": hom_name},
         f"trace {hom_name} on {module_name} = {t}",
         args.format,
     )
-    return OK
 
 
 def _resolution_from_file(path: str, module) -> Resolution:
@@ -128,16 +130,13 @@ def _resolution_from_file(path: str, module) -> Resolution:
     """
     doc = _load(path)
     maps: list[GradedMatrixHom] = []
-    i = 1
-    while f"d{i}" in doc.matrices:
-        maps.append(doc.matrices[f"d{i}"])
-        i += 1
+    while f"d{len(maps) + 1}" in doc.matrices:
+        maps.append(doc.matrices[f"d{len(maps) + 1}"])
     if not maps:
         raise CliError(f"{path} declares no matrices named d1, d2, ...")
     if maps[0].target != module.generators:
         raise CliError("d1 must land in the generator module of the resolved module")
-    modules = [module.generators] + [m.source for m in maps]
-    res = Resolution(module, modules, maps)
+    res = Resolution(module, maps)
     try:
         verify_resolution(res)
     except (EngineError, ValueError) as exc:
@@ -151,15 +150,12 @@ def _cmd_resolve(args) -> int:
     res = resolve(module, max_length=args.max_length)
     verify_resolution(res)
     steps = [{"rank": m.rank, "shifts": list(m.shifts)} for m in res.modules]
-    text_steps = " -> ".join(
-        f"rank {s['rank']} {s['shifts']}" for s in reversed(steps)
-    )
-    _emit(
+    text_steps = " -> ".join(f"rank {s['rank']} {s['shifts']}" for s in reversed(steps))
+    return _emit(
         {"module": name, "length": res.length, "steps": steps, "verified": True},
         f"resolution of {name}: length {res.length}, {text_steps} (verified)",
         args.format,
     )
-    return OK
 
 
 def _cmd_zigzag(args) -> int:
@@ -168,33 +164,19 @@ def _cmd_zigzag(args) -> int:
     if module.relations.source.rank:
         raise CliError(f"module {name} is not free; zigzag works on free modules")
     holds = zigzag_holds(standard_duality(module.generators))
-    _emit(
-        {"module": name, "holds": holds},
-        f"zigzag identities on {name}: {'hold' if holds else 'FAIL'}",
-        args.format,
-    )
-    return OK if holds else MISMATCH
+    text = f"zigzag identities on {name}: {'hold' if holds else 'FAIL'}"
+    return _emit({"module": name, "holds": holds}, text, args.format, holds)
 
 
 def _cmd_ctrace(args) -> int:
-    doc = _load(args.matrix_file)
-    name, f = _pick(doc.matrices, args.name, "matrix", args.matrix_file)
-    if f.source != f.target:
-        raise CliError(f"matrix {name} is not an endomorphism")
+    name, f = _matrix_endo(args)
     t = categorical_trace(f)
     plain = free_trace(f)
     agrees = t.value == plain.value
-    _emit(
-        {
-            "categorical": _trace_payload(t),
-            "free": _trace_payload(plain),
-            "agrees": agrees,
-            "matrix": name,
-        },
-        f"categorical trace {name} = {t} (free trace {plain}, {'agree' if agrees else 'DISAGREE'})",
-        args.format,
-    )
-    return OK if agrees else MISMATCH
+    payload = {"categorical": _trace_payload(t), "free": _trace_payload(plain), "matrix": name}
+    verdict = "agree" if agrees else "DISAGREE"
+    text = f"categorical trace {name} = {t} (free trace {plain}, {verdict})"
+    return _emit({**payload, "agrees": agrees}, text, args.format, agrees)
 
 
 def _cmd_check_additivity(args) -> int:
@@ -206,40 +188,23 @@ def _cmd_check_additivity(args) -> int:
         report = additivity_defect(pkg.sequence, pkg.left_endo, pkg.middle_endo)
     except ValueError as exc:
         raise CliError(f"ses {name}: {exc}")
-    zero = report.holds()
-    _emit(
-        {
-            "ses": name,
-            "left": _trace_payload(report.left),
-            "middle": _trace_payload(report.middle),
-            "right": _trace_payload(report.right),
-            "defect": str(report.defect),
-            "holds": zero,
-        },
-        (
-            f"additivity on {name}: traces left={report.left}, middle={report.middle}, "
-            f"right={report.right}; defect = {report.defect}"
-        ),
+    traces = {side: _trace_payload(getattr(report, side)) for side in ("left", "middle", "right")}
+    holds = report.holds()
+    return _emit(
+        {"ses": name, **traces, "defect": str(report.defect), "holds": holds},
+        f"additivity on {name}: traces left={report.left}, middle={report.middle}, "
+        f"right={report.right}; defect = {report.defect}",
         args.format,
+        holds,
     )
-    return OK if zero else MISMATCH
 
 
 def _cmd_lefschetz(args) -> int:
-    if args.file:
-        doc = _load(args.file)
-        cases = dict(doc.cases)
-    else:
-        cases = builtin_catalog()
+    cases = dict(_load(args.file).cases) if args.file else builtin_catalog()
     if args.action == "list":
         if args.format == "json":
-            print(
-                json.dumps(
-                    {n: {"title": c.title, "oracle": c.oracle_name} for n, c in cases.items()},
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
+            listing = {n: {"title": c.title, "oracle": c.oracle_name} for n, c in cases.items()}
+            print(json.dumps(listing, indent=2, sort_keys=True))
         else:
             for n, c in cases.items():
                 print(f"{n:<28} {c.title}")
@@ -250,105 +215,73 @@ def _cmd_lefschetz(args) -> int:
         raise CliError(f"no case matches filter {args.filter!r}")
     report = run_suite(selected)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "cases": [
-                        {
-                            "name": r.name,
-                            "title": r.title,
-                            "engine": None if r.engine_value is None else str(r.engine_value),
-                            "oracle": None if r.oracle_value is None else str(r.oracle_value),
-                            "matched": r.matched,
-                            "seconds": round(r.seconds, 6),
-                            "error": r.error,
-                        }
-                        for r in report.reports
-                    ],
-                    "summary": report.summary(),
-                    "ok": report.all_ok,
-                },
-                indent=2,
-            )
-        )
+        rows = [
+            {
+                "name": r.name,
+                "title": r.title,
+                "engine": None if r.engine_value is None else str(r.engine_value),
+                "oracle": None if r.oracle_value is None else str(r.oracle_value),
+                "matched": r.matched,
+                "seconds": round(r.seconds, 6),
+                "error": r.error,
+            }
+            for r in report.reports
+        ]
+        suite = {"cases": rows, "summary": report.summary(), "ok": report.all_ok}
+        print(json.dumps(suite, indent=2))
     else:
-        for r in report.reports:
-            print(r.line())
-        print(report.summary())
+        print(*(r.line() for r in report.reports), report.summary(), sep="\n")
     if report.errors:
         return BAD_INPUT
     return OK if report.all_ok else MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The only place that knows the subcommands."""
     parser = argparse.ArgumentParser(
         prog="gradedtrace",
         description="exact traces of graded module endomorphisms",
         epilog=EXIT_CODES,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--emit-grammar",
-        action="store_true",
-        help="print the input grammar and exit",
-    )
+    parser.add_argument("--emit-grammar", action="store_true",
+                        help="print the input grammar and exit")
     sub = parser.add_subparsers(dest="command")
+    required = {"required": True}
 
-    def add_format(p) -> None:
+    def command(subparsers, name: str, help: str, run, *arguments) -> None:
+        """Declare a leaf command; each argument is (*flags, add_argument options)."""
+        p = subparsers.add_parser(name, help=help)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(run=run)
 
-    p_trace = sub.add_parser("trace", help="trace of an endomorphism")
-    trace_sub = p_trace.add_subparsers(dest="kind", required=True)
-    p_free = trace_sub.add_parser("free", help="trace of a free-module matrix endo")
-    p_free.add_argument("-m", "--matrix-file", required=True)
-    p_free.add_argument("--name", help="matrix name (default: the only one)")
-    add_format(p_free)
-    p_hs = trace_sub.add_parser("hs", help="trace of a presented-module endo")
-    p_hs.add_argument("-M", "--module-file", required=True)
-    p_hs.add_argument("-f", "--hom-file", required=True)
-    p_hs.add_argument("--module-name", help="module name (default: the only one)")
-    p_hs.add_argument("--name", help="hom name (default: the only one)")
-    p_hs.add_argument("--resolution", help="file with matrices d1, d2, ... to reuse")
-    add_format(p_hs)
+    def named(what: str, *flags: str) -> tuple:
+        return (*(flags or ("--name",)), {"help": f"{what} name (default: the only one)"})
 
-    p_resolve = sub.add_parser("resolve", help="free resolution of a module")
-    p_resolve.add_argument("-f", "--file", required=True)
-    p_resolve.add_argument("-m", "--name", help="module name (default: the only one)")
-    p_resolve.add_argument("--max-length", type=int, default=32)
-    add_format(p_resolve)
-
-    p_zigzag = sub.add_parser("zigzag", help="duality snake identities on a free module")
-    p_zigzag.add_argument("-A", "--module-file", required=True)
-    p_zigzag.add_argument("--name", help="module name (default: the only one)")
-    add_format(p_zigzag)
-
-    p_ctrace = sub.add_parser("ctrace", help="categorical trace of a matrix endo")
-    p_ctrace.add_argument("-f", "--matrix-file", required=True)
-    p_ctrace.add_argument("--name", help="matrix name (default: the only one)")
-    add_format(p_ctrace)
-
-    p_add = sub.add_parser("check-additivity", help="trace additivity on a short exact sequence")
-    p_add.add_argument("-s", "--ses-file", required=True)
-    p_add.add_argument("--name", help="ses name (default: the only one)")
-    add_format(p_add)
-
-    p_lef = sub.add_parser("lefschetz", help="run or list the fixed-point catalog")
-    p_lef.add_argument("action", choices=("run", "list"))
-    p_lef.add_argument("--filter", help="substring selecting case names")
-    p_lef.add_argument("-f", "--file", help="case document (default: builtin catalog)")
-    add_format(p_lef)
-
+    trace = sub.add_parser("trace", help="trace of an endomorphism")
+    trace_sub = trace.add_subparsers(dest="kind", required=True)
+    command(trace_sub, "free", "trace of a free-module matrix endo", _cmd_trace_free,
+            ("-m", "--matrix-file", required), named("matrix"))
+    command(trace_sub, "hs", "trace of a presented-module endo", _cmd_trace_hs,
+            ("-M", "--module-file", required), ("-f", "--hom-file", required),
+            named("module", "--module-name"), named("hom"),
+            ("--resolution", {"help": "file with matrices d1, d2, ... to reuse"}))
+    command(sub, "resolve", "free resolution of a module", _cmd_resolve,
+            ("-f", "--file", required), named("module", "-m", "--name"),
+            ("--max-length", {"type": int, "default": 32}))
+    command(sub, "zigzag", "duality snake identities on a free module", _cmd_zigzag,
+            ("-A", "--module-file", required), named("module"))
+    command(sub, "ctrace", "categorical trace of a matrix endo", _cmd_ctrace,
+            ("-f", "--matrix-file", required), named("matrix"))
+    command(sub, "check-additivity", "trace additivity on a short exact sequence",
+            _cmd_check_additivity, ("-s", "--ses-file", required), named("ses"))
+    command(sub, "lefschetz", "run or list the fixed-point catalog", _cmd_lefschetz,
+            ("action", {"choices": ("run", "list")}),
+            ("--filter", {"help": "substring selecting case names"}),
+            ("-f", "--file", {"help": "case document (default: builtin catalog)"}))
     return parser
-
-
-_HANDLERS = {
-    "trace": _cmd_trace,
-    "resolve": _cmd_resolve,
-    "zigzag": _cmd_zigzag,
-    "ctrace": _cmd_ctrace,
-    "check-additivity": _cmd_check_additivity,
-    "lefschetz": _cmd_lefschetz,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return BAD_INPUT
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (CliError, ParseError, EngineError, ValueError, ResolutionTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

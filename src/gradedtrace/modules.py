@@ -182,10 +182,6 @@ class ModuleHom:
     def ring(self) -> RingSpec:
         return self.lift.ring
 
-    def apply(self, v, reduce: bool = True) -> Vector:
-        image = self.lift.apply(v)
-        return self.target.reduce(image) if reduce else image
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleHom):
             return NotImplemented
@@ -271,7 +267,8 @@ class Resolution:
     """P_n -> ... -> P_1 -> P_0 with coker(P_1 -> P_0) the resolved module.
 
     maps[i] is the differential modules[i+1] -> modules[i]; the augmentation
-    P_0 -> module is the identity on generators.  Each map carries the one
+    P_0 -> module is the identity on generators.  The free modules are read
+    off the maps, so they cannot disagree with them.  Each map carries the one
     span of its columns (solvers.column_span): resolve builds it to take the
     map's kernel, and verify_resolution and lift_endomorphism read the same
     span.  resolve puts the module's relation map first, so that span is the
@@ -279,8 +276,11 @@ class Resolution:
     """
 
     module: PresentedModule
-    modules: list[GradedFreeModule]
     maps: list[GradedMatrixHom]
+
+    @property
+    def modules(self) -> list[GradedFreeModule]:
+        return [self.module.generators] + [d.source for d in self.maps]
 
     @property
     def length(self) -> int:
@@ -303,16 +303,14 @@ def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
     size B; a kernel basis has no kernel, so the resolution has
     length at most 2.
     """
-    modules = [module.generators]
     maps: list[GradedMatrixHom] = []
     nxt = module.relations
     while nxt.source.rank:
         if len(maps) >= max_length:
             raise ResolutionTooLong(f"no free resolution of length <= {max_length} found")
         maps.append(nxt)
-        modules.append(nxt.source)
         nxt = syzygies(nxt)
-    return Resolution(module, modules, maps)
+    return Resolution(module, maps)
 
 
 def verify_resolution(res: Resolution) -> None:

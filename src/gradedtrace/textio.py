@@ -168,15 +168,37 @@ MAX_NESTING = 100
 # A power p^n of a k-term p is refused unexpanded when n passes the engine's
 # exponent bound, when its comb(n + k - 1, k - 1) terms pass _POWER_TERMS, or
 # when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.  A
-# product p*q is refused unexpanded when len(p) * len(q) passes _PRODUCT_TERMS,
-# so no single product or power makes more terms than that.
+# product p*q is refused unexpanded when len(p) * len(q) passes _PRODUCT_TERMS
+# or when the bit lengths of the largest coefficients of p and q add up past
+# _PRODUCT_BITS, so no single product or power makes more terms, or much
+# longer coefficients, than that.
 _POWER_TERMS = 256
 _POWER_BITS = 2048
 _PRODUCT_TERMS = _POWER_TERMS**2
+_PRODUCT_BITS = 2**16
 _POWER_CAPS = (
     f"exponent {_LIMIT}, {_POWER_TERMS} terms, {_POWER_BITS} coefficient bits, "
-    f"{_PRODUCT_TERMS} terms in a product"
+    f"{_PRODUCT_TERMS} terms in a product, {_PRODUCT_BITS} coefficient bits in a product"
 )
+
+
+def _coefficient_bits(e: RingElement) -> int:
+    """Bit length of the largest coefficient of e."""
+    return max((abs(c) for _, c in e.items()), default=0).bit_length()
+
+
+def _decimal(digits: str) -> int:
+    """Convert a digit string of any length, exactly.
+
+    Past 600 digits the string is halved, and the halves are converted the
+    same way and combined, so int() never sees more than 600 digits: below
+    the smallest limit on digits the interpreter allows (640), and in about
+    n^1.6 time instead of the n^2 of converting one chunk at a time.
+    """
+    if len(digits) <= 600:
+        return int(digits)
+    lo = digits[len(digits) // 2 :]
+    return _decimal(digits[: len(digits) // 2]) * 10 ** len(lo) + _decimal(lo)
 
 
 class _Parser:
@@ -267,12 +289,8 @@ class _Parser:
         tok = self._expect_kind("int")
         try:
             return int(tok)
-        except ValueError:  # past the interpreter's limit on digits: 600 at a time
-            value = 0
-            for i in range(0, len(tok), 600):
-                chunk = tok[i : i + 600]
-                value = value * 10 ** len(chunk) + int(chunk)
-            return value
+        except ValueError:  # past the interpreter's limit on digits
+            return _decimal(tok)
 
     def _signed_int(self) -> int:
         neg = self._accept("-")
@@ -347,7 +365,10 @@ class _Parser:
         while self._peek() == "*":
             at = self._advance()
             factor = self._element_factor(ring)
-            if len(value) * len(factor) > _PRODUCT_TERMS:
+            if (
+                len(value) * len(factor) > _PRODUCT_TERMS
+                or _coefficient_bits(value) + _coefficient_bits(factor) > _PRODUCT_BITS
+            ):
                 self._fail(at, f"product too large to expand: the caps are {_POWER_CAPS}")
             value = value * factor
         return value

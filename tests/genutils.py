@@ -252,35 +252,28 @@ def padded_resolution(rng: random.Random, res: Resolution) -> Resolution:
             for i in range(low.rank)
         ],
     )
-    modules = list(res.modules)
     maps = list(res.maps)
-    n_maps = len(res.maps)
-    j = rng.randint(1, len(modules))
-    if j == len(modules):
+    n_maps = len(maps)
+    j = rng.randint(1, n_maps + 1)
+    if j == n_maps + 1:
         # stack the acyclic complex above the top, joined by a zero map
-        maps.append(zero_hom(low, modules[-1], 1))
-        modules.append(low)
-        maps.append(ident)
-        modules.append(high)
-        return Resolution(res.module, modules, maps)
+        maps += [zero_hom(low, res.modules[-1], 1), ident]
+        return Resolution(res.module, maps)
     maps[j - 1] = _extend_source(maps[j - 1], low)
-    modules[j] = direct_sum_modules(modules[j], low)
     if j < n_maps:
         maps[j] = direct_sum_homs(maps[j], ident)
-        modules[j + 1] = direct_sum_modules(modules[j + 1], high)
         if j + 1 < n_maps:
             maps[j + 1] = _extend_target(maps[j + 1], high)
     else:
         # padded the top module: one extra step peels the new summand off
-        old_rank = modules[j].rank - low.rank
-        rows = [[ring.zero()] * high.rank for _ in range(old_rank)]
+        padded = maps[j - 1].source
+        rows = [[ring.zero()] * high.rank for _ in range(padded.rank - low.rank)]
         rows += [
             [ring.one() if i == k else ring.zero() for k in range(high.rank)]
             for i in range(low.rank)
         ]
-        maps.append(GradedMatrixHom(high, modules[j], 1, rows))
-        modules.append(high)
-    return Resolution(res.module, modules, maps)
+        maps.append(GradedMatrixHom(high, padded, 1, rows))
+    return Resolution(res.module, maps)
 
 
 def random_stable_ses(

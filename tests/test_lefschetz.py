@@ -1,6 +1,9 @@
 """The shipped fixed-point catalog, the suite runner, and the CLI."""
 
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +289,81 @@ def test_cli_help_lists_exit_codes(capsys):
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_the_console_script_resolves_to_main(capsys):
+    # a regex rather than tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    entry = re.search(r'^\[project\.scripts\]\ngradedtrace = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert entry is not None
+    target = getattr(importlib.import_module(entry.group(1)), entry.group(2))
+    assert target is main
+    assert target([]) == 2
+    assert capsys.readouterr().out.startswith("usage: gradedtrace")
+
+
+REFUSAL_FILES = {
+    "refuse.txt": """
+ring Z[x:2];
+free P [0];
+free Q [0, 0];
+matrix N : P -> Q { rows [[1], [1]]; }
+matrix I : P -> P { rows [[1]]; }
+module M { gens [0]; rels [[x^2]]; }
+module K { gens [0]; rels [[x]]; }
+hom onto : M -> K { lift [[1]]; }
+""",
+    "two_ses.txt": """
+ring Z;
+module A { gens [0]; rels [[2]]; }
+module B { gens [0]; rels [[4]]; }
+module C { gens [0]; rels [[2]]; }
+ses S { modules A, B, C; a [[2]]; b [[1]]; fA [[1]]; }
+ses T { modules A, B, C; a [[2]]; b [[1]]; fA [[1]]; fB [[1]]; }
+""",
+}
+
+# argv with {d} for the working directory, and the exact message after "error: "
+CLI_REFUSALS = [
+    (["trace", "free", "-m", "{d}/ses.txt"], "{d}/ses.txt declares no matrix"),
+    (["ctrace", "-f", "{d}/two_ses.txt"], "{d}/two_ses.txt declares no matrix"),
+    (["zigzag", "-A", "{d}/endo.txt"], "{d}/endo.txt declares more than one module (P, M); pick one with --name"),
+    (["check-additivity", "-s", "{d}/two_ses.txt"], "{d}/two_ses.txt declares more than one ses (S, T); pick one with --name"),
+    (["ctrace", "-f", "{d}/endo.txt", "--name", "G"], "no matrix named 'G' in {d}/endo.txt (found: F)"),
+    (["resolve", "-f", "{d}/ses.txt", "-m", "D"], "no module named 'D' in {d}/ses.txt (found: A, B, C)"),
+    (["ctrace", "-f", "{d}/refuse.txt"], "{d}/refuse.txt declares more than one matrix (N, I); pick one with --name"),
+    (["trace", "free", "-m", "{d}/refuse.txt", "--name", "N"], "matrix N is not an endomorphism"),
+    (["ctrace", "-f", "{d}/refuse.txt", "--name", "N"], "matrix N is not an endomorphism"),
+    (
+        ["trace", "hs", "-M", "{d}/refuse.txt", "--module-name", "M", "-f", "{d}/refuse.txt"],
+        "hom onto is not an endomorphism of module M",
+    ),
+    (["zigzag", "-A", "{d}/endo.txt", "--name", "M"], "module M is not free; zigzag works on free modules"),
+    (["check-additivity", "-s", "{d}/two_ses.txt", "--name", "S"], "ses S needs both fA and fB to check additivity"),
+    (["lefschetz", "run", "--filter", "nope"], "no case matches filter 'nope'"),
+    (["lefschetz", "list", "-f", "{d}/missing.case"], "cannot read {d}/missing.case: "),
+    (["trace", "free", "-m", "{d}/missing.txt"], "cannot read {d}/missing.txt: "),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_REFUSALS, ids=[m.replace("{d}/", "")[:40] for _, m in CLI_REFUSALS])
+def test_cli_refusals_exit_2_with_their_message(workdir, capsys, argv, message):
+    for name, text in REFUSAL_FILES.items():
+        (workdir / name).write_text(text)
+    assert main([a.format(d=workdir) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    want = f"error: {message.format(d=workdir)}"
+    assert out == ""
+    if message.endswith(": "):  # the OS text after "cannot read" varies
+        assert err.startswith(want) and err.endswith("\n") and "\n" not in err[:-1]
+    else:
+        assert err == want + "\n"
+
+
+@pytest.mark.parametrize("leaf", [["trace", "free"], ["trace", "hs"], ["resolve"], ["zigzag"], ["ctrace"],
+                                  ["check-additivity"], ["lefschetz"]])
+def test_each_leaf_command_documents_its_format(leaf, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(leaf + ["--help"])
+    assert exc.value.code == 0
+    assert "--format {text,json}" in capsys.readouterr().out

@@ -163,7 +163,7 @@ def test_verify_resolution_rejects_wrong_start():
     module = _mod2()
     res = resolve(module)
     other = presented_module(Z, [0], [[3]])
-    broken = type(res)(other, res.modules, res.maps)
+    broken = type(res)(other, res.maps)
     with pytest.raises(Exception):
         verify_resolution(broken)
 
@@ -176,7 +176,7 @@ def test_verify_resolution_rejects_non_composing_maps():
     fake = GradedMatrixHom(
         top.shifted(1), top, 1, [[ZX.one()] * top.rank for _ in range(top.rank)]
     )
-    broken = type(res)(module, res.modules + [top.shifted(1)], res.maps + [fake])
+    broken = type(res)(module, res.maps + [fake])
     with pytest.raises(Exception):
         verify_resolution(broken)
 
@@ -251,7 +251,7 @@ def test_verify_resolution_builds_one_span_per_differential(monkeypatch):
     # the maps of a resolve already carry their spans
     assert built == []
     bare = [type(d)._closed(d.source, d.target, d.degree, d._rows) for d in res.maps]
-    verify_resolution(Resolution(m, res.modules, bare))
+    verify_resolution(Resolution(m, bare))
     # each span tests the previous kernel and gives its own map's kernel
     assert built == [d.source.rank for d in res.maps] == [10, 15, 6]
 
@@ -263,10 +263,10 @@ def test_verify_resolution_still_certifies_shared_spans():
     assert [p.rank for p in res.modules] == [2, 3, 1]
     assert all(d._span is not None for d in res.maps)
     # the same map objects, each carrying the span it was verified with
-    short = Resolution(m, res.modules[:-1], res.maps[:-1])
+    short = Resolution(m, res.maps[:-1])
     with pytest.raises(EngineError, match="nonzero kernel"):
         verify_resolution(short)
-    doubled = Resolution(m, res.modules, [res.maps[0], res.maps[1] + res.maps[1]])
+    doubled = Resolution(m, [res.maps[0], res.maps[1] + res.maps[1]])
     with pytest.raises(EngineError, match="not covered"):
         verify_resolution(doubled)
 

@@ -553,9 +553,11 @@ def test_one_step_past_each_cap_is_refused_with_its_position():
 
 
 def test_products_past_the_cap_exit_2_at_once():
-    # unrefused, the first of them expands to 531,441 terms in about ten seconds
+    # unrefused, the first of them expands to 531,441 terms in about ten seconds;
+    # the last has one term, but its coefficient passes 65,536 bits at the last "*"
+    # (unrefused, 2000 such factors took about 15 s to parse)
     ring = "ring Z[x:0, y:0, z:0]; free P [0]; matrix F : P -> P { rows [[%s]]; }"
-    products = ["(x+1)^80*(y+1)^80*(z+1)^80", "(x+1)^255*(y+1)^255*(z+1)"]
+    products = ["(x+1)^80*(y+1)^80*(z+1)^80", "(x+1)^255*(y+1)^255*(z+1)", "*".join(["2^2048"] * 32)]
     rows = _timed_in_child(
         f"""
         import contextlib, io, pathlib, re, tempfile, time
@@ -572,7 +574,7 @@ def test_products_past_the_cap_exit_2_at_once():
         """
     )
     rows = [rows[i : i + 3] for i in range(0, len(rows), 3)]
-    # each refusal points at the second "*", where the product passes the cap
+    # each refusal points at the last "*", where the product passes a cap
     want = [("2", f"1:{ring.index('%s') + p.rindex('*') + 1}") for p in products]
     assert [(rc, at) for rc, _, at in rows] == want
     assert all(float(seconds) < 1.0 for _, seconds, _ in rows)
@@ -582,6 +584,28 @@ def test_the_largest_product_the_cap_admits_parses():
     doc = parse_source("ring Z[x:0, y:0]; free P [0]; matrix F : P -> P { rows [[(x+1)^255*(y+1)^255]]; }")
     assert len(doc.matrices["F"].entries[0][0]) == 256 * 256
     assert "65536 terms in a product" in GRAMMAR
+    doc = parse_source("ring Z; free P [0]; matrix F : P -> P { rows [[%s]]; }" % "*".join(["2^2048"] * 31))
+    assert doc.matrices["F"].entries == ((Z.const(2 ** (2048 * 31)),),)
+    assert "65536 coefficient bits in a product" in GRAMMAR
+
+
+def test_a_million_digit_literal_converts_exactly_within_seconds():
+    # converting 600 digits at a time grows quadratically: about 10 s for these
+    rows = _timed_in_child(
+        """
+        import sys, time
+        from gradedtrace import integers, parse_source
+        digits = "7" * 1_000_000
+        want = integers().const(7 * (10 ** len(digits) - 1) // 9)
+        for limit in (sys.get_int_max_str_digits(), 640):
+            sys.set_int_max_str_digits(limit)
+            start = time.perf_counter()
+            doc = parse_source("ring Z; free P [0]; matrix F : P -> P { rows [[%s]]; }" % digits)
+            print(time.perf_counter() - start, doc.matrices["F"].entries == ((want,),))
+        """
+    )
+    assert rows[1::2] == ["True", "True"]
+    assert all(float(seconds) < 4.0 for seconds in rows[::2])
 
 
 def test_an_integer_literal_past_the_digit_limit_converts_exactly(tmp_path, capsys):
