@@ -6,8 +6,11 @@ identity failed to hold, 2 bad input or an internal EngineError.
 
 build_parser declares each leaf command once: its arguments, then --format,
 then its handler as the parser default run, so argparse does the dispatch
-and main calls args.run(args).  Every handler but lefschetz answers through
-_emit, which prints text or sorted JSON and returns the exit code.
+and main calls args.run(args).  The table is built once per process and
+reused by every call of main; argparse formats help and usage text only
+when it prints them, so each printing follows the terminal width (COLUMNS)
+of that moment.  Every handler but lefschetz answers through _emit, which
+prints text or sorted JSON and returns the exit code.
 
     gradedtrace trace free -m endo.txt
     gradedtrace trace hs -M module.txt -f endo.txt
@@ -16,12 +19,13 @@ _emit, which prints text or sorted JSON and returns the exit code.
     gradedtrace ctrace -f endo.txt
     gradedtrace check-additivity -s sequence.txt
     gradedtrace lefschetz run --filter torus --format json
-    gradedtrace lefschetz list
+    gradedtrace lefschetz list --filter torus
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import textwrap
@@ -200,20 +204,20 @@ def _cmd_check_additivity(args) -> int:
 
 
 def _cmd_lefschetz(args) -> int:
-    cases = dict(_load(args.file).cases) if args.file else builtin_catalog()
+    cases = _load(args.file).cases if args.file else builtin_catalog()
+    selected = {n: c for n, c in cases.items() if not args.filter or args.filter in n}
+    if not selected:
+        raise CliError(f"no case matches filter {args.filter!r}")
     if args.action == "list":
         if args.format == "json":
-            listing = {n: {"title": c.title, "oracle": c.oracle_name} for n, c in cases.items()}
+            listing = {n: {"title": c.title, "oracle": c.oracle_name} for n, c in selected.items()}
             print(json.dumps(listing, indent=2, sort_keys=True))
         else:
-            for n, c in cases.items():
+            for n, c in selected.items():
                 print(f"{n:<28} {c.title}")
         return OK
 
-    selected = [c for n, c in cases.items() if not args.filter or args.filter in n]
-    if not selected:
-        raise CliError(f"no case matches filter {args.filter!r}")
-    report = run_suite(selected)
+    report = run_suite(list(selected.values()))
     if args.format == "json":
         rows = [
             {
@@ -236,8 +240,9 @@ def _cmd_lefschetz(args) -> int:
     return OK if report.all_ok else MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The only place that knows the subcommands."""
+    """The only place that knows the subcommands; built once per process."""
     parser = argparse.ArgumentParser(
         prog="gradedtrace",
         description="exact traces of graded module endomorphisms",

@@ -125,9 +125,9 @@ class GradedMatrixHom:
         degree: int,
         entries: Sequence[Sequence],
     ):
-        if source.ring != target.ring:
-            raise RingMismatch(f"{source.ring} is not {target.ring}")
         ring = source.ring
+        if not (target.ring is ring or target.ring == ring):
+            raise RingMismatch(f"{ring} is not {target.ring}")
         if len(entries) != target.rank:
             raise ValueError(
                 f"expected {target.rank} rows, got {len(entries)}"
@@ -142,16 +142,17 @@ class GradedMatrixHom:
             for j, e in enumerate(row):
                 if isinstance(e, int):
                     e = ring.const(e)
-                if e.ring != ring:
+                if not (e.ring is ring or e.ring == ring):
                     raise RingMismatch(f"entry ({i},{j}) lives in {e.ring}, not {ring}")
+                if not e:  # zero has every degree
+                    continue
                 want = target.shifts[i] - source.shifts[j] + degree
                 if not e.has_degree(want):
                     raise HomogeneityError(
                         f"entry ({i},{j}) = {e} must be homogeneous of degree "
                         f"{ring.reduce_degree(want)}, got degree {e.degree()}"
                     )
-                if e:
-                    sparse[j] = e
+                sparse[j] = e
             rows.append(sparse)
         self.source, self.target, self.degree = source, target, degree
         self._rows = tuple(rows)
@@ -261,7 +262,7 @@ def identity_hom(module: GradedFreeModule) -> GradedMatrixHom:
 def zero_hom(
     source: GradedFreeModule, target: GradedFreeModule, degree: int
 ) -> GradedMatrixHom:
-    if source.ring != target.ring:
+    if not (source.ring is target.ring or source.ring == target.ring):
         raise RingMismatch(f"{source.ring} is not {target.ring}")
     return GradedMatrixHom._closed(source, target, degree, [{} for _ in target.shifts])
 

@@ -157,7 +157,10 @@ def run_suite(cases: list[ExampleCase]) -> SuiteReport:
 
 
 def builtin_catalog() -> dict[str, ExampleCase]:
-    """Parse every shipped .case file; names are unique across the catalog."""
+    """Parse every shipped .case file into a new dict that the caller owns.
+
+    Names are unique across the catalog.  Each call parses the files again.
+    """
     from . import textio  # late import: textio needs ExampleCase from here
 
     cases: dict[str, ExampleCase] = {}

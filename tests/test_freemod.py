@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from gradedtrace import (
     GradedFreeModule,
     GradedMatrixHom,
+    HomogeneityError,
+    RingMismatch,
     braiding,
     compose,
     direct_sum_homs,
@@ -14,12 +16,13 @@ from gradedtrace import (
     identity_hom,
     integers,
     laurent_ring,
+    parse_source,
     polynomial_ring,
     standard_duality,
     tensor_homs,
     zero_hom,
 )
-from gradedtrace.rings import RingElement
+from gradedtrace.rings import RingElement, RingSpec
 
 import genutils as gu
 
@@ -170,3 +173,49 @@ def test_compose_multiplies_nonzero_entries_only(monkeypatch):
     product = compose(f, f)
     assert len(calls) == 16
     assert all(product[i, i] == (x * x if i % 2 else y * y) for i in range(16))
+
+
+def test_entry_checks_hold_after_the_identity_fast_path():
+    z, zx = integers(), polynomial_ring(["x"], [2])
+    m = GradedFreeModule(z, (0,))
+    with pytest.raises(RingMismatch) as exc:
+        GradedMatrixHom(m, m, 0, [[zx.zero()]])  # zero, but over another ring
+    assert str(exc.value) == f"entry (0,0) lives in {zx}, not {z}"
+
+    twin = RingSpec("polynomial", ("x", "y"), (2, 2))
+    assert twin is not ZXY and twin == ZXY
+    p = GradedFreeModule(ZXY, (0, 2))
+    f = GradedMatrixHom(p, GradedFreeModule(twin, (0, 2)), 0, [[1, 0], [twin.gen("x"), 0]])
+    assert f[1, 0] == ZXY.gen("x") and f[0, 1] == 0
+
+    x = ZXY.gen("x")
+    for entry, message in (
+        (x, "entry (0,0) = x must be homogeneous of degree 0, got degree 2"),
+        (x + 1, "entry (0,0) = x + 1 must be homogeneous of degree 0, got degree INHOMOGENEOUS"),
+    ):
+        with pytest.raises(HomogeneityError) as exc:
+            GradedMatrixHom(p, p, 0, [[entry, 0], [0, 1]])
+        assert str(exc.value) == message
+
+
+def test_parsing_matrices_over_one_ring_compares_no_specs(monkeypatch):
+    calls = []
+    spec_eq = RingSpec.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return spec_eq(self, other)
+
+    monkeypatch.setattr(RingSpec, "__eq__", counted)
+    doc = parse_source(
+        """
+ring Z[x:2,y:2];
+free P [0, 2];
+free Q [0];
+matrix F : P -> P { degree 0; rows [[3, 0], [x + y, 7]]; }
+matrix G : P -> Q { degree 2; rows [[x, 5]]; }
+matrix H : Q -> P { degree 0; rows [[0], [x - y]]; }
+"""
+    )
+    assert list(doc.matrices) == ["F", "G", "H"]
+    assert calls == []

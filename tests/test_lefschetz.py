@@ -1,5 +1,6 @@
 """The shipped fixed-point catalog, the suite runner, and the CLI."""
 
+import argparse
 import importlib
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gradedtrace import builtin_catalog, hs_trace, parse_source, run_case, run_suite, textio
-from gradedtrace.cli import EXIT_CODES, main
+from gradedtrace.cli import EXIT_CODES, build_parser, main
 
 CATALOG = builtin_catalog()
 
@@ -230,6 +231,15 @@ def test_cli_lefschetz_list_and_run(capsys):
     assert "torus_rotation" in ran and "ok" in ran
 
 
+def test_cli_lefschetz_list_honours_the_filter(capsys):
+    torus = ["torus_anosov", "torus_identity", "torus_rotation", "torus_twist"]
+    assert main(["lefschetz", "list", "--filter", "torus"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.split()[0] for line in lines) == torus
+    assert main(["lefschetz", "list", "--filter", "torus", "--format", "json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == torus
+
+
 def test_cli_lefschetz_run_json(capsys):
     assert main(["lefschetz", "run", "--filter", "s1_deg", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -341,6 +351,7 @@ CLI_REFUSALS = [
     (["zigzag", "-A", "{d}/endo.txt", "--name", "M"], "module M is not free; zigzag works on free modules"),
     (["check-additivity", "-s", "{d}/two_ses.txt", "--name", "S"], "ses S needs both fA and fB to check additivity"),
     (["lefschetz", "run", "--filter", "nope"], "no case matches filter 'nope'"),
+    (["lefschetz", "list", "--filter", "nix"], "no case matches filter 'nix'"),
     (["lefschetz", "list", "-f", "{d}/missing.case"], "cannot read {d}/missing.case: "),
     (["trace", "free", "-m", "{d}/missing.txt"], "cannot read {d}/missing.txt: "),
 ]
@@ -367,3 +378,53 @@ def test_each_leaf_command_documents_its_format(leaf, capsys):
         main(leaf + ["--help"])
     assert exc.value.code == 0
     assert "--format {text,json}" in capsys.readouterr().out
+
+
+# -- one command table per process; calls share no state ---------------------------
+
+
+def test_a_second_call_builds_no_parser(workdir, monkeypatch, capsys):
+    argv = ["trace", "free", "-m", str(workdir / "endo.txt")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    assert build_parser() is build_parser()
+
+
+def test_no_state_leaks_between_calls(workdir, capsys):
+    (workdir / "xy.txt").write_text("ring Z[x:2,y:2]; module M { gens [0]; rels [[x], [y]]; }")
+    assert main(["resolve", "-f", str(workdir / "xy.txt"), "--max-length", "1"]) == 2
+    assert main(["resolve", "-f", str(workdir / "xy.txt")]) == 0
+    assert "(verified)" in capsys.readouterr().out
+    assert main(["trace", "free", "-m", str(workdir / "endo.txt"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["matrix"] == "F"
+    assert main(["trace", "free", "-m", str(workdir / "endo.txt")]) == 0
+    assert capsys.readouterr().out.startswith("trace F = ")
+
+
+def test_help_follows_the_width_of_each_printing(monkeypatch, capsys):
+    printed = []
+    for width in ("80", "132"):
+        monkeypatch.setenv("COLUMNS", width)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr().out)
+        assert printed[-1] == build_parser.__wrapped__().format_help()
+    assert printed[0] != printed[1]
+
+
+def test_mutating_the_catalog_changes_no_later_run(capsys):
+    cases = builtin_catalog()
+    cases.clear()
+    assert builtin_catalog() is not cases and len(builtin_catalog()) == len(CATALOG)
+    assert main(["lefschetz", "run", "--filter", "torus"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4/4 matched, 0 mismatched, 0 errors"
