@@ -205,6 +205,8 @@ def _cmd_check_additivity(args) -> int:
 
 def _cmd_lefschetz(args) -> int:
     cases = _load(args.file).cases if args.file else builtin_catalog()
+    if not cases:
+        raise CliError(f"{args.file} declares no case")
     selected = {n: c for n, c in cases.items() if not args.filter or args.filter in n}
     if not selected:
         raise CliError(f"no case matches filter {args.filter!r}")

@@ -27,7 +27,7 @@ from .freemod import (
     compose,
     identity_hom,
 )
-from .rings import RingSpec
+from .rings import RingMismatch, RingSpec
 from .trace import TraceValue
 
 
@@ -36,32 +36,34 @@ def unit_module(ring: RingSpec) -> GradedFreeModule:
 
 
 def tensor_modules(a: GradedFreeModule, b: GradedFreeModule) -> GradedFreeModule:
-    if a.ring != b.ring:
-        raise ValueError("tensor factors must share a ring")
-    shifts = tuple(na + nb for na in a.shifts for nb in b.shifts)
-    return GradedFreeModule(a.ring, shifts)
+    if not (a.ring is b.ring or a.ring == b.ring):
+        raise RingMismatch(f"{a.ring} is not {b.ring}")
+    shifts = [na + nb for na in a.shifts for nb in b.shifts]
+    return GradedFreeModule(a.ring, tuple(shifts))
 
 
 def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     """f ⊗ g with the Koszul sign on each source generator.
 
     The generator e_j ⊗ e_l has x = e_j of module degree -shift_j, so the
-    sign is (-1)^(deg g . source shift of f at j).
+    sign is (-1)^(deg g . source shift of f at j).  It is computed once per
+    source column and carried by f[i, j], negated once per row of f.
     """
-    if f.ring != g.ring:
-        raise ValueError("tensor factors must share a ring")
     source = tensor_modules(f.source, g.source)
     target = tensor_modules(f.target, g.target)
     rs_b = g.source.rank
+    negate = [(g.degree * n) % 2 == 1 for n in f.source.shifts]
     rows = []
     for f_row in f._rows:
+        if not f_row:
+            rows.extend({} for _ in g._rows)
+            continue
+        signed = [(j * rs_b, -fij if negate[j] else fij) for j, fij in f_row.items()]
         for g_row in g._rows:
             row = {}
-            for j, fij in f_row.items():
-                negate = (g.degree * f.source.shifts[j]) % 2 == 1
+            for base, fij in signed:
                 for l, gkl in g_row.items():
-                    val = fij * gkl
-                    row[j * rs_b + l] = -val if negate else val
+                    row[base + l] = fij * gkl
             rows.append(row)
     return GradedMatrixHom._closed(source, target, f.degree + g.degree, rows)
 

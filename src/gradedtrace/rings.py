@@ -175,7 +175,9 @@ class RingElement:
 
     Canonical form (no zero coefficients) is enforced at construction, so
     two elements are equal iff their term maps are identical.  Instances are
-    immutable by convention; all arithmetic returns new elements.
+    immutable by convention; all arithmetic returns new elements.  A product
+    with a constant factor scales the other factor's terms instead of
+    convolving them.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -295,6 +297,11 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for const, rest in (self._terms, other._terms), (other._terms, self._terms):
+            if len(const) == 1 and not any(next(iter(const))):
+                (c,) = const.values()
+                terms = dict(rest) if c == 1 else {e: c * x for e, x in rest.items()}
+                return RingElement._clean(self.ring, terms)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

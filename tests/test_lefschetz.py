@@ -353,6 +353,8 @@ CLI_REFUSALS = [
     (["lefschetz", "run", "--filter", "nope"], "no case matches filter 'nope'"),
     (["lefschetz", "list", "--filter", "nix"], "no case matches filter 'nix'"),
     (["lefschetz", "list", "-f", "{d}/missing.case"], "cannot read {d}/missing.case: "),
+    (["lefschetz", "run", "-f", "{d}/ses.txt"], "{d}/ses.txt declares no case"),
+    (["lefschetz", "list", "-f", "{d}/two_ses.txt"], "{d}/two_ses.txt declares no case"),
     (["trace", "free", "-m", "{d}/missing.txt"], "cannot read {d}/missing.txt: "),
 ]
 

@@ -9,6 +9,8 @@ from gradedtrace import (
     DualityData,
     GradedFreeModule,
     GradedMatrixHom,
+    RingMismatch,
+    RingSpec,
     braiding,
     categorical_trace,
     compose,
@@ -16,6 +18,7 @@ from gradedtrace import (
     free_trace,
     identity_hom,
     integers,
+    polynomial_ring,
     signed_rank,
     standard_duality,
     tensor_homs,
@@ -215,3 +218,26 @@ def test_euler_characteristic_is_signed_rank():
         for _ in range(10):
             m = GradedFreeModule(ring, gu.random_shifts(rng))
             assert euler_characteristic(m).value == ring.const(signed_rank(m))
+
+
+def test_tensor_factors_over_different_rings_are_refused():
+    f = identity_hom(GradedFreeModule(Z, (0,)))
+    g = identity_hom(GradedFreeModule(polynomial_ring(["x"], [2]), (0,)))
+    with pytest.raises(RingMismatch, match=r"^Z is not Z\[x:2\]$"):
+        tensor_homs(f, g)
+
+
+def test_one_ring_object_makes_no_spec_comparison(monkeypatch):
+    ring = polynomial_ring(["x", "y"], [2, 4])
+    f = gu.random_endo(random.Random(18), GradedFreeModule(ring, (0, 1, 2, -1)))
+    calls = []
+    spec_eq = RingSpec.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return spec_eq(self, other)
+
+    monkeypatch.setattr(RingSpec, "__eq__", counted)
+    assert categorical_trace(f).value == free_trace(f).value
+    assert zigzag_holds(standard_duality(f.source))
+    assert calls == []

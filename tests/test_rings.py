@@ -138,9 +138,32 @@ def test_arithmetic_results_are_clean_and_own_their_terms(ring):
         assert unit * unit.unit_inverse() == 1
 
 
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_a_constant_factor_scales_the_other_factor(ring):
+    # The constant comes from an equal but distinct spec, so each product
+    # shows whose ring it keeps: the left operand's.
+    twin = RingSpec(ring.kind, ring.var_names, ring.var_degrees, ring.grading)
+    rng = random.Random(23)
+    for _ in range(40):
+        a, c = _random_element(rng, ring), rng.randint(-3, 3)
+        k = twin.const(c)
+        want = RingElement(ring, {e: c * x for e, x in a.items()})
+        for r, left in ((k * a, k), (a * k, a), (c * a, a), (a * c, a)):
+            assert r == want
+            assert r.ring is left.ring
+            assert r._terms is not a._terms and r._terms is not k._terms
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatch):
         ZX.gen("x") + ZL.gen("t")
+
+
+def test_a_constant_of_another_ring_is_refused():
+    with pytest.raises(RingMismatch):
+        integers().one() * ZX.gen("x")
+    with pytest.raises(RingMismatch):
+        ZX.gen("x") * integers().one()
 
 
 def test_one_ring_object_skips_spec_comparison(monkeypatch):
