@@ -140,8 +140,8 @@ def _resolution_from_file(path: str, module) -> Resolution:
         raise CliError(f"{path} declares no matrices named d1, d2, ...")
     if maps[0].target != module.generators:
         raise CliError("d1 must land in the generator module of the resolved module")
-    res = Resolution(module, maps)
     try:
+        res = Resolution(module, maps)
         verify_resolution(res)
     except (EngineError, ValueError) as exc:
         raise CliError(f"{path} is not a resolution: {exc}")

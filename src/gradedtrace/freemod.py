@@ -14,8 +14,10 @@ A map stores sparse rows and never a zero entry; `entries` is a dense view.
 The public constructor and hom_from_columns validate outside input once.
 Closed operations (sums, compose, direct sums, tensor products, braidings and
 dualities) give legal maps by construction: after their own shape and ring
-checks they build unchecked and touch nonzero entries only.  Syzygy maps
-and chain lifts build unchecked from their columns, through _from_columns.
+checks they build unchecked and touch nonzero entries only, and so does
+map_matrix.  Relation maps, syzygy maps and chain lifts build unchecked from
+their columns, through _from_columns; the first two take their shifts from
+_relation_shifts, the one place the resolution convention is written.
 """
 
 from __future__ import annotations
@@ -299,6 +301,20 @@ def _from_columns(source, target, degree: int, columns: list[Vector]) -> GradedM
     return GradedMatrixHom._closed(source, target, degree, rows)
 
 
+def _relation_shifts(generators: GradedFreeModule, columns: list[Vector], degree: int) -> tuple[int, ...]:
+    """The resolution convention: a column of module degree k gets source
+    shift degree - k (a zero column 0), so the columns form a legal map of
+    that degree.  Odd degree is enforced by PresentedModule and Resolution.
+    """
+    shifts = []
+    for idx, v in enumerate(columns):
+        k = generators.vector_degree(v)
+        if k is INHOMOGENEOUS:
+            raise HomogeneityError(f"relation column {idx} is not homogeneous")
+        shifts.append(0 if k is ANY_DEGREE else degree - k)
+    return tuple(shifts)
+
+
 def direct_sum_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     if f.degree != g.degree:
         raise ValueError("direct summands must have equal degree")
@@ -378,8 +394,11 @@ def _bare_determinant(ring: RingSpec, rows: Sequence[Sequence[RingElement]]) -> 
 
 
 def map_matrix(phi: RingMap, f: GradedMatrixHom) -> GradedMatrixHom:
-    """Apply a ring map entrywise; shifts and degree are preserved."""
+    """Apply a ring map entrywise; shifts and degree are preserved.
+
+    RingMap checked each generator image's degree, so the image is legal.
+    """
     source = GradedFreeModule(phi.target, f.source.shifts)
     target = GradedFreeModule(phi.target, f.target.shifts)
-    rows = [[phi(e) for e in row] for row in f.entries]
-    return GradedMatrixHom(source, target, f.degree, rows)
+    rows = [{j: img for j, e in row.items() if (img := phi(e))} for row in f._rows]
+    return GradedMatrixHom._closed(source, target, f.degree, rows)

@@ -8,14 +8,17 @@ and identities descend by construction and build through the unchecked
 ModuleHom._closed; the public constructor always checks.  Resolutions
 iterate the syzygy functor until the kernel vanishes and certify their own
 exactness; endomorphisms lift along them column by column, using membership
-certificates from the solvers.  Maps from outside columns validate through
-hom_from_columns; syzygy maps and chain lifts are legal by construction and
-build unchecked, and verify_resolution and verify_lift certify them.
+certificates from the solvers.  Lifts from outside columns validate through
+hom_from_columns; relation maps, syzygy maps and chain lifts are legal by
+construction and build unchecked, and verify_resolution and verify_lift
+certify them.
 
-Relation columns follow one convention throughout: a homogeneous column of
-module degree k is assigned generator shift (degree - k), so that the
-packaged relation map is homogeneous of the stated degree (1 by default,
-matching the syzygy maps produced by the solvers).
+Relation columns follow freemod._relation_shifts: a homogeneous column of
+module degree k gets source shift (degree - k), so the relation map is
+homogeneous of the stated degree (1 by default, like the syzygy maps).  That
+degree must be odd, so that shift parity records the homological sign and
+traces over a resolution sum without alternation: PresentedModule, which
+every presented module passes through, and Resolution refuse an even one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .freemod import (
     GradedMatrixHom,
     Vector,
     _from_columns,
+    _relation_shifts,
     compose,
     hom_from_columns,
     identity_hom,
@@ -45,22 +49,13 @@ def relation_hom_from_columns(
 ) -> GradedMatrixHom:
     """Package relation columns as a homogeneous map of the given degree.
 
-    Each nonzero column must be homogeneous; its source shift is forced by
-    the degree convention.  Zero columns get shift 0.  The degree must be
-    odd: shift parity then records the homological sign, which is what lets
-    traces over a resolution sum without explicit alternation.
+    Each column is coerced once and must be homogeneous; its source shift
+    follows freemod._relation_shifts, so the map builds unchecked.  An even
+    degree is refused by PresentedModule, not here.
     """
-    if degree % 2 == 0:
-        raise ValueError("relation maps must have odd degree")
     cols = [generators.coerce_vector(c) for c in columns]
-    shifts = []
-    for idx, v in enumerate(cols):
-        k = generators.vector_degree(v)
-        if k is INHOMOGENEOUS:
-            raise HomogeneityError(f"relation column {idx} is not homogeneous")
-        shifts.append(0 if k is ANY_DEGREE else degree - k)
-    source = GradedFreeModule(generators.ring, tuple(shifts))
-    return hom_from_columns(source, generators, degree, cols)
+    source = GradedFreeModule(generators.ring, _relation_shifts(generators, cols, degree))
+    return _from_columns(source, generators, degree, cols)
 
 
 class PresentedModule:
@@ -69,6 +64,7 @@ class PresentedModule:
     Elements are represented by vectors in the generator module; reduce()
     rewrites a representative to its canonical normal form modulo the
     relation span, which is the span of the relation map's own columns.
+    The relation map must have odd degree (the resolution convention).
     """
 
     __slots__ = ("generators", "relations")
@@ -76,6 +72,8 @@ class PresentedModule:
     def __init__(self, generators: GradedFreeModule, relations: GradedMatrixHom):
         if relations.target != generators:
             raise ValueError("relations must map into the generator module")
+        if relations.degree % 2 == 0:
+            raise ValueError("relation maps must have odd degree")
         self.generators = generators
         self.relations = relations
 
@@ -123,9 +121,7 @@ def presented_module(
     ring: RingSpec, generator_shifts, relation_columns, relation_degree: int = 1
 ) -> PresentedModule:
     generators = GradedFreeModule(ring, tuple(generator_shifts))
-    relations = relation_hom_from_columns(
-        generators, relation_columns, relation_degree
-    )
+    relations = relation_hom_from_columns(generators, relation_columns, relation_degree)
     return PresentedModule(generators, relations)
 
 
@@ -267,16 +263,22 @@ class Resolution:
     """P_n -> ... -> P_1 -> P_0 with coker(P_1 -> P_0) the resolved module.
 
     maps[i] is the differential modules[i+1] -> modules[i]; the augmentation
-    P_0 -> module is the identity on generators.  The free modules are read
-    off the maps, so they cannot disagree with them.  Each map carries the one
-    span of its columns (solvers.column_span): resolve builds it to take the
-    map's kernel, and verify_resolution and lift_endomorphism read the same
-    span.  resolve puts the module's relation map first, so that span is the
+    P_0 -> module is the identity on generators.  Construction refuses a map
+    of even degree (the traces over it would not sum).  The free modules are
+    read off the maps, so they cannot disagree with them.  Each map carries
+    the one span of its columns (solvers.column_span): resolve builds it to
+    take the map's kernel, and verify_resolution and lift_endomorphism read
+    the same span.  resolve puts the relation map first, so that span is the
     module's own.
     """
 
     module: PresentedModule
     maps: list[GradedMatrixHom]
+
+    def __post_init__(self) -> None:
+        for i, d in enumerate(self.maps):
+            if d.degree % 2 == 0:
+                raise ValueError(f"map {i} has even degree {d.degree}; resolution maps must have odd degree")
 
     @property
     def modules(self) -> list[GradedFreeModule]:
@@ -430,54 +432,36 @@ def add_redundant_generator(
     Returns (bigger module, inclusion, projection); the two maps are inverse
     isomorphisms, so endomorphisms transport as inc . f . proj.
     """
-    ring = module.ring
-    v = module.generators.coerce_vector(expression)
-    k = module.generators.vector_degree(v)
+    ring, gens, rel = module.ring, module.generators, module.relations
+    v = gens.coerce_vector(expression)
+    k = gens.vector_degree(v)
     if k is INHOMOGENEOUS:
         raise HomogeneityError("the defining expression must be homogeneous")
     if k is ANY_DEGREE:
         k = 0
-    delta = module.relations.degree
-    gens2 = GradedFreeModule(ring, module.generators.shifts + (-k,))
-    zero = ring.zero()
-    old_cols = [tuple(col) + (zero,) for col in module.relations.columns()]
+    gens2 = GradedFreeModule(ring, gens.shifts + (-k,))
+    old_cols = [col + (ring.zero(),) for col in rel.columns()]
     defining = tuple(-e for e in v) + (ring.one(),)
-    source2 = GradedFreeModule(
-        ring, module.relations.source.shifts + (delta - k,)
-    )
-    relations2 = hom_from_columns(source2, gens2, delta, old_cols + [defining])
-    bigger = PresentedModule(gens2, relations2)
+    # the old columns keep their shifts; the defining one has module degree k
+    source2 = GradedFreeModule(ring, rel.source.shifts + _relation_shifts(gens2, [defining], rel.degree))
+    bigger = PresentedModule(gens2, _from_columns(source2, gens2, rel.degree, old_cols + [defining]))
 
-    n = module.generators.rank
-    inc_cols = [
-        tuple(ring.one() if i == j else zero for i in range(n + 1))
-        for j in range(n)
-    ]
-    inclusion_lift = hom_from_columns(module.generators, gens2, 0, inc_cols)
-    inclusion = ModuleHom._closed(module, bigger, inclusion_lift)
-    proj_cols = [module.generators.basis_vector(j) for j in range(n)] + [v]
-    projection = ModuleHom(
-        bigger,
-        module,
-        hom_from_columns(gens2, module.generators, 0, proj_cols),
-    )
+    n = gens.rank
+    inc_cols = [gens2.basis_vector(j) for j in range(n)]
+    inclusion = ModuleHom._closed(module, bigger, _from_columns(gens, gens2, 0, inc_cols))
+    proj_cols = [gens.basis_vector(j) for j in range(n)] + [v]
+    projection = ModuleHom(bigger, module, _from_columns(gens2, gens, 0, proj_cols))
     return bigger, inclusion, projection
 
 
 def with_extra_relations(module: PresentedModule, columns) -> PresentedModule:
     """Pad the presentation with relations already in the span (checked)."""
-    extra = [module.generators.coerce_vector(c) for c in columns]
+    gens, rel = module.generators, module.relations
+    extra = [gens.coerce_vector(c) for c in columns]
     for idx, c in enumerate(extra):
         if not module.span.contains(c):
             raise ValueError(f"column {idx} is not in the relation span")
-    delta = module.relations.degree
-    all_cols = module.relations.columns() + extra
-    shifts = list(module.relations.source.shifts)
-    for v in extra:
-        k = module.generators.vector_degree(v)
-        if k is INHOMOGENEOUS:
-            raise HomogeneityError("extra relation columns must be homogeneous")
-        shifts.append(0 if k is ANY_DEGREE else delta - k)
-    source = GradedFreeModule(module.ring, tuple(shifts))
-    relations = hom_from_columns(source, module.generators, delta, all_cols)
-    return PresentedModule(module.generators, relations)
+    # the old columns keep their shifts; the extra ones follow the rule
+    shifts = rel.source.shifts + _relation_shifts(gens, extra, rel.degree)
+    source = GradedFreeModule(module.ring, shifts)
+    return PresentedModule(gens, _from_columns(source, gens, rel.degree, rel.columns() + extra))

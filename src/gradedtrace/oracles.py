@@ -39,7 +39,7 @@ def as_int(x) -> int:
 
 
 def as_int_matrix(rows) -> list[list[int]]:
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise OracleError("expected a matrix (list of rows)")
     out = [[as_int(e) for e in row] for row in rows]
     widths = {len(r) for r in out}
@@ -132,7 +132,7 @@ def cw_alternating_sum(ring: RingSpec, payload) -> RingElement:
     """
     total = 0
     for k, rows in enumerate(payload):
-        mat = as_int_matrix(rows) if rows else []
+        mat = as_int_matrix(rows)
         if mat and len(mat) != len(mat[0]):
             raise OracleError(f"chain matrix in dimension {k} is not square")
         tr = sum(mat[i][i] for i in range(len(mat)))

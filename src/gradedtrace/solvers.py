@@ -34,7 +34,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 
-from .freemod import GradedFreeModule, GradedMatrixHom, Vector, _from_columns
+from .freemod import GradedFreeModule, GradedMatrixHom, Vector, _from_columns, _relation_shifts
 from .rings import (
     ANY_DEGREE,
     GRADING_Z,
@@ -788,20 +788,13 @@ def kernel_columns(ambient: GradedFreeModule, columns: list) -> list[tuple[RingE
 def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
     """The kernel of f, packaged as a degree-1 map onto its generators.
 
-    Each kernel generator is homogeneous as an element of f.source; giving
-    the generator shift 1 - (its module degree) makes the resulting map have
-    degree exactly 1, which is the resolution convention used throughout,
-    so the map builds unchecked.  The kernel is read off column_span(f),
-    which stays on f.
+    Each kernel generator is homogeneous as an element of f.source; the
+    resolution convention (freemod._relation_shifts) gives it source shift
+    1 - (its module degree), so the map has degree exactly 1 and builds
+    unchecked.  The kernel is read off column_span(f), which stays on f.
     """
     vectors = column_span(f).syzygy_vectors()
     if prune and vectors and f.ring.kind != INTEGERS:
         vectors, _ = prune_columns(f.source, vectors)
-    shifts = []
-    for v in vectors:
-        k = f.source.vector_degree(v)
-        if not isinstance(k, int):
-            raise EngineError("syzygy generator is not homogeneous")
-        shifts.append(1 - k)
-    source = GradedFreeModule(f.ring, tuple(shifts))
+    source = GradedFreeModule(f.ring, _relation_shifts(f.source, vectors, 1))
     return _from_columns(source, f.source, 1, vectors)

@@ -430,3 +430,58 @@ def test_mutating_the_catalog_changes_no_later_run(capsys):
     assert builtin_catalog() is not cases and len(builtin_catalog()) == len(CATALOG)
     assert main(["lefschetz", "run", "--filter", "torus"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "4/4 matched, 0 mismatched, 0 errors"
+
+
+# -- refusals past parsing --------------------------------------------------------
+
+EVEN_RESOLUTION_FILES = {
+    "m.txt": "ring Z[x:2]; module M { gens [0]; rels [[x]]; } hom f : M -> M { lift [[1]]; }",
+    # d1 has even degree: the trace through it would read 2, not 0
+    "r.txt": "ring Z[x:2]; free G [0]; free P1 [-2]; matrix d1 : P1 -> G { degree 0; rows [[x]]; }",
+    "odd.txt": "ring Z[x:2]; free G [0]; free P1 [-1]; matrix d1 : P1 -> G { degree 1; rows [[x]]; }",
+}
+
+
+def test_cli_trace_hs_refuses_a_resolution_of_even_degree(tmp_path, capsys):
+    for name, text in EVEN_RESOLUTION_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = ["trace", "hs", "-M", str(tmp_path / "m.txt"), "-f", str(tmp_path / "m.txt")]
+    for extra in ([], ["--resolution", str(tmp_path / "odd.txt")]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out == "trace f on M = 0 (degree 0)\n"
+    assert main(argv + ["--resolution", str(tmp_path / "r.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {tmp_path / 'r.txt'} is not a resolution: "
+        "map 0 has even degree 0; resolution maps must have odd degree\n"
+    )
+
+
+BAD_PAYLOAD_DOC = """
+ring Z;
+free H [0];
+hom one : H -> H { lift [[1]]; }
+hom zero : H -> H { lift [[0]]; }
+case bad { title "a row for a matrix"; even one; odd zero; oracle det_i_minus_m [[1, 2]]; }
+"""
+
+
+def test_cli_lefschetz_run_reports_an_oracle_error(tmp_path, capsys):
+    path = tmp_path / "bad.case"
+    path.write_text(BAD_PAYLOAD_DOC)
+    assert main(["lefschetz", "run", "-f", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    masked = re.sub(r"\d+\.\d{3}s", "0.000s", out)
+    assert masked.splitlines() == [
+        f"{'bad':<28} {'ERROR':<9} {0:7.3f}s  OracleError: expected a matrix (list of rows)",
+        "0/1 matched, 0 mismatched, 1 errors",
+    ]
+    assert main(["lefschetz", "run", "-f", str(path), "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert payload["summary"] == "0/1 matched, 0 mismatched, 1 errors"
+    (case,) = payload["cases"]
+    assert case["engine"] is None and case["oracle"] is None and case["matched"] is False
+    assert case["error"] == "OracleError: expected a matrix (list of rows)"

@@ -11,10 +11,13 @@ from gradedtrace import (
     EngineError,
     GradedFreeModule,
     GradedMatrixHom,
+    HomogeneityError,
     ModuleHom,
+    PresentedModule,
     Resolution,
     ResolutionTooLong,
     RingElement,
+    RingMap,
     add_redundant_generator,
     compose_module_homs,
     free_presentation,
@@ -25,11 +28,13 @@ from gradedtrace import (
     kernel_of_hom,
     laurent_ring,
     lift_endomorphism,
+    map_matrix,
     module_hom,
     parse_source,
     perturb_lift,
     polynomial_ring,
     presented_module,
+    relation_hom_from_columns,
     resolve,
     same_quotient,
     verify_lift,
@@ -457,3 +462,80 @@ def test_zero_module_edge_case():
     f = identity_module_hom(zero_mod)
     assert hs_trace(f).value.is_zero()
     assert zero_hom(empty, empty, 0).is_zero()
+
+
+def test_with_extra_relations_refuses_an_inhomogeneous_column_by_its_index():
+    m = presented_module(ZX, [0], [[1]])
+    x = ZX.gen("x")
+    with pytest.raises(HomogeneityError) as err:
+        with_extra_relations(m, [[x], [x + 1]])
+    assert str(err.value) == "relation column 1 is not homogeneous"
+
+
+def _checked(f):
+    """The same map through the validating constructor."""
+    return GradedMatrixHom(f.source, f.target, f.degree, f.entries)
+
+
+def test_maps_built_unchecked_pass_the_checked_constructor():
+    rng = random.Random(23)
+    for ring in gu.RING_POOL:
+        for _ in range(12):
+            m = gu.random_presented_module(rng, ring, max_rank=3, max_rels=3)
+            rel = m.relations
+            rebuilt = relation_hom_from_columns(m.generators, rel.columns(), 3)
+            assert _checked(rebuilt) == rebuilt
+            scales = [rng.randint(-3, 3) for _ in rel.columns()]
+            scaled = [tuple(e * c for e in column) for column, c in zip(rel.columns(), scales)]
+            padded = with_extra_relations(m, scaled + [(ring.zero(),) * m.generators.rank])
+            assert _checked(padded.relations) == padded.relations
+            k = rng.randint(-2, 2)
+            expr = [gu.random_homogeneous(rng, ring, k + n, span=1) for n in m.generators.shifts]
+            bigger, inc, proj = add_redundant_generator(m, expr)
+            for f in (bigger.relations, inc.lift, proj.lift):
+                assert _checked(f) == f
+            for d in resolve(m, max_length=8).maps:
+                assert _checked(d) == d
+
+
+def test_map_matrix_builds_legal_maps():
+    rng = random.Random(29)
+    ring_maps = [
+        RingMap(ZL, Z, (Z.one(),)),
+        RingMap(ZX, Z, (Z.zero(),)),
+        RingMap(ZXY, ZX, (ZX.gen("x"), ZX.gen("x") ** 2)),
+        RingMap(ZL, ZL, (ZL.gen("t").unit_inverse(),)),
+    ]
+    for phi in ring_maps:
+        for _ in range(10):
+            source = GradedFreeModule(phi.source, gu.random_shifts(rng, max_rank=4))
+            target = GradedFreeModule(phi.source, gu.random_shifts(rng, max_rank=4))
+            f = gu.random_matrix(rng, source, target, rng.randint(-2, 3))
+            image = map_matrix(phi, f)
+            assert _checked(image) == image
+            assert image.entries == tuple(tuple(phi(e) for e in row) for row in f.entries)
+
+
+def test_even_degree_relation_maps_are_refused():
+    x = ZX.gen("x")
+    gens = GradedFreeModule(ZX, (0,))
+    even = GradedMatrixHom(GradedFreeModule(ZX, (-2,)), gens, 0, [[x]])
+    with pytest.raises(ValueError) as err:
+        PresentedModule(gens, even)
+    assert str(err.value) == "relation maps must have odd degree"
+    with pytest.raises(ValueError) as err:
+        presented_module(ZX, [0], [[x]], relation_degree=2)
+    assert str(err.value) == "relation maps must have odd degree"
+
+
+def test_even_degree_resolution_maps_are_refused():
+    x = ZX.gen("x")
+    m = presented_module(ZX, [0], [[x]])
+    even = GradedMatrixHom(GradedFreeModule(ZX, (-2,)), m.generators, 0, [[x]])
+    with pytest.raises(ValueError) as err:
+        Resolution(m, [even])
+    assert str(err.value) == "map 0 has even degree 0; resolution maps must have odd degree"
+    top = zero_hom(GradedFreeModule(ZX, (0,)), m.relations.source, 2)
+    with pytest.raises(ValueError) as err:
+        Resolution(m, [m.relations, top])
+    assert str(err.value) == "map 1 has even degree 2; resolution maps must have odd degree"

@@ -104,3 +104,21 @@ def test_results_land_in_the_comparison_ring():
     for name in ("circle_fixed_points", "suspension_fixed_points"):
         value = ORACLES[name](ZL, [2])
         assert value.ring == ZL
+
+
+@pytest.mark.parametrize("name", ["det_i_minus_m", "count_eigenlines", "cw_alternating_sum"])
+def test_a_payload_row_that_is_not_a_list_is_refused(name):
+    # the payload [[1, 2]]: a single row where a matrix of rows belongs
+    with pytest.raises(OracleError) as err:
+        ORACLES[name](Z, [[Z.const(1), Z.const(2)]])
+    assert str(err.value) == "expected a matrix (list of rows)"
+
+
+def test_a_scalar_for_a_chain_matrix_is_refused_whatever_its_value():
+    # [] is the empty matrix; 0 and 5 are not matrices
+    oracle = ORACLES["cw_alternating_sum"]
+    assert oracle(Z, [[], [[Z.const(1)]]]) == Z.const(-1)
+    for scalar in (0, 5):
+        with pytest.raises(OracleError) as err:
+            oracle(Z, [Z.const(scalar), [[Z.const(1)]]])
+        assert str(err.value) == "expected a matrix (list of rows)"

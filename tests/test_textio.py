@@ -21,14 +21,19 @@ from gradedtrace import (
     Document,
     ExampleCase,
     GradedFreeModule,
+    GradedMatrixHom,
     ParseError,
+    PresentedModule,
     document_source,
     free_presentation,
     hs_trace,
+    identity_hom,
+    identity_module_hom,
     integers,
     laurent_ring,
     parse_source,
     polynomial_ring,
+    presented_module,
     textio,
 )
 from gradedtrace.cli import main
@@ -646,3 +651,70 @@ def test_coefficients_past_the_digit_limit_print_in_full(tmp_path, capsys, limit
         assert parse_source(printed).matrices == doc.matrices
     finally:
         sys.set_int_max_str_digits(before)
+
+
+# -- printer branches: reldegree, endomorphism degrees, case maps, refusals -------
+
+PRINTER_BRANCHES = """
+ring Z[x:2];
+module M { gens [0]; rels [[x]]; reldegree 3; }
+free A [-2];
+free B [0];
+module C { gens [0]; rels [[x]]; }
+ses S { modules A, B, C; a [[x]]; b [[1]]; fA [[x]]; fB [[x]]; degree 2; }
+
+ring Z[t:0, t^-1];
+free P [0];
+hom one : P -> P { lift [[1]]; }
+hom zero : P -> P { lift [[0]]; }
+case pushed { title "pushed to Z"; even one; odd zero; map Z { t -> 1; } oracle weight_sum [1]; }
+"""
+
+
+def test_printer_branches_round_trip():
+    doc = parse_source(PRINTER_BRANCHES)
+    printed = document_source(doc)
+    assert "  reldegree 3;" in printed.splitlines()
+    assert "  degree 2;" in printed.splitlines()
+    assert "  map Z { t -> 1; }" in printed.splitlines()
+    again = parse_source(printed)
+    assert document_source(again) == printed
+    assert again.modules["M"] == doc.modules["M"]
+    assert again.sequences["S"].middle_endo.degree == 2
+    assert again.cases["pushed"].ring_map == doc.cases["pushed"].ring_map
+
+
+def test_a_relation_shift_off_the_column_rule_cannot_be_serialized():
+    gens = GradedFreeModule(Z, (0,))
+    # a zero column has shift 0 under the column rule; this one has 2
+    relations = GradedMatrixHom(GradedFreeModule(Z, (2,)), gens, 1, [[0]])
+    doc = Document()
+    doc.modules["M"] = PresentedModule(gens, relations)
+    with pytest.raises(ValueError) as err:
+        document_source(doc)
+    assert str(err.value) == (
+        "module M: relation shifts do not follow the column rule; this module cannot be serialized"
+    )
+
+
+def test_references_to_undeclared_objects_are_refused():
+    doc = parse_source(PRINTER_BRANCHES)
+    pushed = doc.cases["pushed"]
+    cases = [
+        ("matrices", "F", identity_hom(GradedFreeModule(Z, (5,))), "matrix F references a module"),
+        ("homs", "h", identity_module_hom(presented_module(Z, [0], [[3]])), "hom h references a module"),
+        ("cases", "c", ExampleCase("c", "", identity_module_hom(doc.modules["P"]), pushed.odd, "weight_sum", [1]),
+         "case c references a hom"),
+    ]
+    for table, name, value, context in cases:
+        broken = parse_source(PRINTER_BRANCHES)
+        getattr(broken, table)[name] = value
+        with pytest.raises(ValueError) as err:
+            document_source(broken)
+        assert str(err.value) == f"{context} not declared in the document"
+
+
+def test_an_even_relation_degree_is_refused_at_its_statement():
+    with pytest.raises(ParseError) as err:
+        parse_source("ring Z;\nfree P [0];\nmodule M { gens [0]; rels [[2]]; reldegree 2; }\n")
+    assert (err.value.message, err.value.line, err.value.col) == ("relation maps must have odd degree", 3, 1)

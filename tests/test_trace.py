@@ -11,6 +11,7 @@ from gradedtrace import (
     ModuleHom,
     RingMap,
     ShortExactSequence,
+    TraceValue,
     additivity_defect,
     base_change_commutes,
     base_change_trace,
@@ -382,3 +383,34 @@ def test_mod2_graded_ring_traces():
     m = GradedFreeModule(ring, (0, 1))
     f = GradedMatrixHom(m, m, 0, [[5, 0], [0, 7]])
     assert free_trace(f).value == ring.const(-2)
+
+
+# -- linearity: sums, differences and negatives of module endomorphisms -------------
+
+
+def test_hs_trace_is_linear():
+    rng = random.Random(5)
+    for ring in gu.THREE_KINDS:
+        for _ in range(8):
+            m = gu.random_presented_module(rng, ring)
+            degree = rng.choice([0, 2])
+            f = gu.random_module_endo(rng, m, degree)
+            g = gu.random_module_endo(rng, m, degree)
+            tf, tg = hs_trace(f).value, hs_trace(g).value
+            assert hs_trace(f + g) == TraceValue(tf + tg, degree)
+            assert hs_trace(f - g) == TraceValue(tf - tg, degree)
+            assert hs_trace(-f) == TraceValue(-tf, degree)
+
+
+def test_module_homs_add_only_in_parallel():
+    m = presented_module(Z, [0], [[2]])
+    f = identity_module_hom(m)
+    other = identity_module_hom(presented_module(Z, [0], [[4]]))
+    shifted = module_hom(m, m, 2, [[0]])
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError) as err:
+            combine(f, other)
+        assert str(err.value) == "module homs must share source and target"
+        with pytest.raises(ValueError) as err:
+            combine(f, shifted)
+        assert str(err.value) == "module homs must have equal degree"
