@@ -323,7 +323,8 @@ def verify_resolution(res: Resolution) -> None:
     one map lies in the image of the next, and the last map has vanishing
     kernel.  The kernels and images come from each map's own span, the one
     resolve built from the same columns; a span is a deterministic function
-    of its columns, so sharing it checks exactly what a rebuilt span would.
+    of its columns, so sharing it checks exactly what a rebuilt span would,
+    and the kernel resolve read off a span is not converted again here.
     """
     if not res.maps:
         if res.module.relations.source.rank:

@@ -324,7 +324,7 @@ class _ModuleGB:
         self.certify = True
         self.basis: list[_GBElem] = []
         self.by_pos: dict[int, list[int]] = {}
-        self.syzygies: list[dict] = []
+        self.syzygies: list[dict] | None = []
         self._queue: list[tuple] = []
         units = [self.pk.pack(j, (0,) * nvars) for j in range(len(columns))]
         self._complete((dict(col), {unit: 1}) for col, unit in zip(columns, units))
@@ -630,7 +630,8 @@ class _PolyBackend:
             pos, exp = self.gb.pk.unpack(key)
             if pos < length:
                 per_pos[pos][exp] = c
-        return tuple(self._element(d) for d in per_pos)
+        zero = self.ring.zero()  # elements are immutable, so the zero entries share one
+        return tuple(self._element(d) if d else zero for d in per_pos)
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
         cert: dict = {}
@@ -643,12 +644,10 @@ class _PolyBackend:
         return self.gb.contains(_to_engine(self.ring, v))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        out = []
-        for cert in self.gb.syzygies:
-            vec = self._vector(cert, len(self.columns))
-            if any(vec):
-                out.append(vec)
-        return out
+        # ColumnSpan converts once and keeps the result, so the certificates go
+        certs, self.gb.syzygies = self.gb.syzygies, None
+        vectors = [self._vector(cert, len(self.columns)) for cert in certs]
+        return [vec for vec in vectors if any(vec)]
 
     def basis_vectors(self) -> list[Vector]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
@@ -666,16 +665,18 @@ class ColumnSpan:
     normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
-    Results are deterministic for a fixed column order.  A span does no lazy
-    work: syzygy_vectors() converts the nonzero kernel generators fixed at
-    construction anew on each call, and nothing is cached or released
-    later.  The span of a matrix's columns is built once, by column_span,
-    and kept on the matrix.
+    Results are deterministic for a fixed column order.  The kernel
+    generators are fixed at construction; the first syzygy_vectors() call
+    converts the nonzero ones to ring elements and keeps them, and every
+    call returns a fresh list of them.  A span used only for membership
+    never converts.  The span of a matrix's columns is built once, by
+    column_span, and kept on the matrix.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
         self.ambient = ambient
         self.columns = [ambient.coerce_vector(c) for c in columns]
+        self._kernel: tuple[tuple[RingElement, ...], ...] | None = None
         if ambient.ring.kind == INTEGERS:
             self._backend = _IntBackend(ambient, self.columns)
         else:
@@ -688,7 +689,9 @@ class ColumnSpan:
         return self._backend.contains(self.ambient.coerce_vector(v))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        return self._backend.syzygy_vectors()
+        if self._kernel is None:
+            self._kernel = tuple(self._backend.syzygy_vectors())
+        return list(self._kernel)
 
     def basis_vectors(self) -> list[Vector]:
         return self._backend.basis_vectors()

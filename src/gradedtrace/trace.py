@@ -176,7 +176,7 @@ class ShortExactSequence:
             if not self.left.is_zero_element(v[: self.left.generators.rank]):
                 raise ValueError("a is not injective")
         # b surjective, with certificates
-        self._preimages = []
+        preimages = []
         image_span = _block_span(self.b)
         nb = self.middle.generators.rank
         for i in range(self.right.generators.rank):
@@ -184,13 +184,13 @@ class ShortExactSequence:
             remainder, cert = image_span.normal_form(target)
             if any(remainder):
                 raise ValueError(f"b misses generator {i} of the right module")
-            self._preimages.append(
-                self.middle.generators.coerce_vector(cert[:nb])
-            )
+            preimages.append(self.middle.generators.coerce_vector(cert[:nb]))
         # ker b is contained in im a + relations
         for v in image_span.syzygy_vectors():
             if not cover.contains(v[:nb]):
                 raise ValueError("the kernel of b escapes the image of a")
+        # recorded only once every check passed, so a failed validate is retried
+        self._preimages = preimages
 
     @property
     def preimages(self) -> list[Vector]:

@@ -276,6 +276,51 @@ def test_verify_resolution_still_certifies_shared_spans():
         verify_resolution(doubled)
 
 
+def _count_conversions(monkeypatch):
+    converted = []
+    for backend in (solvers_impl._IntBackend, solvers_impl._PolyBackend):
+        convert = backend.syzygy_vectors
+
+        def counting(obj, convert=convert):
+            converted.append(obj)
+            return convert(obj)
+
+        monkeypatch.setattr(backend, "syzygy_vectors", counting)
+    return converted
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_cube_module, lambda: presented_module(integers(), [0, 0], [(2, 0), (0, 3), (2, 3)])],
+    ids=["cube", "integer"],
+)
+def test_each_kernel_is_converted_once(monkeypatch, make):
+    m = make()
+    r = m.generators.rank
+    endos = [module_hom(m, m, 0, [[c * (i == j) for i in range(r)] for j in range(r)]) for c in (2, 3, 5)]
+    converted = _count_conversions(monkeypatch)
+    res = resolve(m)
+    verify_resolution(res)
+    for f in endos:
+        hs_trace(f, resolution=res)
+    spans = [solvers_impl.column_span(d)._backend for d in res.maps]
+    assert converted == spans
+    # the relation span stays on the module, and keeps its converted kernel
+    converted.clear()
+    again = resolve(m)
+    assert again.maps[0] is res.maps[0]
+    assert converted == [solvers_impl.column_span(d)._backend for d in again.maps[1:]]
+
+
+def test_kernel_lists_are_fresh_copies():
+    span = solvers_impl.column_span(_cube_module().relations)
+    first, second = span.syzygy_vectors(), span.syzygy_vectors()
+    assert first == second and first is not second
+    first.pop()
+    first[0] = None
+    assert span.syzygy_vectors() == second and len(second) > 1
+
+
 def _per_column_lifts(res, endo):
     """Chain lifts the way they were first built: apply, then hom_from_columns."""
     lifts = [endo.lift]

@@ -328,6 +328,38 @@ def test_validate_rejects_non_exact():
         ses.validate()
 
 
+def _ses_kernel_escapes():
+    # a = 4: Z -> Z, b: Z -> Z/2; the kernel 2Z of b is not the image 4Z
+    left = free_presentation(GradedFreeModule(Z, (0,)))
+    middle = free_presentation(GradedFreeModule(Z, (0,)))
+    right = presented_module(Z, [0], [[2]])
+    a = module_hom(left, middle, 0, [[4]])
+    b = module_hom(middle, right, 0, [[1]])
+    return ShortExactSequence(left, middle, right, a, b), "kernel of b escapes"
+
+
+def _ses_b_misses_a_generator():
+    # b: Z -> Z^2 hits the first generator and misses the second
+    left = free_presentation(GradedFreeModule(Z, ()))
+    middle = free_presentation(GradedFreeModule(Z, (0,)))
+    right = free_presentation(GradedFreeModule(Z, (0, 0)))
+    a = module_hom(left, middle, 0, [])
+    b = module_hom(middle, right, 0, [[1, 0]])
+    return ShortExactSequence(left, middle, right, a, b), "misses generator 1"
+
+
+@pytest.mark.parametrize("make", [_ses_kernel_escapes, _ses_b_misses_a_generator], ids=lambda f: f.__name__.strip("_"))
+def test_a_failed_validate_leaves_no_preimages_behind(make):
+    ses, reason = make()
+    with pytest.raises(ValueError, match=reason):
+        ses.validate()
+    with pytest.raises(ValueError, match=reason):
+        ses.preimages
+    f_left, f_middle = identity_module_hom(ses.left), identity_module_hom(ses.middle)
+    with pytest.raises(ValueError, match=reason):
+        additivity_defect(ses, f_left, f_middle)
+
+
 def test_random_stable_sequences_have_zero_defect():
     rng = random.Random(33)
     produced = 0
