@@ -65,7 +65,7 @@ class CliError(Exception):
 def _load(path: str) -> Document:
     try:
         return parse_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 

@@ -25,14 +25,21 @@ are lists of columns.  Element expressions use integer literals, declared
 generators, +, -, *, ^ and parentheses; exponents may be negative only when
 the generator is invertible.  Comments run from '#' to end of line.
 
-The parser is recursive descent, and two rules carry most of it.  The list
-rule `_list` reads "[" (item ("," item)*)? "]" for shift lists, rows,
+The parser is recursive descent, and three rules carry most of it.  The
+list rule `_list` reads "[" (item ("," item)*)? "]" for shift lists, rows,
 tables and payloads.  The item-block rule `_items` reads the braces of
 module, matrix, hom, ses and case: each NAME is looked up in a table of
 item readers, an unknown one is refused with the names the block knows,
-and an optional ";" follows every item.  Integer tokens are converted in
-one place, and products and powers are refused before they expand past
-the caps in GRAMMAR.
+and an optional ";" follows every item.  The term rule `_term` reads the
+factors of a product left to right.  While they are integer literals and
+generators, each perhaps raised to a power n >= 0, it keeps one
+coefficient and one exponent vector and builds the term as one element at
+its end, so a literal such as 0, -3 or 2*x^2*y costs no ring arithmetic.
+The first parenthesized factor or negative power turns the product so far
+into an element, and ring arithmetic reads the rest of the term.  Sums of
+terms always use ring arithmetic.  Integer tokens are converted in one
+place, `_decimal`, and each "*" and "^" is refused at its own token before
+it expands past the caps in GRAMMAR.
 
 Parsing is strict: every object is rebuilt through the library constructors,
 so shape, homogeneity, and well-definedness failures surface as ParseError
@@ -187,8 +194,13 @@ def _coefficient_bits(e: RingElement) -> int:
     return max((abs(c) for _, c in e.items()), default=0).bit_length()
 
 
+def _monomial(ring: RingSpec, coeff: int, exps: list) -> RingElement:
+    """coeff times the monomial of exponent vector exps, built unchecked."""
+    return RingElement._clean(ring, {tuple(exps): coeff} if coeff else {})
+
+
 def _decimal(digits: str) -> int:
-    """Convert a digit string of any length, exactly.
+    """Convert a digit string of any length, exactly; every integer literal goes through here.
 
     Past 600 digits the string is halved, and the halves are converted the
     same way and combined, so int() never sees more than 600 digits: below
@@ -256,11 +268,14 @@ class _Parser:
 
     def _list(self, item: Callable[[], object]) -> list:
         """Read "[" (item ("," item)*)? "]"."""
+        tokens = self.tokens
         self._expect("[")
-        if self._accept("]"):
+        if tokens[self.pos] == "]":
+            self.pos += 1
             return []
         items = [item()]
-        while self._accept(","):
+        while tokens[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         self._expect("]")
         return items
@@ -285,12 +300,7 @@ class _Parser:
     # small literals
 
     def _int(self) -> int:
-        """Convert an integer token; every integer literal goes through here."""
-        tok = self._expect_kind("int")
-        try:
-            return int(tok)
-        except ValueError:  # past the interpreter's limit on digits
-            return _decimal(tok)
+        return _decimal(self._expect_kind("int"))
 
     def _signed_int(self) -> int:
         neg = self._accept("-")
@@ -329,19 +339,15 @@ class _Parser:
                     break
             self._expect("]")
         grading = GRADING_Z2 if self._accept("mod2") else GRADING_Z
-        try:
-            if not names:
-                if inverted:
-                    self._fail(anchor, "no generators to invert")
-                return integers(grading)
-            if inverted and inverted != set(names):
-                missing = sorted(set(names) - inverted)
-                self._fail(anchor, f"either all generators are invertible or none; missing {missing}")
+        if not names:
             if inverted:
-                return laurent_ring(names, degrees, grading)
-            return polynomial_ring(names, degrees, grading)
-        except ValueError as exc:
-            self._fail(anchor, str(exc))
+                self._fail(anchor, "no generators to invert")
+            return integers(grading)
+        if inverted and inverted != set(names):
+            missing = sorted(set(names) - inverted)
+            self._fail(anchor, f"either all generators are invertible or none; missing {missing}")
+        make = laurent_ring if inverted else polynomial_ring
+        return self._build(anchor, lambda: make(names, degrees, grading))
 
     def _current_ring(self, anchor: int) -> RingSpec:
         if self.doc.ring is None:
@@ -351,67 +357,114 @@ class _Parser:
     # element expressions
 
     def _element(self, ring: RingSpec) -> RingElement:
-        value = self._element_term(ring)
+        tokens = self.tokens
+        value = self._term(ring)
         while True:
-            if self._accept("+"):
-                value = value + self._element_term(ring)
-            elif self._accept("-"):
-                value = value - self._element_term(ring)
+            tok = tokens[self.pos]
+            if tok == "+":
+                self.pos += 1
+                value = value + self._term(ring)
+            elif tok == "-":
+                self.pos += 1
+                value = value - self._term(ring)
             else:
                 return value
 
-    def _element_term(self, ring: RingSpec) -> RingElement:
-        value = self._element_factor(ring)
-        while self._peek() == "*":
-            at = self._advance()
-            factor = self._element_factor(ring)
-            if (
-                len(value) * len(factor) > _PRODUCT_TERMS
-                or _coefficient_bits(value) + _coefficient_bits(factor) > _PRODUCT_BITS
-            ):
-                self._fail(at, f"product too large to expand: the caps are {_POWER_CAPS}")
-            value = value * factor
-        return value
+    def _term(self, ring: RingSpec) -> RingElement:
+        """Read factor ("*" factor)*, where factor := "-"* atom ("^" SIGNED)?.
 
-    def _element_factor(self, ring: RingSpec) -> RingElement:
-        at = self.pos
-        if self._accept("-"):
-            self._descend(at)
-            value = -self._element_factor(ring)
-            self.depth -= 1
-            return value
-        base = self._element_atom(ring)
-        if self._accept("^"):
+        While the factors are literals and generators, each perhaps raised
+        to a power n >= 0, the product is one coefficient and one exponent
+        vector, built as one element when the term ends.  The first
+        parenthesized factor or negative power makes the product so far an
+        element, and ring arithmetic reads the rest of the term.  Either way
+        each "*" and "^" meets the caps at its own token.
+        """
+        tokens, names = self.tokens, ring.var_names
+        coeff, exps = 1, [0] * len(names)
+        value = None  # the product so far, once ring arithmetic has taken over
+        star = None  # anchor of the "*" before the factor being read
+        opened = 0  # unary minuses before the factor being read
+        while True:
             at = self.pos
-            power = self._signed_int()
-            n, k = abs(power), len(base)
-            bits = n * max(sum(abs(c) for _, c in base.items()) - 1, 0).bit_length()
-            if n > _LIMIT or bits > _POWER_BITS or (k > 1 and math.comb(n + k - 1, k - 1) > _POWER_TERMS):
-                self._fail(at, f"power too large to expand: the caps are {_POWER_CAPS}")
-            try:
-                return base ** power
-            except ValueError as exc:
-                self._fail(at, str(exc))
-        return base
-
-    def _element_atom(self, ring: RingSpec) -> RingElement:
-        at = self.pos
-        tok = self.tokens[at]
-        if tok.isdigit():
-            return ring.const(self._int())
-        if tok.isidentifier():
-            self.pos += 1
-            if tok not in ring.var_names:
+            tok = tokens[at]
+            self.pos = at + 1
+            factor = None  # unless set, the factor is c * names[var]^n
+            if tok.isdigit():
+                c, var, n = _decimal(tok), None, 0
+            elif tok in names:
+                c, var, n = 1, names.index(tok), 1
+            elif tok == "-":  # flips the sign and opens a level
+                self._descend(at)
+                opened += 1
+                continue
+            elif tok == "(":
+                self._descend(at)
+                factor = self._element(ring)
+                self._expect(")")
+                self.depth -= 1
+            elif tok.isidentifier():
                 self._fail(at, f"unknown generator {tok!r} in ring {ring}")
-            return ring.gen(tok)
-        if tok == "(":
+            else:
+                self._fail(at, f"expected an element, got {tok!r}")
+            if tokens[self.pos] == "^":
+                self.pos += 1
+                power_at = self.pos
+                power = self._signed_int()
+                if factor is None and power < 0:  # ring arithmetic knows the units
+                    factor = ring.const(c) if var is None else ring.gen(tok)
+                if factor is None:
+                    self._check_power(power_at, power, 1 if c else 0, c)
+                    if var is None:
+                        c **= power
+                    else:
+                        n = power
+                else:
+                    self._check_power(power_at, abs(power), len(factor), sum(abs(x) for _, x in factor.items()))
+                    try:
+                        factor = factor**power
+                    except ValueError as exc:
+                        self._fail(power_at, str(exc))
+            if opened:
+                self.depth -= opened
+                if opened & 1:
+                    if factor is None:
+                        c = -c
+                    else:
+                        factor = -factor
+                opened = 0
+            if factor is None and value is None:
+                if star is not None:
+                    self._check_product(star, 1, coeff.bit_length() + c.bit_length())
+                coeff *= c
+                if var is not None:
+                    exps[var] += n
+            else:
+                if factor is None:
+                    factor = _monomial(ring, c, [n if i == var else 0 for i in range(len(names))])
+                if star is None:
+                    value = factor
+                else:
+                    if value is None:
+                        value = _monomial(ring, coeff, exps)
+                    self._check_product(
+                        star, len(value) * len(factor), _coefficient_bits(value) + _coefficient_bits(factor)
+                    )
+                    value = value * factor
+            if tokens[self.pos] != "*":
+                return _monomial(ring, coeff, exps) if value is None else value
+            star = self.pos
             self.pos += 1
-            self._descend(at)
-            value = self._element(ring)
-            self._expect(")")
-            self.depth -= 1
-            return value
-        self._fail(at, f"expected an element, got {tok!r}")
+
+    def _check_power(self, at: int, n: int, terms: int, norm: int) -> None:
+        """Refuse the power n of a base with these terms and sum of |coefficients| past the caps."""
+        bits = n * max(norm - 1, 0).bit_length()
+        if n > _LIMIT or bits > _POWER_BITS or (terms > 1 and math.comb(n + terms - 1, terms - 1) > _POWER_TERMS):
+            self._fail(at, f"power too large to expand: the caps are {_POWER_CAPS}")
+
+    def _check_product(self, star: int, terms: int, bits: int) -> None:
+        if terms > _PRODUCT_TERMS or bits > _PRODUCT_BITS:
+            self._fail(star, f"product too large to expand: the caps are {_POWER_CAPS}")
 
     # nested list literals over a ring: rows of a matrix, or oracle payloads
 

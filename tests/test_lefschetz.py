@@ -373,6 +373,14 @@ def test_cli_refusals_exit_2_with_their_message(workdir, capsys, argv, message):
         assert err == want + "\n"
 
 
+def test_a_file_that_is_not_utf8_is_refused_with_its_name(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xffring Z;\n")
+    assert main(["trace", "free", "-m", str(path)]) == 2
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: {reason}\n")
+
+
 @pytest.mark.parametrize("leaf", [["trace", "free"], ["trace", "hs"], ["resolve"], ["zigzag"], ["ctrace"],
                                   ["check-additivity"], ["lefschetz"]])
 def test_each_leaf_command_documents_its_format(leaf, capsys):

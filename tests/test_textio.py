@@ -141,6 +141,8 @@ MALFORMED = [
     ('arity, row', _HEAD + 'matrix F : P -> P { rows [[1, 2]]; }\n', 'row 0: expected 1 entries, got 2', 5, 1),
     ('arity, table', _HEAD + 'matrix F : P -> P {\n  rows [[1], [2]];\n}\n', 'expected 1 rows, got 2', 5, 1),
     ('arity, rels', 'ring Z;\nmodule M { gens [0, 0]; rels [[1]]; }\n', 'expected 2 entries, got 1', 2, 1),
+    ('some generators inverted', 'ring Z[s:0,s^-1,t:0];\n', "either all generators are invertible or none; missing ['t']", 1, 6),
+    ('odd generator degree', 'ring Z[s:1];\n', 'generator s has odd degree 1; only even degrees are supported', 1, 6),
 ]
 
 
@@ -718,3 +720,119 @@ def test_an_even_relation_degree_is_refused_at_its_statement():
     with pytest.raises(ParseError) as err:
         parse_source("ring Z;\nfree P [0];\nmodule M { gens [0]; rels [[2]]; reldegree 2; }\n")
     assert (err.value.message, err.value.line, err.value.col) == ("relation maps must have odd degree", 3, 1)
+
+
+# -- the term rule against ring arithmetic ---------------------------------------
+#
+# An expression is drawn as a tree that follows the grammar: a sum is a first
+# term and signed further terms, a term a product of factors, a factor some
+# unary minuses before an atom and an optional power, an atom a literal, a
+# generator or a parenthesized sum.  The text is parsed in a matrix statement
+# and _evaluate builds the same tree with ring arithmetic alone.  Literals of
+# up to 700 digits stay out of powers, and a powered sum holds literals below
+# 100 and no parentheses, so no draw passes a cap.
+
+
+def _render(tree) -> str:
+    kind, body = tree
+    if kind == "sum":
+        first, rest = body
+        return _render(first) + "".join(f" {sign} {_render(term)}" for sign, term in rest)
+    if kind == "term":
+        return "*".join(map(_render, body))
+    if kind == "factor":
+        minuses, atom, power = body
+        return "-" * minuses + _render(atom) + ("" if power is None else f"^{power}")
+    return f"({_render(body)})" if kind == "paren" else str(body)
+
+
+def _evaluate(ring, tree):
+    kind, body = tree
+    if kind == "sum":
+        first, rest = body
+        value = _evaluate(ring, first)
+        for sign, term in rest:
+            value = value + _evaluate(ring, term) if sign == "+" else value - _evaluate(ring, term)
+        return value
+    if kind == "term":
+        value = ring.one()
+        for factor in body:
+            value = value * _evaluate(ring, factor)
+        return value
+    if kind == "factor":
+        minuses, atom, power = body
+        value = _evaluate(ring, atom)
+        value = value if power is None else value**power
+        return -value if minuses % 2 else value
+    if kind == "paren":
+        return _evaluate(ring, body)
+    return ring.gen(body) if kind == "gen" else ring.const(body)
+
+
+def _sums(ring, small: bool, parens: bool):
+    """Sums over ring; small ones hold literals below 100 and generator powers up to 4."""
+    reach = 4 if small else 40
+    literal = st.integers(0, 99 if small else 10**700 - 1).map(lambda n: ("int", n))
+    gen = st.sampled_from(ring.var_names).map(lambda name: ("gen", name)) if ring.var_names else st.nothing()
+    atoms = [
+        st.tuples(literal, st.none()),
+        st.tuples(st.integers(0, 99).map(lambda n: ("int", n)), st.integers(0, 8)),
+        st.tuples(gen, st.none() | st.integers(-reach if ring.kind == "laurent" else 0, reach)),
+    ]
+    if parens:
+        atoms.append(st.tuples(_sums(ring, False, False).map(lambda e: ("paren", e)), st.none()))
+        atoms.append(st.tuples(_sums(ring, True, False).map(lambda e: ("paren", e)), st.integers(0, 3)))
+    factor = st.tuples(st.integers(0, 3), st.one_of(atoms)).map(lambda f: ("factor", (f[0], *f[1])))
+    term = st.lists(factor, min_size=1, max_size=4).map(lambda factors: ("term", factors))
+    rest = st.lists(st.tuples(st.sampled_from("+-"), term), max_size=2)
+    return st.tuples(term, rest).map(lambda body: ("sum", body))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_the_term_rule_matches_ring_arithmetic(ring, data):
+    tree = data.draw(_sums(ring, False, True))
+    want = _evaluate(ring, tree)
+    degree = want.degree()
+    source = "ring %s; free P [0]; matrix F : P -> P { degree %s; rows [[%s]]; }" % (
+        ring, degree if isinstance(degree, int) else 0, _render(tree)
+    )
+    if isinstance(degree, int) or want.is_zero():
+        assert parse_source(source).matrices["F"].entries == ((want,),)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_source(source)
+        assert err.value.message == f"entry (0,0) = {want} must be homogeneous of degree 0, got degree {degree}"
+
+
+_POLY = "ring Z[x:0]; free P [0]; matrix F : P -> P { rows [[%s]]; }"
+_LAURENT = "ring Z[t:0,t^-1]; free P [0]; matrix F : P -> P { rows [[%s]]; }"
+_POWER = f"power too large to expand: the caps are {textio._POWER_CAPS}"
+_PRODUCT = f"product too large to expand: the caps are {textio._POWER_CAPS}"
+# document, entry, message, and the last text of the source that starts at the refused token
+TERM_REFUSALS = [
+    (_POLY, "x^32768", _POWER, "32768"),
+    (_LAURENT, "2*t^-32768", _POWER, "-32768"),
+    (_POLY, "3*3^1025", _POWER, "1025"),
+    (_POLY, "-2^2049", _POWER, "2049"),
+    (_POLY, "(x + 1)^256", _POWER, "256"),
+    (_POLY, "x*" + "*".join(["2^2048"] * 32), _PRODUCT, "*2^2048]"),  # one monomial throughout
+    (_POLY, "(1)*" + "*".join(["2^2048"] * 32), _PRODUCT, "*2^2048]"),  # ring arithmetic throughout
+    (_POLY, "x^-1", "x is not a unit in Z[x:0]", "-1"),
+    (_LAURENT, "2^-1", "2 is not a unit in Z[t:0,t^-1]", "-1"),
+]
+
+
+@pytest.mark.parametrize("document, entry, message, at", TERM_REFUSALS, ids=[row[1][:16] for row in TERM_REFUSALS])
+def test_the_term_rule_refuses_each_cap_at_its_token(document, entry, message, at):
+    source = document % entry
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 1, source.rindex(at) + 1)
+
+
+def test_the_exponent_cap_bounds_each_power_not_the_product():
+    t = laurent_ring(["t"], [0]).gen("t")
+    assert parse_source(_LAURENT % "t^30000*t^30000").matrices["F"].entries == ((t**60000,),)
+    assert parse_source(_LAURENT % "t^-30000*-t^-30000").matrices["F"].entries == ((-(t**-60000),),)
