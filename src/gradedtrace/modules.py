@@ -7,11 +7,13 @@ relations, so every ModuleHom is honestly well defined.  Sums, composites
 and identities descend by construction and build through the unchecked
 ModuleHom._closed; the public constructor always checks.  Resolutions
 iterate the syzygy functor until the kernel vanishes and certify their own
-exactness; endomorphisms lift along them column by column, using membership
-certificates from the solvers.  Lifts from outside columns validate through
-hom_from_columns; relation maps, syzygy maps and chain lifts are legal by
-construction and build unchecked, and verify_resolution and verify_lift
-certify them.
+exactness; endomorphisms lift along them one differential at a time, each
+step one solve of a whole matrix against the differential's column span.
+Lifts from outside columns validate through hom_from_columns; relation
+maps, syzygy maps and chain lifts are legal by construction and build
+unchecked, and verify_resolution and verify_lift certify them.  Every
+containment check (descent, equality, verification) asks a span about a
+whole matrix at once.
 
 Relation columns follow freemod._relation_shifts: a homogeneous column of
 module degree k gets source shift (degree - k), so the relation map is
@@ -133,9 +135,7 @@ def same_quotient(a: PresentedModule, b: PresentedModule) -> bool:
     """Same generators and mutually contained relation spans."""
     if a.generators != b.generators:
         return False
-    return all(a.span.contains(c) for c in b.relations.columns()) and all(
-        b.span.contains(c) for c in a.relations.columns()
-    )
+    return a.span.first_outside(b.relations) is None and b.span.first_outside(a.relations) is None
 
 
 class ModuleHom:
@@ -153,12 +153,12 @@ class ModuleHom:
             raise ValueError("lift source must be the source generator module")
         if lift.target != target.generators:
             raise ValueError("lift target must be the target generator module")
-        for j, image in enumerate(compose(lift, source.relations).columns()):
-            if not target.span.contains(image):
-                raise ValueError(
-                    f"lift does not descend: image of relation {j} "
-                    "is not in the target relation span"
-                )
+        j = target.span.first_outside(compose(lift, source.relations))
+        if j is not None:
+            raise ValueError(
+                f"lift does not descend: image of relation {j} "
+                "is not in the target relation span"
+            )
         self.source = source
         self.target = target
         self.lift = lift
@@ -187,8 +187,7 @@ class ModuleHom:
             or self.degree != other.degree
         ):
             return False
-        diff = self.lift - other.lift
-        return all(self.target.span.contains(c) for c in diff.columns())
+        return self.target.span.first_outside(self.lift - other.lift) is None
 
     def __hash__(self) -> int:
         # Consistent with the coarse equality above only per (source, target,
@@ -325,6 +324,9 @@ def verify_resolution(res: Resolution) -> None:
     resolve built from the same columns; a span is a deterministic function
     of its columns, so sharing it checks exactly what a rebuilt span would,
     and the kernel resolve read off a span is not converted again here.
+    Each containment is one many-column membership call (first_outside)
+    per matrix or kernel; when the first map is the module's relation map,
+    its two containments are the same check and run once.
     """
     if not res.maps:
         if res.module.relations.source.rank:
@@ -336,9 +338,9 @@ def verify_resolution(res: Resolution) -> None:
         raise EngineError("resolution does not start at the generator module")
     image = column_span(first)
     # alternative resolutions may present the relation submodule differently;
-    # only the column span must agree
-    if not all(res.module.span.contains(c) for c in first.columns()) or not all(
-        image.contains(c) for c in rel.columns()
+    # only the column span must agree (one check when first is the relation map)
+    if image.first_outside(rel) is not None or (
+        first is not rel and res.module.span.first_outside(first) is not None
     ):
         raise EngineError("first map does not span the relations of the module")
     for j in range(len(res.maps) - 1):
@@ -348,11 +350,8 @@ def verify_resolution(res: Resolution) -> None:
         kernel = image.syzygy_vectors()
         if j + 1 < len(res.maps):
             image = column_span(res.maps[j + 1])
-            for c in kernel:
-                if not image.contains(c):
-                    raise EngineError(
-                        f"kernel of map {j} is not covered by map {j + 1}"
-                    )
+            if image.first_outside(kernel) is not None:
+                raise EngineError(f"kernel of map {j} is not covered by map {j + 1}")
         elif kernel:
             raise EngineError("last map of the resolution has a nonzero kernel")
 
@@ -361,29 +360,18 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     """Lift a module endomorphism to a chain endomorphism of the resolution.
 
     Returns [f_0, .., f_n] with f_0 the given lift on generators and
-    d_j f_j = f_{j-1} d_j throughout.  Each column of f_{j-1} d_j is solved
-    by a membership certificate from the span the differential carries (the
-    one resolve built) and projected to its forced homogeneous component, so
-    the result is a legal graded map and builds unchecked; failure to solve
-    means the resolution is not exact and raises EngineError.
+    d_j f_j = f_{j-1} d_j throughout.  Each f_j is one solve of the matrix
+    f_{j-1} d_j against the span the differential carries (the one resolve
+    built): its columns are membership certificates projected to their
+    forced homogeneous components, so it is a legal graded map and builds
+    unchecked.  A column that does not solve means the resolution is not
+    exact, and solve raises EngineError naming it.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
-    d = endo.degree
     lifts = [endo.lift]
     for dj in res.maps:
-        pj = dj.source
-        span = column_span(dj)
-        cols = []
-        for c, v in enumerate(compose(lifts[-1], dj).columns()):
-            remainder, cert = span.normal_form(v)
-            if any(remainder):
-                raise EngineError(
-                    "endomorphism does not lift: image escapes the next "
-                    "differential (resolution not exact?)"
-                )
-            cols.append(pj.vector_component(cert, d - pj.shifts[c]))
-        lifts.append(_from_columns(pj, pj, d, cols))
+        lifts.append(column_span(dj).solve(compose(lifts[-1], dj), endo.degree))
     return lifts
 
 
@@ -459,9 +447,9 @@ def with_extra_relations(module: PresentedModule, columns) -> PresentedModule:
     """Pad the presentation with relations already in the span (checked)."""
     gens, rel = module.generators, module.relations
     extra = [gens.coerce_vector(c) for c in columns]
-    for idx, c in enumerate(extra):
-        if not module.span.contains(c):
-            raise ValueError(f"column {idx} is not in the relation span")
+    idx = module.span.first_outside(extra)
+    if idx is not None:
+        raise ValueError(f"column {idx} is not in the relation span")
     # the old columns keep their shifts; the extra ones follow the rule
     shifts = rel.source.shifts + _relation_shifts(gens, extra, rel.degree)
     source = GradedFreeModule(module.ring, shifts)

@@ -322,6 +322,8 @@ class RingElement:
             return self.unit_inverse() ** (-n)
         if not n:
             return self.ring.one()
+        if n == 1:  # elements are immutable, so x**1 is x itself
+            return self
         half = self ** (n >> 1)
         return half * half * self if n & 1 else half * half
 

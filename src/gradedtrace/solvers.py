@@ -486,7 +486,16 @@ class _IntBackend:
     certificates, and kernels decompose blockwise and stay homogeneous.  A
     block is (rows, cols, pivot rows, basis, kernel): each basis vector is a
     Hermite column h of the block's matrix A followed by its transform t,
-    A.t = h, and the kernel is in Hermite form as well.
+    A.t = h, and the kernel is in Hermite form as well.  A column to reduce
+    is read as sparse integers, and only the blocks it touches are reduced.
+
+    solve_column projects nothing, so it reads neither source nor k.  When
+    the column belongs to a map g of the degree of the span's map plus the
+    requested one, it lies in the rows of one grading class, its
+    certificate lies in the block of that class, and every span column of
+    that block has the source shift class that makes its entry of a map of
+    the requested degree homogeneous: the certificate is already the
+    component of module degree k.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
@@ -517,35 +526,60 @@ class _IntBackend:
             kernel = [v[len(rows) :] for v in vecs[len(pivots) :]]
             _hermite(kernel, len(cols))
             self.blocks.append((rows, cols, pivots, vecs[: len(pivots)], kernel))
+        # ambient row -> (its block, its place in the block); a row of no block is absent
+        self._place = {i: (b, r) for b, block in enumerate(self.blocks) for r, i in enumerate(block[0])}
 
-    def _reduce(self, v: Vector, certify: bool) -> tuple[list[int], list[int]]:
-        """The remainder and certificate of v, walking the pivots in order.
+    def _reduce(self, column: dict[int, RingElement], certify: bool) -> tuple[dict[int, int], dict[int, int]]:
+        """The remainder and certificate of a sparse column, as sparse integers.
 
-        At each pivot q.(h, t) is subtracted, q the floor quotient there, so
-        the remainder lies in [0, pivot) at pivot rows; without certify the
-        certificate stays zero and zip stops each subtraction at the rows.
+        Each touched block walks its pivots in order: at each pivot q.(h, t)
+        is subtracted, q the floor quotient there, so the remainder lies in
+        [0, pivot) at pivot rows; without certify the certificate stays
+        empty and zip stops each subtraction at the rows.
         """
-        rem = [entry.coefficient(()) for entry in v]
-        cert = [0] * len(self.columns)
-        for rows, cols, pivots, basis, _ in self.blocks:
-            work = [rem[i] for i in rows] + [0] * (len(cols) if certify else 0)
+        rem: dict[int, int] = {}
+        cert: dict[int, int] = {}
+        works: dict[int, list[int]] = {}
+        for i, e in column.items():
+            place = self._place.get(i)
+            if place is None:
+                rem[i] = e.coefficient(())
+                continue
+            b, r = place
+            work = works.get(b)
+            if work is None:
+                rows, cols = self.blocks[b][:2]
+                work = works[b] = [0] * (len(rows) + len(cols) if certify else len(rows))
+            work[r] = e.coefficient(())
+        for b, work in works.items():
+            rows, cols, pivots, basis, _ = self.blocks[b]
             for p, vec in zip(pivots, basis):
                 q = work[p] // vec[p]
                 if q:
-                    work = [a - q * b for a, b in zip(work, vec)]
+                    work = [a - q * c for a, c in zip(work, vec)]
             for i, a in zip(rows, work):
-                rem[i] = a
+                if a:
+                    rem[i] = a
             for j, a in zip(cols, work[len(rows) :]):
-                cert[j] = -a
+                if a:
+                    cert[j] = -a
         return rem, cert
 
     def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, cert = self._reduce(v, True)
+        rem, cert = self._reduce(_nonzero(v), True)
         const = self.ambient.ring.const
-        return tuple(map(const, rem)), list(map(const, cert))
+        return (
+            tuple(const(rem.get(i, 0)) for i in range(self.ambient.rank)),
+            [const(cert.get(j, 0)) for j in range(len(self.columns))],
+        )
 
-    def contains(self, v: Vector) -> bool:
-        return not any(self._reduce(v, False)[0])
+    def inside(self, column: dict[int, RingElement]) -> bool:
+        return not self._reduce(column, False)[0]
+
+    def solve_column(self, column: dict[int, RingElement], source: GradedFreeModule, k: int) -> dict | None:
+        rem, cert = self._reduce(column, True)
+        const = self.ambient.ring.const
+        return None if rem else {j: const(a) for j, a in cert.items()}
 
     def _embed(self, length: int, parts) -> list[tuple[RingElement, ...]]:
         """Each (indices, entries) pair as a vector of the given length."""
@@ -569,10 +603,16 @@ def _engine_nvars(ring: RingSpec) -> int:
     return 2 * ring.nvars if ring.kind == LAURENT else ring.nvars
 
 
-def _to_engine(ring: RingSpec, v: Vector) -> dict:
+def _nonzero(v: Vector) -> dict[int, RingElement]:
+    """A vector's nonzero entries by position: the sparse column the backends read."""
+    return {i: e for i, e in enumerate(v) if e}
+
+
+def _to_engine(ring: RingSpec, entries) -> dict:
+    """The engine vector of (position, ring element) pairs."""
     pk = _packing(_engine_nvars(ring))
     out: dict = {}
-    for pos, entry in enumerate(v):
+    for pos, entry in entries:
         for exp, c in entry.items():
             if ring.kind == LAURENT:
                 exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
@@ -609,7 +649,7 @@ class _PolyBackend:
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        engine_cols = [_to_engine(self.ring, c) for c in columns] + _unit_columns(ambient)
+        engine_cols = [_to_engine(self.ring, enumerate(c)) for c in columns] + _unit_columns(ambient)
         self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
 
     def _element(self, terms: dict) -> RingElement:
@@ -633,15 +673,23 @@ class _PolyBackend:
         zero = self.ring.zero()  # elements are immutable, so the zero entries share one
         return tuple(self._element(d) if d else zero for d in per_pos)
 
-    def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
+    def _certificate(self, entries) -> tuple[dict, Vector]:
+        """The engine remainder and the certificate of (position, element) pairs."""
         cert: dict = {}
-        rem = self.gb._reduce(_to_engine(self.ring, v), cert)
+        rem = self.gb._reduce(_to_engine(self.ring, entries), cert)
         # _reduce subtracts the quotients' certificates: v = rem - sum(cert_j column_j)
-        certificate = self._vector({k: -c for k, c in cert.items()}, len(self.columns))
+        return rem, self._vector({k: -c for k, c in cert.items()}, len(self.columns))
+
+    def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
+        rem, certificate = self._certificate(enumerate(v))
         return self._vector(rem, self.ambient.rank), list(certificate)
 
-    def contains(self, v: Vector) -> bool:
-        return self.gb.contains(_to_engine(self.ring, v))
+    def inside(self, column: dict[int, RingElement]) -> bool:
+        return self.gb.contains(_to_engine(self.ring, column.items()))
+
+    def solve_column(self, column: dict[int, RingElement], source: GradedFreeModule, k: int) -> dict | None:
+        rem, certificate = self._certificate(column.items())
+        return None if rem else _nonzero(source.vector_component(certificate, k))
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         # ColumnSpan converts once and keeps the result, so the certificates go
@@ -665,6 +713,17 @@ class ColumnSpan:
     normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
+    Two calls answer for a whole matrix g at once, read off its sparse rows:
+    first_outside(g) returns the index of the first column of g outside the
+    span, or None when every column lies in it; g may also be a list of
+    vectors over the ambient ring, already coerced.  solve(g, degree) returns
+    the map X of that degree with (span columns) . X = g, each column of X
+    the certificate of g's column projected to its forced homogeneous
+    component (over the integers it has no other), and raises EngineError
+    naming the first column of g outside the span.  X maps into the free
+    module that indexes the columns, which only the spans that column_span
+    builds know (as source), so solve needs one of those.
+
     Results are deterministic for a fixed column order.  The kernel
     generators are fixed at construction; the first syzygy_vectors() call
     converts the nonzero ones to ring elements and keeps them, and every
@@ -676,6 +735,7 @@ class ColumnSpan:
     def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
         self.ambient = ambient
         self.columns = [ambient.coerce_vector(c) for c in columns]
+        self.source: GradedFreeModule | None = None
         self._kernel: tuple[tuple[RingElement, ...], ...] | None = None
         if ambient.ring.kind == INTEGERS:
             self._backend = _IntBackend(ambient, self.columns)
@@ -686,7 +746,34 @@ class ColumnSpan:
         return self._backend.normal_form(self.ambient.coerce_vector(v))
 
     def contains(self, v) -> bool:
-        return self._backend.contains(self.ambient.coerce_vector(v))
+        return self._backend.inside(_nonzero(self.ambient.coerce_vector(v)))
+
+    def _sparse_columns(self, g) -> list[dict[int, RingElement]]:
+        if not isinstance(g, GradedMatrixHom):
+            return [_nonzero(v) for v in g]
+        if g.target != self.ambient:
+            raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
+        columns: list[dict[int, RingElement]] = [{} for _ in range(g.source.rank)]
+        for i, row in enumerate(g._rows):
+            for j, e in row.items():
+                columns[j][i] = e
+        return columns
+
+    def first_outside(self, g) -> int | None:
+        inside = self._backend.inside
+        return next((j for j, c in enumerate(self._sparse_columns(g)) if not inside(c)), None)
+
+    def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
+        if self.source is None:
+            raise ValueError("solve needs the span of a map's columns, from column_span")
+        rows: list[dict[int, RingElement]] = [{} for _ in self.columns]
+        for c, column in enumerate(self._sparse_columns(g)):
+            cert = self._backend.solve_column(column, self.source, degree - g.source.shifts[c])
+            if cert is None:
+                raise EngineError(f"column {c} lies outside the span: no solution")
+            for j, e in cert.items():
+                rows[j][c] = e
+        return GradedMatrixHom._closed(g.source, self.source, degree, rows)
 
     def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
         if self._kernel is None:
@@ -727,10 +814,10 @@ def prune_columns(
         kept = list(range(len(cols)))
         for j in range(len(cols)):
             others = [cols[k] for k in kept if k != j]
-            if others and _IntBackend(ambient, others).contains(cols[j]):
+            if others and _IntBackend(ambient, others).inside(_nonzero(cols[j])):
                 kept.remove(j)
         return [cols[k] for k in kept], kept
-    engine = [_to_engine(ring, c) for c in cols]
+    engine = [_to_engine(ring, enumerate(c)) for c in cols]
     groups = _degree_groups(ambient, cols)
     top = groups[-1][0] if groups else None
     lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
@@ -776,9 +863,12 @@ def _degree_groups(
 
 
 def column_span(f: GradedMatrixHom) -> ColumnSpan:
-    """The span of f's columns in f.target, built on first use and kept on f."""
+    """The span of f's columns in f.target, with f.source as its source,
+    built on first use and kept on f."""
     if f._span is None:
-        f._span = ColumnSpan(f.target, f.columns())
+        span = ColumnSpan(f.target, f.columns())
+        span.source = f.source
+        f._span = span
     return f._span
 
 

@@ -55,13 +55,18 @@ class TraceValue:
 
 
 def free_trace(f: GradedMatrixHom) -> TraceValue:
-    """Signed diagonal sum of a free endomorphism."""
+    """Signed diagonal sum of a free endomorphism, read off the sparse rows."""
     if f.source != f.target:
         raise ValueError("trace needs an endomorphism (equal source and target)")
-    total = f.ring.zero()
-    for i, shift in enumerate(f.source.shifts):
-        total = total - f[i, i] if shift % 2 else total + f[i, i]
-    return TraceValue(total, f.degree)
+    total: dict = {}
+    for i, (row, shift) in enumerate(zip(f._rows, f.source.shifts)):
+        entry = row.get(i)
+        if entry is not None:
+            sign = -1 if shift % 2 else 1
+            for exp, c in entry.items():
+                total[exp] = total.get(exp, 0) + sign * c
+    value = RingElement._clean(f.ring, {exp: c for exp, c in total.items() if c})
+    return TraceValue(value, f.degree)
 
 
 def signed_rank(module: GradedFreeModule) -> int:
@@ -162,19 +167,16 @@ class ShortExactSequence:
         """Raise ValueError unless the sequence is exact; cache preimages."""
         # b . a = 0
         composite = compose_module_homs(self.b, self.a)
-        zero_cols = all(
-            self.right.span.contains(c) for c in composite.lift.columns()
-        )
-        if not zero_cols:
+        if self.right.span.first_outside(composite.lift) is not None:
             raise ValueError("b∘a is not zero")
         # a injective: anything a sends into middle relations dies in left;
         # the span of [a | middle relations] also serves the last check.
         # Kernel generators are tested unpruned: a submodule holds them all
         # iff it holds a list spanning what they span.
         cover = _block_span(self.a)
-        for v in cover.syzygy_vectors():
-            if not self.left.is_zero_element(v[: self.left.generators.rank]):
-                raise ValueError("a is not injective")
+        na = self.left.generators.rank
+        if self.left.span.first_outside([v[:na] for v in cover.syzygy_vectors()]) is not None:
+            raise ValueError("a is not injective")
         # b surjective, with certificates
         preimages = []
         image_span = _block_span(self.b)
@@ -186,9 +188,8 @@ class ShortExactSequence:
                 raise ValueError(f"b misses generator {i} of the right module")
             preimages.append(self.middle.generators.coerce_vector(cert[:nb]))
         # ker b is contained in im a + relations
-        for v in image_span.syzygy_vectors():
-            if not cover.contains(v[:nb]):
-                raise ValueError("the kernel of b escapes the image of a")
+        if cover.first_outside([v[:nb] for v in image_span.syzygy_vectors()]) is not None:
+            raise ValueError("the kernel of b escapes the image of a")
         # recorded only once every check passed, so a failed validate is retried
         self._preimages = preimages
 

@@ -14,6 +14,7 @@ from gradedtrace import (
     GradedMatrixHom,
     compose,
     determinant,
+    hom_from_columns,
     identity_hom,
     int_determinant,
     integers,
@@ -362,6 +363,66 @@ def test_prune_columns_completes_lower_degrees_for_later_groups():
     cols = [m.coerce_vector([c]) for c in (x * x, x * y + y * y, y**3)]
     assert _greedy_reference(m, cols) == [0, 1]
     assert prune_columns(m, cols)[1] == [0, 1]
+
+
+# -- whole matrices: solve and many-column membership ---------------------------
+
+
+def _per_column_solve(span, g, degree):
+    """solve the way lift_endomorphism first did it: normal_form, then vector_component."""
+    p = span.source
+    cols = []
+    for c, v in enumerate(g.columns()):
+        remainder, cert = span.normal_form(v)
+        assert not any(remainder)
+        cols.append(p.vector_component(cert, degree - g.source.shifts[c]))
+    return hom_from_columns(g.source, p, degree, cols)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(ring=st.sampled_from(gu.RING_POOL), rng=st.randoms(use_true_random=False))
+def test_solve_and_first_outside_match_the_per_column_calls(ring, rng):
+    m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
+    p = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=4, lo=-2, hi=2))
+    q = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
+    d = rng.choice((0, 2))
+    dmap = gu.random_matrix(rng, p, m, 1)
+    span = solvers_impl.column_span(dmap)
+    g = compose(dmap, gu.random_matrix(rng, q, p, d))
+    x = span.solve(g, d)
+    assert x == _per_column_solve(span, g, d)
+    assert compose(dmap, x) == g
+    if ring.kind == "integers":
+        # the validating constructor accepts it, and certificates need no projection
+        assert GradedMatrixHom(x.source, x.target, x.degree, x.entries) == x
+        for c, v in enumerate(g.columns()):
+            _, cert = span.normal_form(v)
+            assert p.vector_component(cert, d - q.shifts[c]) == tuple(cert)
+    # many-column membership agrees with contains, on a map and on vectors
+    h = gu.random_matrix(rng, q, m, 1 + d)
+    per_column = next((j for j, v in enumerate(h.columns()) if not span.contains(v)), None)
+    assert span.first_outside(h) == span.first_outside(h.columns()) == per_column
+    assert span.first_outside(g) is None
+    # a column pushed outside the span is named, by both calls
+    if q.rank:
+        c = rng.randrange(q.rank)
+        push = gu.random_matrix(rng, q, m, 1 + d, density=1.0)
+        v = push.column(c)
+        if not span.contains(v):
+            rows = [{c: e} if e else {} for e in v]
+            bad = g + GradedMatrixHom._closed(q, m, 1 + d, rows)
+            assert span.first_outside(bad) == c
+            with pytest.raises(EngineError, match=f"column {c} lies outside the span"):
+                span.solve(bad, d)
+
+
+def test_solve_needs_the_span_of_a_map_into_its_module():
+    m = GradedFreeModule(Z, (0,))
+    with pytest.raises(ValueError, match="column_span"):
+        ColumnSpan(m, [(Z.const(2),)]).solve(identity_hom(m), 0)
+    span = solvers_impl.column_span(GradedMatrixHom(m, m, 0, [[2]]))
+    with pytest.raises(ValueError, match="is not a map into"):
+        span.first_outside(identity_hom(GradedFreeModule(Z, (1,))))
 
 
 # -- the engine's packed terms --------------------------------------------------
