@@ -3,8 +3,8 @@
 An ExampleCase packages a pair of module endomorphisms (the induced maps on
 the even and odd halves of an invariant) with an oracle that recomputes the
 expected alternating trace by a route of its own: counting transverse fixed
-points, tracing chain-level matrices, expanding a determinant, or summing
-frozen weights.  run_case computes
+points, tracing chain-level matrices, evaluating a characteristic
+polynomial, or summing frozen weights.  run_case computes
 
     trace(even endomorphism) - trace(odd endomorphism)
 

@@ -3,11 +3,12 @@
 Each oracle recomputes an expected trace by a route that shares nothing
 with the resolution/lift machinery: transverse fixed points are counted
 with exact rational arithmetic, chain-level traces are alternating sums of
-integer matrix diagonals, determinants come from cofactor expansion written
-out here rather than imported from the solvers, and weight sums are frozen
-lists added up term by term.  An oracle receives the ring the comparison
-happens in plus the payload recorded in the case file, and returns the
-expected value as an element of that ring.
+integer matrix diagonals, determinants and eigenvalue counts come from an
+integer characteristic polynomial written out here rather than imported
+from the engine or the solvers, and weight sums are frozen lists added up
+term by term.  An oracle receives the ring the comparison happens in plus
+the payload recorded in the case file, and returns the expected value as
+an element of that ring.
 """
 
 from __future__ import annotations
@@ -48,21 +49,8 @@ def as_int_matrix(rows) -> list[list[int]]:
     return out
 
 
-def _cofactor_determinant(rows: list[list[int]]) -> int:
-    """Plain recursive cofactor expansion; independent of the solvers."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _cofactor_determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+# Checking a fixed point takes about 40 microseconds, so 4096 take about 0.17 s.
+MAX_CIRCLE_FIXED_POINTS = 4096
 
 
 def _circle_index_sum(d: int) -> int:
@@ -73,6 +61,10 @@ def _circle_index_sum(d: int) -> int:
     arithmetic, and contributes sign(1 - d).
     """
     count = abs(d - 1)
+    if count > MAX_CIRCLE_FIXED_POINTS:
+        raise OracleError(
+            f"degree {d} has {count} fixed points to check, more than the bound of {MAX_CIRCLE_FIXED_POINTS}"
+        )
     total = 0
     eps = Fraction(1, 4 * count)
     for k in range(count):
@@ -141,54 +133,49 @@ def cw_alternating_sum(ring: RingSpec, payload) -> RingElement:
 
 
 def det_i_minus_m(ring: RingSpec, payload) -> RingElement:
-    """det(I - M) by cofactor expansion, for an integer matrix M."""
+    """det(I - M) for an integer matrix M: det(λI - M) at λ = 1."""
     if len(payload) != 1:
         raise OracleError("determinant oracle expects one payload entry: the matrix")
-    m = as_int_matrix(payload[0])
-    n = len(m)
-    if any(len(r) != n for r in m):
+    return ring.const(sum(_charpoly(_square(payload[0]))))
+
+
+def _square(rows) -> list[list[int]]:
+    m = as_int_matrix(rows)
+    if any(len(r) != len(m) for r in m):
         raise OracleError("matrix must be square")
-    rows = [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-    return ring.const(_cofactor_determinant(rows))
+    return m
 
 
-def _charpoly(rows: list[list[int]]) -> list[Fraction]:
-    """Coefficients of det(lambda.I - M), highest power first (Faddeev).
+def _charpoly(rows: list[list[int]]) -> list[int]:
+    """Coefficients of det(λI - M), highest power first (Faddeev-LeVerrier).
 
-    The Faddeev-LeVerrier recurrence needs only matrix products and traces,
-    which keeps this short and entirely separate from the solver code.
+    The recurrence M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k)/k needs only
+    integer matrix products and traces, which keeps this short and entirely
+    separate from the engine.  Each division by k is exact (c_k is a sum of
+    principal minors), and the remainder is checked.
     """
     n = len(rows)
-    coeffs: list[Fraction] = [Fraction(1)]
-    a = [[Fraction(v) for v in row] for row in rows]
-    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs, m = [1], [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I ; c_k = -tr(A M_k)/k
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
+        m = [
+            [sum(a * m[t][j] for t, a in enumerate(row)) + (i == j) * coeffs[-1] for j in range(n)]
+            for i, row in enumerate(rows)
         ]
-        for i in range(n):
-            am[i][i] += coeffs[-1]
-        trace = sum(
-            sum(a[i][t] * am[t][i] for t in range(n)) for i in range(n)
-        )
-        coeffs.append(Fraction(-1, k) * trace)
-        m = am
+        trace = sum(a * m[t][i] for i, row in enumerate(rows) for t, a in enumerate(row))
+        c, r = divmod(-trace, k)
+        if r:
+            raise OracleError(f"Faddeev-LeVerrier division by {k} is not exact")
+        coeffs.append(c)
     return coeffs
 
 
 def _poly_mod(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Remainder of p by q, coefficients highest-first, q nonzero."""
+    """Remainder of p by q, coefficients highest-first, q with a nonzero leading one."""
     p = list(p)
-    while len(p) >= len(q) and any(c != 0 for c in p):
-        while p and p[0] == 0:
-            p.pop(0)
-        if len(p) < len(q):
-            break
-        lead = p[0] / q[0]
-        for i in range(len(q)):
-            p[i] -= lead * q[i]
+    while len(p) >= len(q):
+        lead = p.pop(0) / q[0]
+        for i in range(1, len(q)):
+            p[i - 1] -= lead * q[i]
     while p and p[0] == 0:
         p.pop(0)
     return p
@@ -204,20 +191,12 @@ def count_eigenlines(ring: RingSpec, payload) -> RingElement:
     """
     if len(payload) != 1:
         raise OracleError("eigenline oracle expects one payload entry: the matrix")
-    m = as_int_matrix(payload[0])
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise OracleError("matrix must be square")
-    p = _charpoly(m)
-    dp = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
-    remainder_chain_p, remainder_chain_q = list(p), list(dp)
-    while any(c != 0 for c in remainder_chain_q):
-        remainder_chain_p, remainder_chain_q = (
-            remainder_chain_q,
-            _poly_mod(remainder_chain_p, remainder_chain_q),
-        )
-    gcd_degree = max(len(remainder_chain_p) - 1, 0)
-    if gcd_degree != 0:
+    p = [Fraction(c) for c in _charpoly(_square(payload[0]))]
+    n = len(p) - 1
+    q = [c * (n - i) for i, c in enumerate(p[:-1])]  # the derivative
+    while any(q):  # Euclid's remainder chain; p ends as gcd(p, p')
+        p, q = q, _poly_mod(p, q)
+    if len(p) > 1:
         raise OracleError("characteristic polynomial is not squarefree")
     return ring.const(n)
 

@@ -12,6 +12,7 @@ construction and build unchecked through RingElement._clean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -148,6 +149,40 @@ def laurent_ring(
     names: Iterable[str], degrees: Iterable[int], grading: str = GRADING_Z
 ) -> RingSpec:
     return RingSpec(LAURENT, tuple(names), tuple(degrees), grading)
+
+
+# Expansion caps, applied by the parser to each "^" and "*" it reads and by
+# RingMap to each power and product it forms.  A power p^n of a k-term p is
+# refused unexpanded when its comb(n + k - 1, k - 1) terms pass _POWER_TERMS,
+# or when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.  A
+# product p*q is refused unexpanded when len(p) * len(q) passes
+# _PRODUCT_TERMS or when the bit lengths of the largest coefficients of p and
+# q add up past _PRODUCT_BITS, so no single product or power makes more
+# terms, or much longer coefficients, than that.
+_POWER_TERMS = 256
+_POWER_BITS = 2048
+_PRODUCT_TERMS = _POWER_TERMS**2
+_PRODUCT_BITS = 2**16
+_EXPANSION_CAPS = (
+    f"{_POWER_TERMS} terms, {_POWER_BITS} coefficient bits, "
+    f"{_PRODUCT_TERMS} terms in a product, {_PRODUCT_BITS} coefficient bits in a product"
+)
+
+
+def _power_fits(n: int, terms: int, norm: int) -> bool:
+    """Whether p^n fits the caps, for n >= 0 and p with these terms and sum of |coefficients|."""
+    bits = n * max(norm - 1, 0).bit_length()
+    return bits <= _POWER_BITS and (terms <= 1 or math.comb(n + terms - 1, terms - 1) <= _POWER_TERMS)
+
+
+def _product_fits(terms: int, bits: int) -> bool:
+    """Whether a product with this many term pairs and coefficient bits fits the caps."""
+    return terms <= _PRODUCT_TERMS and bits <= _PRODUCT_BITS
+
+
+def _coefficient_bits(e: RingElement) -> int:
+    """Bit length of the largest coefficient of e."""
+    return max((abs(c) for c in e._terms.values()), default=0).bit_length()
 
 
 _CHUNK = 10**600  # the interpreter's limit on str(int) is never below 640 digits
@@ -418,19 +453,26 @@ class RingMap:
                 )
 
     def __call__(self, a: RingElement) -> RingElement:
+        """The image of a, refused with ValueError when a power or product passes the caps."""
         if a.ring != self.source:
             raise RingMismatch(f"{a.ring} is not {self.source}")
         total = self.target.zero()
         for exp, coeff in a.items():
             value = self.target.const(coeff)
-            for img, e in zip(self.images, exp):
+            for name, img, e in zip(self.source.var_names, self.images, exp):
                 if e == 0:
                     continue
                 if e < 0 and not img.is_unit():
                     raise ValueError(
                         f"negative exponent {e} needs an invertible image, got {img}"
                     )
-                value = value * (img ** e)
+                norm = sum(abs(c) for c in img._terms.values())
+                power = img**e if _power_fits(abs(e), len(img), norm) else None
+                if power is None or not _product_fits(
+                    len(value) * len(power), _coefficient_bits(value) + _coefficient_bits(power)
+                ):
+                    raise ValueError(f"the image of {name}^{e} expands past the caps: {_EXPANSION_CAPS}")
+                value = value * power
             total = total + value
         return total
 

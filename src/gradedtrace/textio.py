@@ -61,7 +61,6 @@ state for each repeat of the comment skip.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -79,11 +78,15 @@ from .modules import (
 )
 from .oracles import ORACLES
 from .rings import (
+    _EXPANSION_CAPS,
     GRADING_Z,
     GRADING_Z2,
     RingElement,
     RingMap,
     RingSpec,
+    _coefficient_bits,
+    _power_fits,
+    _product_fits,
     integers,
     laurent_ring,
     polynomial_ring,
@@ -172,26 +175,8 @@ _STATEMENTS = ("ring", "free", "module", "matrix", "hom", "ses", "case")
 # document far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# A power p^n of a k-term p is refused unexpanded when n passes the engine's
-# exponent bound, when its comb(n + k - 1, k - 1) terms pass _POWER_TERMS, or
-# when its n * ceil(log2(sum |c|)) coefficient bits pass _POWER_BITS.  A
-# product p*q is refused unexpanded when len(p) * len(q) passes _PRODUCT_TERMS
-# or when the bit lengths of the largest coefficients of p and q add up past
-# _PRODUCT_BITS, so no single product or power makes more terms, or much
-# longer coefficients, than that.
-_POWER_TERMS = 256
-_POWER_BITS = 2048
-_PRODUCT_TERMS = _POWER_TERMS**2
-_PRODUCT_BITS = 2**16
-_POWER_CAPS = (
-    f"exponent {_LIMIT}, {_POWER_TERMS} terms, {_POWER_BITS} coefficient bits, "
-    f"{_PRODUCT_TERMS} terms in a product, {_PRODUCT_BITS} coefficient bits in a product"
-)
-
-
-def _coefficient_bits(e: RingElement) -> int:
-    """Bit length of the largest coefficient of e."""
-    return max((abs(c) for _, c in e.items()), default=0).bit_length()
+# The expansion caps live in rings; the parser adds the engine's exponent bound.
+_POWER_CAPS = f"exponent {_LIMIT}, {_EXPANSION_CAPS}"
 
 
 def _monomial(ring: RingSpec, coeff: int, exps: list) -> RingElement:
@@ -458,12 +443,11 @@ class _Parser:
 
     def _check_power(self, at: int, n: int, terms: int, norm: int) -> None:
         """Refuse the power n of a base with these terms and sum of |coefficients| past the caps."""
-        bits = n * max(norm - 1, 0).bit_length()
-        if n > _LIMIT or bits > _POWER_BITS or (terms > 1 and math.comb(n + terms - 1, terms - 1) > _POWER_TERMS):
+        if n > _LIMIT or not _power_fits(n, terms, norm):
             self._fail(at, f"power too large to expand: the caps are {_POWER_CAPS}")
 
     def _check_product(self, star: int, terms: int, bits: int) -> None:
-        if terms > _PRODUCT_TERMS or bits > _PRODUCT_BITS:
+        if not _product_fits(terms, bits):
             self._fail(star, f"product too large to expand: the caps are {_POWER_CAPS}")
 
     # nested list literals over a ring: rows of a matrix, or oracle payloads

@@ -3,12 +3,16 @@
 import argparse
 import importlib
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gradedtrace import builtin_catalog, hs_trace, parse_source, run_case, run_suite, textio
+from gradedtrace import builtin_catalog, hs_trace, int_determinant, parse_source, run_case, run_suite, textio
 from gradedtrace.cli import EXIT_CODES, build_parser, main
 
 CATALOG = builtin_catalog()
@@ -493,3 +497,63 @@ def test_cli_lefschetz_run_reports_an_oracle_error(tmp_path, capsys):
     (case,) = payload["cases"]
     assert case["engine"] is None and case["oracle"] is None and case["matched"] is False
     assert case["error"] == "OracleError: expected a matrix (list of rows)"
+
+
+# -- no hangs: each of these documents once ran for tens of seconds -------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_cli_in_subprocess(tmp_path, text: str) -> subprocess.CompletedProcess:
+    path = tmp_path / "doc.case"
+    path.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "gradedtrace.cli", "lefschetz", "run", "-f", str(path)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+def test_cli_runs_a_20_by_20_torus_oracle(tmp_path):
+    rng = random.Random(20)
+    m = [[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)]
+    expected = int_determinant([[(i == j) - m[i][j] for j in range(20)] for i in range(20)])
+    done = _run_cli_in_subprocess(tmp_path, f"""
+ring Z;
+free H [0];
+hom one : H -> H {{ lift [[1]]; }}
+hom zero : H -> H {{ lift [[0]]; }}
+case big_torus {{ title "a 20 by 20 matrix"; even one; odd zero; oracle det_i_minus_m [{m}]; }}
+""")
+    assert done.returncode == (0 if expected == 1 else 1), done.stderr
+    assert f"oracle={expected}" in done.stdout
+
+
+def test_cli_refuses_a_circle_degree_past_the_bound(tmp_path):
+    done = _run_cli_in_subprocess(tmp_path, """
+ring Z;
+free H [0];
+hom one : H -> H { lift [[1]]; }
+hom wind : H -> H { lift [[1000000000]]; }
+case huge_degree { title "winding number 10^9"; even one; odd wind; oracle circle_fixed_points [1000000000]; }
+""")
+    assert done.returncode == 2, done.stderr
+    assert "OracleError: degree 1000000000 has 999999999 fixed points to check" in done.stdout
+
+
+def test_cli_refuses_a_ring_map_image_past_the_caps(tmp_path):
+    done = _run_cli_in_subprocess(tmp_path, """
+ring Z[s:0];
+free H [0];
+hom power : H -> H { lift [[s^4000]]; }
+hom zero : H -> H { lift [[0]]; }
+case huge_image {
+  title "(t + 1/t)^4000";
+  even power; odd zero;
+  map Z[t:0, t^-1] { s -> t + t^-1; }
+  oracle weight_sum [0];
+}
+""")
+    assert done.returncode == 2, done.stderr
+    assert "ValueError: the image of s^4000 expands past the caps: " in done.stdout

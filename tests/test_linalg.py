@@ -1,6 +1,7 @@
 """Exact solvers: Smith normal form, membership, certificates, syzygies."""
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -565,3 +566,75 @@ def test_is_invertible_rejects_rank_drop():
     f = GradedMatrixHom(m, m, 0, [[2, 0], [0, 1]])
     flag, inverse = is_invertible(f)
     assert not flag and inverse is None
+
+
+def _dense_int_hom(rng, ring, rank):
+    """A degree-0 endomorphism of ring^rank with integer entries in [-3, 3]."""
+    m = GradedFreeModule(ring, (0,) * rank)
+    rows = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    return GradedMatrixHom(m, m, 0, rows), rows
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 5, 9, 14, 19, 24])
+def test_determinant_matches_int_determinant_up_to_rank_24(rank):
+    rng = random.Random(100 + rank)
+    f, rows = _dense_int_hom(rng, Z, rank)
+    assert determinant(f) == Z.const(int_determinant(rows))
+    # a sparse draw, so that zero pivots and empty rows are met too
+    sparse = [[e if rng.random() < 0.3 else 0 for e in row] for row in rows]
+    g = GradedMatrixHom(f.source, f.target, 0, sparse)
+    assert determinant(g) == Z.const(int_determinant(sparse))
+
+
+def test_determinant_is_multiplicative_over_every_kind():
+    rng = random.Random(41)
+    for ring in gu.THREE_KINDS:
+        for _ in range(10):
+            m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=6, lo=-2, hi=2))
+            f, g = gu.random_endo(rng, m), gu.random_endo(rng, m)
+            assert determinant(compose(g, f)) == determinant(g) * determinant(f)
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_is_invertible_inverse_composes_to_the_identity_up_to_rank_12(ring):
+    empty = GradedFreeModule(ring, ())
+    assert is_invertible(identity_hom(empty)) == (True, identity_hom(empty))
+    rng = random.Random(57)
+    for rank in (1, 3, 6, 9, 12):
+        m = GradedFreeModule(ring, tuple(rng.randint(-2, 2) for _ in range(rank)))
+        conj, inv = gu.random_unimodular(rng, m, ops=3 * rank)
+        flag, computed = is_invertible(conj)
+        assert flag
+        assert compose(conj, computed) == identity_hom(m)
+        assert compose(computed, conj) == identity_hom(m)
+        assert computed == inv
+
+
+def test_is_invertible_inverts_a_map_between_different_modules():
+    # multiplication by t: R[0] -> R[2] is a graded isomorphism when t is a unit of degree 2
+    ZL2 = laurent_ring(["t"], [2])
+    t = ZL2.gen("t")
+    source, target = GradedFreeModule(ZL2, (0, 0)), GradedFreeModule(ZL2, (2, 0))
+    f = GradedMatrixHom(source, target, 0, [[t, 3 * t], [0, -1]])
+    assert determinant(f) == -t
+    flag, inverse = is_invertible(f)
+    assert flag
+    assert compose(f, inverse) == identity_hom(target)
+    assert compose(inverse, f) == identity_hom(source)
+    # legal by construction: the validating constructor accepts the same rows
+    assert GradedMatrixHom(target, source, 0, inverse.entries) == inverse
+
+
+def test_rank_24_determinant_and_inverse_meet_their_time_bounds():
+    rng = random.Random(3)
+    f, rows = _dense_int_hom(rng, ZX, 24)
+    start = time.perf_counter()
+    det = determinant(f)
+    assert time.perf_counter() - start < 1.0
+    assert det == ZX.const(int_determinant(rows))
+    conj, inv = gu.random_unimodular(rng, f.source, ops=300)
+    assert sum(map(len, conj._rows)) > 500  # dense: 576 entries in all
+    start = time.perf_counter()
+    flag, computed = is_invertible(conj)
+    assert time.perf_counter() - start < 3.0
+    assert flag and computed == inv

@@ -1,8 +1,15 @@
 """Independent cross-check oracles: frozen values and rejection paths."""
 
+import ast
+import random
+import time
+from pathlib import Path
+
 import pytest
 
-from gradedtrace import ORACLES, OracleError, integers, laurent_ring
+import gradedtrace.oracles as oracles_module
+from gradedtrace import ORACLES, OracleError, int_determinant, integers, laurent_ring
+from gradedtrace.oracles import MAX_CIRCLE_FIXED_POINTS
 
 Z = integers()
 ZL = laurent_ring(["t"], [0])
@@ -61,6 +68,47 @@ def test_det_i_minus_m():
     assert oracle(Z, [[]]) == Z.const(1)
     with pytest.raises(OracleError):
         oracle(Z, [[[1, 2, 3], [4, 5, 6]]])
+
+
+def test_det_i_minus_m_matches_bareiss_from_8_to_20():
+    rng = random.Random(8)
+    oracle = ORACLES["det_i_minus_m"]
+    for n in range(8, 21):
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        i_minus_m = [[(i == j) - m[i][j] for j in range(n)] for i in range(n)]
+        assert oracle(Z, [m]) == Z.const(int_determinant(i_minus_m))
+
+
+@pytest.mark.parametrize("n,bound", [(12, 0.5), (20, 2.0)])
+def test_det_i_minus_m_meets_its_time_bound(n, bound):
+    rng = random.Random(n)
+    m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    start = time.perf_counter()
+    ORACLES["det_i_minus_m"](Z, [m])
+    assert time.perf_counter() - start < bound
+
+
+def test_the_oracles_import_nothing_from_the_engine():
+    tree = ast.parse(Path(oracles_module.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert imported == {"__future__", "fractions", "typing", "rings"}
+
+
+@pytest.mark.parametrize("name", ["circle_fixed_points", "suspension_fixed_points"])
+def test_circle_oracles_refuse_a_degree_past_the_bound(name):
+    for d in (2 + MAX_CIRCLE_FIXED_POINTS, -MAX_CIRCLE_FIXED_POINTS, 10**9):
+        with pytest.raises(OracleError) as err:
+            ORACLES[name](Z, [d])
+        assert str(err.value) == (
+            f"degree {d} has {abs(d - 1)} fixed points to check, "
+            f"more than the bound of {MAX_CIRCLE_FIXED_POINTS}"
+        )
+
+
+def test_circle_oracle_accepts_the_degree_at_the_bound():
+    d = 1 + MAX_CIRCLE_FIXED_POINTS
+    assert ORACLES["circle_fixed_points"](Z, [d]) == Z.const(1 - d)
 
 
 def test_count_eigenlines():

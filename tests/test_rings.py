@@ -19,6 +19,8 @@ from gradedtrace import (
     polynomial_ring,
 )
 
+from gradedtrace.rings import _EXPANSION_CAPS
+
 import genutils as gu
 
 Z = integers()
@@ -228,6 +230,24 @@ def test_ring_map_grading_refinement_refused():
     RingMap(ZX, polynomial_ring(["x"], [2], GRADING_Z2),
             (polynomial_ring(["x"], [2], GRADING_Z2).gen("x"),))
     assert z2.grading == GRADING_Z2
+
+
+def test_ring_map_refuses_an_image_past_the_expansion_caps():
+    zs = polynomial_ring(["s"], [0])
+    t = ZL.gen("t")
+    phi = RingMap(zs, ZL, (t + t.unit_inverse(),))
+    assert phi(zs.gen("s", 4)) == (t + t.unit_inverse()) ** 4
+    refusal = "the image of {} expands past the caps: " + _EXPANSION_CAPS
+    # (t + 1/t)^4000 passes the power caps
+    with pytest.raises(ValueError) as err:
+        phi(zs.gen("s", 4000))
+    assert str(err.value) == refusal.format("s^4000")
+    # each power fits, but a 65537-bit coefficient times 2 passes the product caps
+    with pytest.raises(ValueError) as err:
+        RingMap(zs, Z, (Z.const(2),))(zs.monomial((1,), 2**65536))
+    assert str(err.value) == refusal.format("s^1")
+    # a monomial image expands at any exponent
+    assert RingMap(zs, ZL, (t,))(zs.gen("s", 32767)) == t**32767
 
 
 def test_ring_map_laurent_needs_unit_images():
