@@ -139,10 +139,18 @@ def det_i_minus_m(ring: RingSpec, payload) -> RingElement:
     return ring.const(sum(_charpoly(_square(payload[0]))))
 
 
+# Faddeev-LeVerrier takes O(n^4) integer products.  On a 2-core x86 host
+# det_i_minus_m takes about 0.1 s at 32 x 32 (count_eigenlines 0.6 s) and
+# 1.8 s at 64 x 64, so by n^4 growth a 100 x 100 payload would take 20 s.
+MAX_ORACLE_MATRIX = 32
+
+
 def _square(rows) -> list[list[int]]:
     m = as_int_matrix(rows)
     if any(len(r) != len(m) for r in m):
         raise OracleError("matrix must be square")
+    if len(m) > MAX_ORACLE_MATRIX:
+        raise OracleError(f"a {len(m)} x {len(m)} matrix is larger than the bound of {MAX_ORACLE_MATRIX}")
     return m
 
 

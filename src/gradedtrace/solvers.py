@@ -18,8 +18,11 @@ exponent or degree past 32767 raises EngineError instead of wrapping.
 
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
 in the span of others, over the integers with the Hermite form alone.  When
-the columns are grouped by degree, each Groebner test completes its basis
-only up to the degree of the column it asks about.
+the columns are grouped by degree, a whole group is one Z-lattice question:
+its remainders against the span of lower degrees go through the same
+Hermite form, and only a group whose remainders keep a residue term falls
+back to one Groebner test per column, each completed only up to the degree
+of the column it asks about.
 
 A Laurent ring enters the same engine with a formal inverse y_i for every
 variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 from .freemod import GradedFreeModule, GradedMatrixHom, Vector, _from_columns, _relation_shifts
@@ -798,15 +802,16 @@ def prune_columns(
     <= e, for any e.  So the decision on a degree-d column depends only on
     N_<d, the span of all columns of lower degree, and on the kept columns
     of degree d: the groups of equal degree are taken in increasing degree
-    against one growing Groebner basis of N_<d, a column in N_<d is dropped
-    at once, and the greedy pass runs over the rest of its group.  Every
-    other ring or input forms one group, on which this is the plain greedy
-    pass.  The kept indices are the same either way.
-
-    Grouped by degree, a basis is completed only up to the degree it is
-    asked about, since for homogeneous input a strong basis truncated at
-    degree d decides membership in degrees <= d: the test of a degree-d
-    column up to d, and N_<d up to the largest column degree.
+    against one growing Groebner basis of N_<d, truncated at the largest
+    column degree, and each group is one pass (_lattice_greedy): the degree
+    0 part of the ring is Z, so the greedy choice within a group is a
+    Z-lattice question about its remainders modulo N_<d, answered by the
+    Hermite form.  A group whose remainders keep a residue term falls back
+    to the greedy pass with one completion per column, truncated at d, since
+    for homogeneous input a strong basis truncated at degree d decides
+    membership in degrees <= d.  Every other ring or input forms one group,
+    on which this is the plain greedy pass.  The kept indices are the same
+    either way.
     """
     cols = [ambient.coerce_vector(c) for c in columns]
     ring = ambient.ring
@@ -824,19 +829,108 @@ def prune_columns(
     lower = lower.grown(_unit_columns(ambient), top)
     kept = []
     for g, (degree, group) in enumerate(groups):
-        if g:
-            group = [j for j in group if not lower.contains(engine[j])]
-        for j in list(group):
-            # alone in a later group, a column was just tested against N_<d
-            others = [engine[k] for k in group if k != j]
-            if others and lower.grown(others, degree).contains(engine[j]):
-                group.remove(j)
+        survivors = None if degree is None else _lattice_greedy(lower, [engine[j] for j in group])
+        if survivors is not None:
+            group = [group[i] for i in survivors]
+        else:
+            if g:
+                group = [j for j in group if not lower.contains(engine[j])]
+            for j in list(group):
+                # alone in a later group, a column was just tested against N_<d
+                others = [engine[k] for k in group if k != j]
+                if others and lower.grown(others, degree).contains(engine[j]):
+                    group.remove(j)
         kept.extend(group)
         if g + 1 < len(groups):
             # with N_<d, the kept columns span what the whole group does
             lower = lower.grown([engine[k] for k in group], top)
     kept.sort()
     return [cols[k] for k in kept], kept
+
+
+def _lattice_greedy(lower: _ModuleGB, vecs: list[dict]) -> list[int] | None:
+    """The greedy pass over one degree group as a Z-lattice question.
+
+    vecs are the group's engine columns, all of one degree d, and lower is a
+    strong basis of N_<d truncated at or above d.  Returns the indices the
+    greedy pass keeps, or None when no lattice decides it.
+
+    Each column is reduced once against lower; a zero remainder is dropped.
+    When no remainder term is divisible, monomial only, by a leading term of
+    lower, no nonzero Z-combination of remainders lies in N_<d, since its
+    leading term would be; then a column c lies in N_<d + span(others) iff
+    some vector of the remainders' integer kernel K is 1 at c and 0 at
+    every column dropped before c.  A remainder term that a leading term of
+    lower divides keeps a residue that a combination can clear, which no
+    lattice over the remainders' terms sees: that group returns None.
+
+    Remainders that share no term, even through others, have independent
+    kernels, so each block of them is walked on its own.  One Hermite form
+    of a block, its columns inserted last first, leaves an echelon basis of
+    K in the transforms of the columns that vanish: each starts at its own
+    column.  Walking the block in index order, only the basis vector that
+    starts at c and the vectors carried from kept columns can be nonzero at
+    c.  If their entries at c have gcd 1, c is dropped: an xgcd chain leaves
+    one vector with a unit at c, which goes, and the rest vanish at c and
+    are carried on.  Otherwise c is kept and its basis vector is carried, to
+    be read only after c.  The carried vectors number at most the kept
+    columns.
+    """
+    remainders = [lower._reduce(v) for v in vecs]
+    live = [i for i, rem in enumerate(remainders) if rem]
+    if len(live) < 2:  # alone, a column is dropped iff it lies in N_<d
+        return live
+    basis, by_pos, divides, top = lower.basis, lower.by_pos, lower.pk.exp_guard, lower.pk.top
+    if any(
+        not (basis[b].key - key) & divides
+        for i in live
+        for key in remainders[i]
+        for b in by_pos.get(-(key >> top), ())
+    ):
+        return None
+    # union-find over the columns: two sharing a term join one block
+    root = list(range(len(vecs)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    owner: dict[int, int] = {}  # term key -> a column holding it
+    for i in live:
+        for key in remainders[i]:
+            root[find(i)] = find(owner.setdefault(key, i))
+    blocks: dict[int, list[int]] = {}
+    for i in live:
+        blocks.setdefault(find(i), []).append(i)
+    kept = []
+    for block in blocks.values():
+        if len(block) == 1:  # a nonzero remainder alone has no kernel
+            kept += block
+            continue
+        keys = sorted(set().union(*(remainders[i] for i in block)))
+        units = reversed(_eye(len(block)))
+        lattice = [[remainders[i].get(key, 0) for key in keys] + unit for i, unit in zip(reversed(block), units)]
+        transforms = [v[len(keys) :] for v in lattice[len(_hermite(lattice, len(keys))) :]]
+        starts = {next(c for c, a in enumerate(k) if a): k for k in transforms}
+        carried: list[list[int]] = []
+        for c, i in enumerate(block):
+            start = starts.get(c)
+            here = [k for k in carried if k[c]] + ([start] if start else [])
+            if math.gcd(*(k[c] for k in here)) != 1:
+                kept.append(i)
+                if start:
+                    carried.append(start)
+                continue
+            here.sort(key=lambda k: abs(k[c]))  # a unit first makes each step a plain reduction
+            pivot, carried = here[0], [k for k in carried if not k[c]]
+            for k in here[1:]:
+                g, s, t = _xgcd(pivot[c], k[c])
+                x, y = pivot[c] // g, k[c] // g
+                pivot, k = [s * p + t * q for p, q in zip(pivot, k)], [x * q - y * p for p, q in zip(pivot, k)]
+                carried.append(k)
+    return sorted(kept)
 
 
 def _degree_groups(

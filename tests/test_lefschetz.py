@@ -542,6 +542,19 @@ case huge_degree { title "winding number 10^9"; even one; odd wind; oracle circl
     assert "OracleError: degree 1000000000 has 999999999 fixed points to check" in done.stdout
 
 
+def test_cli_refuses_an_oracle_matrix_past_the_bound(tmp_path):
+    m = [[int(i == j) for j in range(100)] for i in range(100)]
+    done = _run_cli_in_subprocess(tmp_path, f"""
+ring Z;
+free H [0];
+hom one : H -> H {{ lift [[1]]; }}
+hom zero : H -> H {{ lift [[0]]; }}
+case huge_torus {{ title "a 100 by 100 matrix"; even one; odd zero; oracle det_i_minus_m [{m}]; }}
+""")
+    assert done.returncode == 2, done.stderr
+    assert "OracleError: a 100 x 100 matrix is larger than the bound of 32" in done.stdout
+
+
 def test_cli_refuses_a_ring_map_image_past_the_caps(tmp_path):
     done = _run_cli_in_subprocess(tmp_path, """
 ring Z[s:0];

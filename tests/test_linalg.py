@@ -366,6 +366,18 @@ def test_prune_columns_completes_lower_degrees_for_later_groups():
     assert prune_columns(m, cols)[1] == [0, 1]
 
 
+def test_prune_columns_falls_back_where_a_remainder_keeps_a_residue():
+    # Against N_<4 = (2x), x^2 is its own remainder: 2x divides its monomial
+    # but not its coefficient.  Column 1 = 2x * x - column 2, so the greedy
+    # pass drops it, though the two remainders x^2 + y^2 and x^2 - y^2 are
+    # Z-independent; only a completion sees that their sum lies in N_<4.
+    m = GradedFreeModule(ZXY_EVEN, (0,))
+    x, y = ZXY_EVEN.gen("x"), ZXY_EVEN.gen("y")
+    cols = [m.coerce_vector([c]) for c in (2 * x, x * x + y * y, x * x - y * y)]
+    assert _greedy_reference(m, cols) == [0, 2]
+    assert prune_columns(m, cols)[1] == [0, 2]
+
+
 # -- whole matrices: solve and many-column membership ---------------------------
 
 

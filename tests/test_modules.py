@@ -429,6 +429,32 @@ def test_mpower_in_five_variables_has_eagon_northcott_ranks():
     verify_resolution(res)
 
 
+def test_pruning_tests_each_degree_group_as_one_lattice(monkeypatch):
+    # The first syzygies of m^3 in 4 variables: 190 columns in 3 degree
+    # groups, 45 kept.  Their remainders against N_<d keep no residue term,
+    # so no group falls back to a completion per column.
+    f = _mpower(4, 3).relations
+    vectors = solvers_impl.column_span(f).syzygy_vectors()
+    groups = solvers_impl._degree_groups(f.source, vectors)
+    calls = []
+    grown = solvers_impl._ModuleGB.grown
+
+    def counting(gb, columns, max_degree=None):
+        calls.append(max_degree)
+        return grown(gb, columns, max_degree)
+
+    monkeypatch.setattr(solvers_impl._ModuleGB, "grown", counting)
+    assert len(solvers_impl.prune_columns(f.source, vectors)[1]) == 45
+    assert len(vectors) == 190 and len(groups) == 3
+    assert len(calls) <= len(groups)
+
+
+def test_mpower_cubed_in_five_variables_resolves_minimally():
+    res = resolve(_mpower(5, 3))
+    assert [p.rank for p in res.modules] == [1, 35, 105, 126, 70, 15]
+    verify_resolution(res)
+
+
 def test_lift_rejects_foreign_endo():
     m1, m2 = _mod2(), _mod4()
     res = resolve(m1)

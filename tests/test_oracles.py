@@ -9,7 +9,7 @@ import pytest
 
 import gradedtrace.oracles as oracles_module
 from gradedtrace import ORACLES, OracleError, int_determinant, integers, laurent_ring
-from gradedtrace.oracles import MAX_CIRCLE_FIXED_POINTS
+from gradedtrace.oracles import MAX_CIRCLE_FIXED_POINTS, MAX_ORACLE_MATRIX
 
 Z = integers()
 ZL = laurent_ring(["t"], [0])
@@ -86,6 +86,21 @@ def test_det_i_minus_m_meets_its_time_bound(n, bound):
     start = time.perf_counter()
     ORACLES["det_i_minus_m"](Z, [m])
     assert time.perf_counter() - start < bound
+
+
+@pytest.mark.parametrize("name", ["det_i_minus_m", "count_eigenlines"])
+def test_matrix_oracles_refuse_a_matrix_past_the_bound(name):
+    n = MAX_ORACLE_MATRIX + 1
+    with pytest.raises(OracleError) as err:
+        ORACLES[name](Z, [[[int(i == j) for j in range(n)] for i in range(n)]])
+    assert str(err.value) == f"a {n} x {n} matrix is larger than the bound of {MAX_ORACLE_MATRIX}"
+
+
+def test_det_i_minus_m_accepts_the_matrix_at_the_bound():
+    n = MAX_ORACLE_MATRIX
+    m = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    # a cyclic permutation of n points: det(I - M) = 1 - 1 = 0
+    assert ORACLES["det_i_minus_m"](Z, [m]) == Z.const(0)
 
 
 def test_the_oracles_import_nothing_from_the_engine():
