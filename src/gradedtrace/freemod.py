@@ -270,15 +270,29 @@ def zero_hom(
 
 
 def compose(g: GradedMatrixHom, f: GradedMatrixHom) -> GradedMatrixHom:
-    """g after f; degrees add."""
+    """g after f; degrees add.
+
+    Where a factor is the ring's shared one (RingSpec.one), the other entry
+    is taken as it is instead of multiplied by 1; an entry of g is checked
+    once, not once per product.  That holds only when f and g are over the
+    same ring object.
+    """
     if f.target != g.source:
         raise ValueError(
             f"cannot compose: inner modules differ ({f.target} vs {g.source})"
         )
-    rows = [
-        _row_sum((j, gk * fkj) for k, gk in g_row.items() for j, fkj in f._rows[k].items())
-        for g_row in g._rows
-    ]
+    one = g.ring.one() if g.ring is f.ring else None
+    rows = []
+    for g_row in g._rows:
+        terms = []
+        for k, gk in g_row.items():
+            f_row = f._rows[k]
+            if gk is one:
+                terms += f_row.items()
+                continue
+            for j, fkj in f_row.items():
+                terms.append((j, gk if fkj is one else gk * fkj))
+        rows.append(_row_sum(terms))
     return GradedMatrixHom._closed(f.source, g.target, g.degree + f.degree, rows)
 
 

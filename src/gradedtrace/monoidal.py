@@ -15,6 +15,12 @@ The categorical trace of f is the scalar
     unit, then f ⊗ id on the dual, then braid, then counit,
 
 and equals the signed diagonal sum computed by free_trace.
+
+The identity, unit, counit and braiding take their entries from the ring's
+shared one (RingSpec.one), so composing or tensoring with them hands the
+other entries over instead of multiplying by 1.  The composite stays
+literal: every structural map is still built and composed, only the
+products by 1 are gone.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     target = tensor_modules(f.target, g.target)
     rs_b = g.source.rank
     negate = [(g.degree * n) % 2 == 1 for n in f.source.shifts]
+    one = f.ring.one() if f.ring is g.ring else None
     rows = []
     for f_row in f._rows:
         if not f_row:
@@ -62,8 +69,12 @@ def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
         for g_row in g._rows:
             row = {}
             for base, fij in signed:
+                if fij is one:
+                    for l, gkl in g_row.items():
+                        row[base + l] = gkl
+                    continue
                 for l, gkl in g_row.items():
-                    row[base + l] = fij * gkl
+                    row[base + l] = fij if gkl is one else fij * gkl
             rows.append(row)
     return GradedMatrixHom._closed(source, target, f.degree + g.degree, rows)
 
@@ -73,8 +84,9 @@ def braiding(a: GradedFreeModule, b: GradedFreeModule) -> GradedMatrixHom:
     source = tensor_modules(a, b)
     target = tensor_modules(b, a)
     one = a.ring.one()
+    minus = -one
     rows = [
-        {i * b.rank + k: -one if (ni * mk) % 2 else one}
+        {i * b.rank + k: minus if (ni * mk) % 2 else one}
         for k, mk in enumerate(b.shifts)
         for i, ni in enumerate(a.shifts)
     ]

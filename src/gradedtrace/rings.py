@@ -56,7 +56,8 @@ class RingSpec:
 
     kind is one of "integers", "polynomial", "laurent"; var_degrees are even;
     grading is "Z" or "Z/2".  Two specs are interchangeable iff they are
-    equal.  The spec doubles as an element factory.
+    equal.  The spec doubles as an element factory.  Each spec object
+    keeps one element 1, built with it and handed out by one().
     """
 
     kind: str
@@ -84,6 +85,7 @@ class RingSpec:
                 raise ValueError(
                     f"generator {name} has odd degree {deg}; only even degrees are supported"
                 )
+        object.__setattr__(self, "_one", RingElement._clean(self, {(0,) * self.nvars: 1}))
 
     # -- element factories ------------------------------------------------
 
@@ -101,7 +103,14 @@ class RingSpec:
         return RingElement._clean(self, {})
 
     def one(self) -> RingElement:
-        return self.const(1)
+        """The same element 1 on every call for this spec object.
+
+        Elements never change, so the identity, unit, counit and braiding
+        all share it, and compose and tensor_homs hand the other factor
+        over where an entry is this element instead of multiplying by 1.
+        An equal but distinct spec has its own one; const(1) is fresh.
+        """
+        return self._one  # type: ignore[attr-defined]
 
     def gen(self, name: str, power: int = 1) -> RingElement:
         i = self.var_names.index(name)

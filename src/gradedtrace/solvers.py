@@ -33,6 +33,7 @@ polynomial span is not saturated), so the inverse variables are essential.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -118,40 +119,49 @@ def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None
     ones follow in index order.  Returns the pivot rows.  Each step applies
     its inverse transpose to duals, so sum_j vecs[j] (x) duals[j] is kept.
     """
-    duals = duals if duals is not None else [[] for _ in vecs]
     pivots: dict[int, int] = {}  # pivot row -> index of its column
+    rows: list[int] = []  # the pivot rows, in increasing order
     for j in range(len(vecs)):
+        changed = False
         for r in range(m):
             b = vecs[j][r]
             if not b:
                 continue
+            changed = True
             k = pivots.get(r)
             if k is None:
                 pivots[r] = j
+                bisect.insort(rows, r)
                 if b < 0:
                     vecs[j] = [-x for x in vecs[j]]
-                    duals[j] = [-x for x in duals[j]]
+                    if duals is not None:
+                        duals[j] = [-x for x in duals[j]]
                 break
             g, s, t = _xgcd(vecs[k][r], b)
             x, y = vecs[k][r] // g, b // g
-            vk, vj, wk, wj = vecs[k], vecs[j], duals[k], duals[j]
+            vk, vj = vecs[k], vecs[j]
             vecs[k] = [s * p + t * q for p, q in zip(vk, vj)]
             vecs[j] = [x * q - y * p for p, q in zip(vk, vj)]
-            duals[k] = [x * p + y * q for p, q in zip(wk, wj)]
-            duals[j] = [s * q - t * p for p, q in zip(wk, wj)]
-        rows = sorted(pivots)
+            if duals is not None:
+                wk, wj = duals[k], duals[j]
+                duals[k] = [x * p + y * q for p, q in zip(wk, wj)]
+                duals[j] = [s * q - t * p for p, q in zip(wk, wj)]
+        if not changed:  # a column that is zero in the first m entries changes nothing
+            continue
         for i, c in enumerate(pivots[r] for r in rows):
             for r in rows[i + 1 :]:
                 k = pivots[r]
                 q = vecs[c][r] // vecs[k][r]
                 if q:
                     vecs[c] = [p - q * z for p, z in zip(vecs[c], vecs[k])]
-                    duals[k] = [z + q * p for p, z in zip(duals[c], duals[k])]
-    rows = sorted(pivots)
-    order = [pivots[r] for r in rows]
-    order += sorted(set(range(len(vecs))).difference(order))
-    vecs[:] = [vecs[j] for j in order]
-    duals[:] = [duals[j] for j in order]
+                    if duals is not None:
+                        duals[k] = [z + q * p for p, z in zip(duals[c], duals[k])]
+    if any(pivots[r] != i for i, r in enumerate(rows)):
+        order = [pivots[r] for r in rows]
+        order += sorted(set(range(len(vecs))).difference(order))
+        vecs[:] = [vecs[j] for j in order]
+        if duals is not None:
+            duals[:] = [duals[j] for j in order]
     return rows
 
 
@@ -522,6 +532,9 @@ class _IntBackend:
             rows, cols = class_rows.get(c, []), class_cols[c]
             if any(columns[j][i] for j in cols for i in range(ambient.rank) if i not in rows):
                 raise EngineError("column escapes its grading block")
+            if not cols:  # the block of zero columns, often empty
+                self.blocks.append((rows, cols, [], [], []))
+                continue
             vecs = [
                 [columns[j][i].coefficient(()) for i in rows] + unit
                 for j, unit in zip(cols, _eye(len(cols)))

@@ -228,6 +228,71 @@ def test_integer_spans_at_scale(rows, data):
     assert _bits(stored) <= _bit_bound(m, n, 50)
 
 
+def _hermite_reference(vecs, m, duals=None):
+    """solvers._hermite as it stood before its fixed cost per call was trimmed, kept frozen."""
+    duals = duals if duals is not None else [[] for _ in vecs]
+    pivots = {}
+    for j in range(len(vecs)):
+        for r in range(m):
+            b = vecs[j][r]
+            if not b:
+                continue
+            k = pivots.get(r)
+            if k is None:
+                pivots[r] = j
+                if b < 0:
+                    vecs[j] = [-x for x in vecs[j]]
+                    duals[j] = [-x for x in duals[j]]
+                break
+            g, s, t = solvers_impl._xgcd(vecs[k][r], b)
+            x, y = vecs[k][r] // g, b // g
+            vk, vj, wk, wj = vecs[k], vecs[j], duals[k], duals[j]
+            vecs[k] = [s * p + t * q for p, q in zip(vk, vj)]
+            vecs[j] = [x * q - y * p for p, q in zip(vk, vj)]
+            duals[k] = [x * p + y * q for p, q in zip(wk, wj)]
+            duals[j] = [s * q - t * p for p, q in zip(wk, wj)]
+        rows = sorted(pivots)
+        for i, c in enumerate(pivots[r] for r in rows):
+            for r in rows[i + 1 :]:
+                k = pivots[r]
+                q = vecs[c][r] // vecs[k][r]
+                if q:
+                    vecs[c] = [p - q * z for p, z in zip(vecs[c], vecs[k])]
+                    duals[k] = [z + q * p for p, z in zip(duals[c], duals[k])]
+    rows = sorted(pivots)
+    order = [pivots[r] for r in rows]
+    order += sorted(set(range(len(vecs))).difference(order))
+    vecs[:] = [vecs[j] for j in order]
+    duals[:] = [duals[j] for j in order]
+    return rows
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), with_duals=st.booleans())
+def test_hermite_matches_its_frozen_reference(rng, with_duals):
+    # zero, repeated and unit columns give insertions with no step, no pivot, or an identity order
+    m, n, extra = rng.randint(0, 7), rng.randint(0, 9), rng.randint(0, 4)
+    vecs = []
+    for j in range(n):
+        kind = rng.random()
+        if kind < 0.2:
+            head = [0] * m
+        elif kind < 0.35 and vecs:
+            head = list(rng.choice(vecs)[:m])
+        elif kind < 0.5 and j < m:
+            head = [int(i == j) for i in range(m)]
+        else:
+            head = [rng.randint(-20, 20) if rng.random() < 0.6 else 0 for _ in range(m)]
+        vecs.append(head + [rng.randint(-5, 5) for _ in range(extra)])
+    duals = [[rng.randint(-5, 5) for _ in range(extra)] for _ in range(n)] if with_duals else None
+    want_vecs = [list(v) for v in vecs]
+    want_duals = [list(w) for w in duals] if with_duals else None
+    want_rows = _hermite_reference(want_vecs, m, want_duals)
+    assert solvers_impl._hermite(vecs, m, duals) == want_rows
+    assert vecs == want_vecs
+    assert duals == want_duals
+
+
 def test_thirty_integer_columns_prune_within_the_deadline():
     # one Hermite membership per column; a zero-variable Groebner completion per test takes about 15 s
     code = """

@@ -9,6 +9,7 @@ from gradedtrace import (
     DualityData,
     GradedFreeModule,
     GradedMatrixHom,
+    RingElement,
     RingMismatch,
     RingSpec,
     braiding,
@@ -241,3 +242,126 @@ def test_one_ring_object_makes_no_spec_comparison(monkeypatch):
     assert categorical_trace(f).value == free_trace(f).value
     assert zigzag_holds(standard_duality(f.source))
     assert calls == []
+
+
+def _twin(ring: RingSpec) -> RingSpec:
+    return RingSpec(ring.kind, ring.var_names, ring.var_degrees, ring.grading)
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_each_ring_object_shares_one_element_one(ring):
+    twin = _twin(ring)
+    assert ring.one() is ring.one()
+    assert twin.one() == ring.one() and twin.one() is not ring.one()
+    assert ring.const(1) == ring.one() and ring.const(1) is not ring.one()
+    module = GradedFreeModule(ring, (0, 2, 1))
+    d = standard_duality(module)
+    entries = [*identity_hom(module)._rows, *d.unit._rows, *d.counit._rows, *braiding(module, d.dual)._rows]
+    assert all(e is ring.one() or e == -1 for row in entries for e in row.values())
+
+
+def _mixed_map(rng, source, target, degree):
+    """A map whose degree-0 entries mix the shared one, a fresh 1, -1 and general elements."""
+    ring = source.ring
+    rows = []
+    for t in target.shifts:
+        row = []
+        for s in source.shifts:
+            want = t - s + degree
+            general = gu.random_homogeneous(rng, ring, want, span=1) if rng.random() < 0.7 else ring.zero()
+            if ring.one().has_degree(want):
+                row.append(rng.choice([ring.one(), ring.one(), ring.const(1), ring.const(-1), general]))
+            else:
+                row.append(general)
+        rows.append(row)
+    return GradedMatrixHom(source, target, degree, rows)
+
+
+def _product_compose(g, f):
+    """g after f by entrywise products, no entry handed over."""
+    rows = [
+        [sum((g[i, k] * f[k, j] for k in range(g.source.rank)), g.ring.zero()) for j in range(f.source.rank)]
+        for i in range(g.target.rank)
+    ]
+    return GradedMatrixHom(f.source, g.target, g.degree + f.degree, rows)
+
+
+def _product_tensor(f, g):
+    """f ⊗ g by entrywise products with the Koszul sign of each source column of f."""
+    rows = [
+        [
+            (-1) ** (g.degree * f.source.shifts[j] % 2) * (f[i, j] * g[k, l])
+            for j in range(f.source.rank)
+            for l in range(g.source.rank)
+        ]
+        for i in range(f.target.rank)
+        for k in range(g.target.rank)
+    ]
+    return GradedMatrixHom(tensor_modules(f.source, g.source), tensor_modules(f.target, g.target), f.degree + g.degree, rows)
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_handing_over_ones_matches_entrywise_products(ring):
+    rng = random.Random(41)
+    for _ in range(25):
+        a, b, c = (GradedFreeModule(ring, tuple(rng.choice((0, 0, 2, -2, 1)) for _ in range(rng.randint(1, 4)))) for _ in range(3))
+        f = _mixed_map(rng, a, b, rng.choice((0, 0, 1, 2)))
+        g = _mixed_map(rng, b, c, rng.choice((0, 0, 1, 2)))
+        assert compose(g, f) == _product_compose(g, f)
+        assert tensor_homs(f, g) == _product_tensor(f, g)
+        assert tensor_homs(g, f) == _product_tensor(g, f)
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_equal_but_distinct_rings_keep_their_products(ring, monkeypatch):
+    rng = random.Random(43)
+    twin = _twin(ring)
+    module = GradedFreeModule(ring, (0, 2, 1))
+    g = _mixed_map(rng, module, module, 0)
+    f = identity_hom(GradedFreeModule(twin, module.shifts))
+    products = []
+    mul = RingElement.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    assert compose(g, f) == _product_compose(g, f) == g
+    assert tensor_homs(g, f) == _product_tensor(g, f)
+    assert any(other is twin.one() for _, other in products)
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_zigzag_makes_no_ring_product(ring, monkeypatch):
+    rng = random.Random(47)
+    products = []
+    mul = RingElement.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    for _ in range(5):
+        assert zigzag_holds(standard_duality(GradedFreeModule(ring, gu.random_shifts(rng))))
+    assert products == []
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_categorical_trace_never_multiplies_by_the_shared_one(ring, monkeypatch):
+    rng = random.Random(53)
+    one = ring.one()
+    by_one = []
+    mul = RingElement.__mul__
+
+    def counted(self, other):
+        if self is one or other is one:
+            by_one.append((self, other))
+        return mul(self, other)
+
+    maps = [gu.random_endo(rng, GradedFreeModule(ring, gu.random_shifts(rng)), rng.choice((0, 1, 2))) for _ in range(8)]
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    traces = [categorical_trace(f) for f in maps]
+    assert by_one == []
+    assert [t.value for t in traces] == [free_trace(f).value for f in maps]
