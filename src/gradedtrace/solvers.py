@@ -17,12 +17,11 @@ division step scans only the elements at the term's own position.  An
 exponent or degree past 32767 raises EngineError instead of wrapping.
 
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
-in the span of others, over the integers with the Hermite form alone.  When
-the columns are grouped by degree, a whole group is one Z-lattice question:
-its remainders against the span of lower degrees go through the same
-Hermite form, and only a group whose remainders keep a residue term falls
-back to one Groebner test per column, each completed only up to the degree
-of the column it asks about.
+in the span of others.  Over the integers, and for each degree group of a
+polynomial ring's columns, that is one Z-lattice question, answered by the
+Hermite form and a walk over the kernel it leaves (_lattice_walk); only a
+group whose remainders keep a residue term falls back to one Groebner test
+per column.
 
 A Laurent ring enters the same engine with a formal inverse y_i for every
 variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
@@ -46,6 +45,7 @@ from .rings import (
     INHOMOGENEOUS,
     INTEGERS,
     LAURENT,
+    HomogeneityError,
     RingElement,
     RingSpec,
 )
@@ -521,7 +521,7 @@ class _IntBackend:
         for j, col in enumerate(columns):
             k = ambient.vector_degree(col)
             if k is INHOMOGENEOUS:
-                raise EngineError("integer-backend columns must be homogeneous")
+                raise HomogeneityError(f"column {j} is not homogeneous")
             c = None if k is ANY_DEGREE else ring.reduce_degree(-k)
             class_cols.setdefault(c, []).append(j)
         class_rows: dict[int, list[int]] = {}
@@ -807,33 +807,31 @@ def prune_columns(
     """Drop columns lying in the span of the others (greedy, deterministic).
 
     The greedy pass visits the columns in index order and drops each one
-    that lies in the span of the other columns still kept; over Z each test
-    is one Hermite membership.  In a polynomial ring graded by Z with every
-    variable of positive degree, a homogeneous column of degree d lies in a
-    span iff it lies in the span of that span's columns of degree <= d, and
-    dropping a column never changes the span of the kept columns of degree
-    <= e, for any e.  So the decision on a degree-d column depends only on
-    N_<d, the span of all columns of lower degree, and on the kept columns
-    of degree d: the groups of equal degree are taken in increasing degree
-    against one growing Groebner basis of N_<d, truncated at the largest
-    column degree, and each group is one pass (_lattice_greedy): the degree
-    0 part of the ring is Z, so the greedy choice within a group is a
-    Z-lattice question about its remainders modulo N_<d, answered by the
-    Hermite form.  A group whose remainders keep a residue term falls back
-    to the greedy pass with one completion per column, truncated at d, since
-    for homogeneous input a strong basis truncated at degree d decides
-    membership in degrees <= d.  Every other ring or input forms one group,
-    on which this is the plain greedy pass.  The kept indices are the same
-    either way.
+    that lies in the span of the other columns still kept (all-zero columns
+    keep the last).  Over Z that is one Z-lattice question (_lattice_walk).
+    In a polynomial ring graded by Z with every variable of positive degree,
+    a homogeneous column of degree d lies in a span iff it lies in the span
+    of that span's columns of degree <= d, and dropping a column never
+    changes the span of the kept columns of degree <= e, for any e.  So the
+    decision on a degree-d column depends only on N_<d, the span of all
+    columns of lower degree, and on the kept columns of degree d: the groups
+    of equal degree are taken in increasing degree against one growing
+    Groebner basis of N_<d, truncated at the largest column degree, and
+    each group is one pass (_lattice_greedy): the degree 0 part of the ring
+    is Z, so within a group it is the same lattice question about the
+    remainders modulo N_<d.  A group whose remainders keep a residue term
+    falls back to the greedy pass with one completion per column, truncated
+    at d, since for homogeneous input a strong basis truncated at degree d
+    decides membership in degrees <= d.  Every other polynomial or Laurent
+    ring or input forms one group, on which this is the plain greedy pass.
+    The kept indices are the same either way.
     """
     cols = [ambient.coerce_vector(c) for c in columns]
     ring = ambient.ring
     if ring.kind == INTEGERS:
-        kept = list(range(len(cols)))
-        for j in range(len(cols)):
-            others = [cols[k] for k in kept if k != j]
-            if others and _IntBackend(ambient, others).inside(_nonzero(cols[j])):
-                kept.remove(j)
+        kept = _lattice_walk([{i: e.coefficient(()) for i, e in enumerate(c) if e} for c in cols])
+        if not kept and cols:  # every column zero: the greedy pass keeps the last one
+            kept = [len(cols) - 1]
         return [cols[k] for k in kept], kept
     engine = [_to_engine(ring, enumerate(c)) for c in cols]
     groups = _degree_groups(ambient, cols)
@@ -862,22 +860,37 @@ def prune_columns(
 
 
 def _lattice_greedy(lower: _ModuleGB, vecs: list[dict]) -> list[int] | None:
-    """The greedy pass over one degree group as a Z-lattice question.
+    """The greedy pass over one degree group: the indices it keeps, or None.
 
     vecs are the group's engine columns, all of one degree d, and lower is a
-    strong basis of N_<d truncated at or above d.  Returns the indices the
-    greedy pass keeps, or None when no lattice decides it.
+    strong basis of N_<d truncated at or above d.  Unless a remainder modulo
+    lower keeps a residue term, one whose monomial but not coefficient a
+    leading term of lower divides, no nonzero Z-combination of remainders
+    lies in N_<d, as its leading term would be one: the pass is then
+    _lattice_walk over the remainders.  Otherwise two or more nonzero
+    remainders return None.
+    """
+    remainders = [lower._reduce(v) for v in vecs]
+    basis, by_pos, divides, top = lower.basis, lower.by_pos, lower.pk.exp_guard, lower.pk.top
+    if sum(map(bool, remainders)) > 1 and any(
+        not (basis[b].key - key) & divides
+        for rem in remainders
+        for key in rem
+        for b in by_pos.get(-(key >> top), ())
+    ):
+        return None
+    return _lattice_walk(remainders)
 
-    Each column is reduced once against lower; a zero remainder is dropped.
-    When no remainder term is divisible, monomial only, by a leading term of
-    lower, no nonzero Z-combination of remainders lies in N_<d, since its
-    leading term would be; then a column c lies in N_<d + span(others) iff
-    some vector of the remainders' integer kernel K is 1 at c and 0 at
-    every column dropped before c.  A remainder term that a leading term of
-    lower divides keeps a residue that a combination can clear, which no
-    lattice over the remainders' terms sees: that group returns None.
 
-    Remainders that share no term, even through others, have independent
+def _lattice_walk(vecs: list[dict]) -> list[int]:
+    """The indices the greedy pass keeps among sparse integer columns.
+
+    vecs[i] maps keys (rows or terms) to integers.  Visiting the columns in
+    index order, the pass drops each one in the integer span of the others
+    still kept: c goes iff some vector of the columns' integer kernel K is 1
+    at c and 0 at every column dropped before c.  A zero column always goes.
+
+    Columns that share no key, even through others, have independent
     kernels, so each block of them is walked on its own.  One Hermite form
     of a block, its columns inserted last first, leaves an echelon basis of
     K in the transforms of the columns that vanish: each starts at its own
@@ -889,19 +902,8 @@ def _lattice_greedy(lower: _ModuleGB, vecs: list[dict]) -> list[int] | None:
     be read only after c.  The carried vectors number at most the kept
     columns.
     """
-    remainders = [lower._reduce(v) for v in vecs]
-    live = [i for i, rem in enumerate(remainders) if rem]
-    if len(live) < 2:  # alone, a column is dropped iff it lies in N_<d
-        return live
-    basis, by_pos, divides, top = lower.basis, lower.by_pos, lower.pk.exp_guard, lower.pk.top
-    if any(
-        not (basis[b].key - key) & divides
-        for i in live
-        for key in remainders[i]
-        for b in by_pos.get(-(key >> top), ())
-    ):
-        return None
-    # union-find over the columns: two sharing a term join one block
+    live = [i for i, v in enumerate(vecs) if v]
+    # union-find over the columns: two sharing a key join one block
     root = list(range(len(vecs)))
 
     def find(i: int) -> int:
@@ -910,21 +912,21 @@ def _lattice_greedy(lower: _ModuleGB, vecs: list[dict]) -> list[int] | None:
             i = root[i]
         return i
 
-    owner: dict[int, int] = {}  # term key -> a column holding it
+    owner: dict = {}  # key -> a column holding it
     for i in live:
-        for key in remainders[i]:
+        for key in vecs[i]:
             root[find(i)] = find(owner.setdefault(key, i))
     blocks: dict[int, list[int]] = {}
     for i in live:
         blocks.setdefault(find(i), []).append(i)
     kept = []
     for block in blocks.values():
-        if len(block) == 1:  # a nonzero remainder alone has no kernel
+        if len(block) == 1:  # a nonzero column alone has no kernel
             kept += block
             continue
-        keys = sorted(set().union(*(remainders[i] for i in block)))
+        keys = sorted(set().union(*(vecs[i] for i in block)))
         units = reversed(_eye(len(block)))
-        lattice = [[remainders[i].get(key, 0) for key in keys] + unit for i, unit in zip(reversed(block), units)]
+        lattice = [[vecs[i].get(key, 0) for key in keys] + unit for i, unit in zip(reversed(block), units)]
         transforms = [v[len(keys) :] for v in lattice[len(_hermite(lattice, len(keys))) :]]
         starts = {next(c for c, a in enumerate(k) if a): k for k in transforms}
         carried: list[list[int]] = []

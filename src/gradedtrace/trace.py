@@ -100,7 +100,8 @@ def hs_trace(
     """Trace of a module endomorphism through a free resolution.
 
     The value is independent of the resolution and of the chain lift; both
-    may be supplied to reuse work (lifts requires resolution).
+    may be supplied to reuse work (lifts requires resolution, and must be
+    one endomorphism of endo's degree on each of its terms).
     """
     if endo.source != endo.target:
         raise ValueError("trace needs an endomorphism")
@@ -110,6 +111,10 @@ def hs_trace(
         resolution = resolve(endo.source)
     if lifts is None:
         lifts = lift_endomorphism(resolution, endo)
+    elif resolution.module != endo.source or len(lifts) != len(resolution.modules) or any(
+        (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, resolution.modules)
+    ):
+        raise ValueError("lifts must be one endomorphism of endo's degree per term of a resolution of its module")
     total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
     return TraceValue(total, endo.degree)
 

@@ -294,7 +294,7 @@ def test_hermite_matches_its_frozen_reference(rng, with_duals):
 
 
 def test_thirty_integer_columns_prune_within_the_deadline():
-    # one Hermite membership per column; a zero-variable Groebner completion per test takes about 15 s
+    # one lattice walk for all the columns; a zero-variable Groebner completion per test took about 15 s
     code = """
         import random, time
         from gradedtrace import GradedFreeModule, integers, prune_columns
@@ -313,6 +313,32 @@ def test_thirty_integer_columns_prune_within_the_deadline():
     rng = random.Random(7)
     m = GradedFreeModule(Z, (0,) * 16)
     cols = [m.coerce_vector([rng.randint(-20, 20) for _ in range(16)]) for _ in range(30)]
+    kept = [int(k) for k in kept]
+    span = ColumnSpan(m, [cols[k] for k in kept])
+    assert all(span.contains(c) for c in cols)
+    for k in kept:
+        assert not ColumnSpan(m, [cols[j] for j in kept if j != k]).contains(cols[k])
+
+
+def test_a_hundred_and_twenty_integer_columns_prune_within_a_second():
+    # one Hermite form for all the columns; one per column took about 15 s
+    code = """
+        import random, time
+        from gradedtrace import GradedFreeModule, integers, prune_columns
+        rng = random.Random(7)
+        m = GradedFreeModule(integers(), (0,) * 32)
+        cols = [[rng.randint(-20, 20) for _ in range(32)] for _ in range(120)]
+        start = time.perf_counter()
+        kept = prune_columns(m, cols)[1]
+        print(time.perf_counter() - start, *kept)
+    """
+    done = _run(["-c", textwrap.dedent(code)])
+    assert done.returncode == 0, done.stderr
+    seconds, *kept = done.stdout.split()
+    assert float(seconds) < 1.0
+    rng = random.Random(7)
+    m = GradedFreeModule(integers(), (0,) * 32)
+    cols = [m.coerce_vector([rng.randint(-20, 20) for _ in range(32)]) for _ in range(120)]
     kept = [int(k) for k in kept]
     span = ColumnSpan(m, [cols[k] for k in kept])
     assert all(span.contains(c) for c in cols)

@@ -283,6 +283,19 @@ def test_cli_resolve_counts_the_relation_map_against_max_length(workdir, capsys)
     assert "length 1" in capsys.readouterr().out
 
 
+def test_cli_resolve_refuses_a_negative_max_length_for_every_module(workdir, capsys):
+    # a free module has a resolution of length 0, which is still not <= -1
+    (workdir / "free.txt").write_text("ring Z[x:2]; module F { gens [0, 1]; }")
+    (workdir / "x.txt").write_text("ring Z[x:2]; module M { gens [0]; rels [[x]]; }")
+    for name in ("free.txt", "x.txt"):
+        assert main(["resolve", "-f", str(workdir / name), "--max-length", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no free resolution of length <= -1 found" in captured.err
+    assert main(["resolve", "-f", str(workdir / "free.txt"), "--max-length", "0"]) == 0
+    assert "length 0" in capsys.readouterr().out
+
+
 def test_cli_emit_grammar(capsys):
     assert main(["--emit-grammar"]) == 0
     out = capsys.readouterr().out

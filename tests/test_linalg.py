@@ -13,6 +13,7 @@ from gradedtrace import (
     EngineError,
     GradedFreeModule,
     GradedMatrixHom,
+    HomogeneityError,
     compose,
     determinant,
     hom_from_columns,
@@ -272,6 +273,7 @@ def _greedy_reference(ambient, cols):
 
 PRUNE_RINGS = [
     Z,
+    integers(GRADING_Z2),
     polynomial_ring(["x", "y"], [2, 2]),
     # weighted: the degree of a pair is not the sum of its lcm's exponents
     polynomial_ring(["x", "y"], [2, 4]),
@@ -322,6 +324,53 @@ def test_prune_columns_matches_greedy_reference(ring, rng):
     kept, indices = prune_columns(m, cols)
     assert indices == _greedy_reference(m, cols)
     assert kept == [cols[i] for i in indices]
+
+
+def test_prune_columns_keeps_the_last_of_all_zero_columns():
+    # the greedy pass never drops a column left alone
+    for ring in (Z, ZX):
+        m = GradedFreeModule(ring, (0,))
+        assert prune_columns(m, [(0,), (0,)])[1] == [1]
+        assert prune_columns(m, [(0,)])[1] == [0]
+        assert prune_columns(m, [])[1] == []
+
+
+def test_prune_columns_answers_inhomogeneous_integer_columns():
+    m = GradedFreeModule(Z, (0, 1))
+    assert prune_columns(m, [(1, 1), (1, 1)])[1] == [1]
+    assert prune_columns(m, [(2, 2), (1, 0), (0, 1), (3, 3)])[1] == [1, 2]
+    assert prune_columns(m, [(2, 4), (3, 6), (1, 0)])[1] == [0, 1, 2]
+
+
+def test_integer_span_refuses_an_inhomogeneous_column_by_its_index():
+    m = GradedFreeModule(Z, (0, 1))
+    with pytest.raises(HomogeneityError, match="column 1 is not homogeneous"):
+        ColumnSpan(m, [(1, 0), (1, 1)])
+    assert ColumnSpan(m, [(1, 0), (0, 1)]).contains((3, -2))
+
+
+def test_integer_pruning_builds_no_span(monkeypatch):
+    # one lattice walk answers the whole greedy pass over Z
+    rng = random.Random(5)
+    cases = []
+    for ring in (Z, integers(GRADING_Z2)):
+        m = GradedFreeModule(ring, (0, 1, 2, 0))
+        for _ in range(5):
+            rows = rng.choice([(0, 3), (1,), (2,)])
+            cols = [m.coerce_vector([rng.randint(-4, 4) if i in rows else 0 for i in range(4)]) for _ in range(8)]
+            cases.append((m, cols, _greedy_reference(m, cols)))
+    built = []
+    for cls in (solvers_impl.ColumnSpan, solvers_impl._IntBackend, solvers_impl._ModuleGB):
+        init = cls.__init__
+
+        def recording(self, *args, init=init, cls=cls):
+            built.append(cls.__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    for m, cols, want in cases:
+        assert prune_columns(m, cols)[1] == want
+    assert built == []
 
 
 def test_prune_columns_keeps_the_greedy_choice_over_z():

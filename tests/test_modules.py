@@ -462,6 +462,33 @@ def test_lift_rejects_foreign_endo():
         lift_endomorphism(res, identity_module_hom(m2))
 
 
+def test_hs_trace_checks_the_lifts_it_is_given():
+    # multiplication by 3 on Z/(2): 3 - 3 = 0, not the 3 of the first lift alone
+    m2 = _mod2()
+    three = module_hom(m2, m2, 0, [[3]])
+    res = resolve(m2)
+    lifts = lift_endomorphism(res, three)
+    assert hs_trace(three, res, lifts).value.is_zero()
+    for bad in (lifts[:1], lifts + lifts[-1:], lifts[::-1]):
+        with pytest.raises(ValueError):
+            hs_trace(three, res, bad)
+    with pytest.raises(ValueError):
+        hs_trace(three, resolve(_mod4()), lifts)
+    # the identity of Z[x:2]/(x): [L0, L0] is not a lift over P_1 = Z[x][-1]
+    point = presented_module(ZX, [0], [[ZX.gen("x")]])
+    one, res = identity_module_hom(point), resolve(point)
+    assert hs_trace(one, res, lift_endomorphism(res, one)).value.is_zero()
+    with pytest.raises(ValueError):
+        hs_trace(one, res, [one.lift, one.lift])
+    # x on Z[x:2]/(x^2) has degree 2, so degree-0 maps are no lift of it
+    dual = _dual_numbers()
+    x = module_hom(dual, dual, 2, [[ZX.gen("x")]])
+    res = resolve(dual)
+    with pytest.raises(ValueError):
+        hs_trace(x, res, [zero_hom(p, p, 0) for p in res.modules])
+    assert hs_trace(x, res, lift_endomorphism(res, x)).value.is_zero()
+
+
 def test_perturb_lift_changes_chain_but_stays_valid():
     rng = random.Random(55)
     found_change = 0
