@@ -11,13 +11,15 @@ stored as given.  An element of ⊕R[n_i] is a column vector; it is homogeneous
 of module degree k iff entry i is homogeneous of ring degree k + n_i.
 
 A map stores sparse rows and never a zero entry; `entries` is a dense view.
-The public constructor and hom_from_columns validate outside input once.
+Inside the package a column travels sparse too, as a Column: a dict from
+position to nonzero entry.  The public constructor and hom_from_columns
+validate outside input once.
 Closed operations (sums, compose, direct sums, tensor products, braidings and
 dualities) give legal maps by construction: after their own shape and ring
 checks they build unchecked and touch nonzero entries only, and so does
 map_matrix.  Relation maps, syzygy maps and chain lifts build unchecked from
-their columns, through _from_columns; the first two take their shifts from
-_relation_shifts, the one place the resolution convention is written.
+their sparse columns, through _from_columns; the first two take their shifts
+from _relation_shifts, the one place the resolution convention is written.
 """
 
 from __future__ import annotations
@@ -36,6 +38,26 @@ from .rings import (
 )
 
 Vector = tuple[RingElement, ...]
+Column = dict[int, RingElement]  # a vector's nonzero entries by position
+
+
+def _nonzero(v: Sequence[RingElement]) -> Column:
+    """The sparse column of a dense vector."""
+    return {i: e for i, e in enumerate(v) if e}
+
+
+def _dense(column: Column, length: int, zero: RingElement) -> Vector:
+    """The dense vector of a sparse column; zero fills the other positions."""
+    return tuple(column.get(i, zero) for i in range(length))
+
+
+def _transpose(lines, length: int) -> list[Column]:
+    """Sparse rows as sparse columns of a matrix with length columns, or back."""
+    out: list[Column] = [{} for _ in range(length)]
+    for i, line in enumerate(lines):
+        for j, e in line.items():
+            out[j][i] = e
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,6 +214,9 @@ class GradedMatrixHom:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.source.rank)]
 
+    def _sparse_columns(self) -> list[Column]:
+        return _transpose(self._rows, self.source.rank)
+
     def apply(self, v: Sequence) -> Vector:
         v = self.source.coerce_vector(v)
         out = []
@@ -309,20 +334,32 @@ def hom_from_columns(
     return GradedMatrixHom(source, target, degree, rows)
 
 
-def _from_columns(source, target, degree: int, columns: list[Vector]) -> GradedMatrixHom:
-    """The map with these columns, unchecked: legal by construction."""
-    rows = [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(target.rank)]
-    return GradedMatrixHom._closed(source, target, degree, rows)
+def _from_columns(source, target, degree: int, columns: list[Column]) -> GradedMatrixHom:
+    """The map with these sparse columns, unchecked: legal by construction."""
+    return GradedMatrixHom._closed(source, target, degree, _transpose(columns, target.rank))
 
 
-def _relation_shifts(generators: GradedFreeModule, columns: list[Vector], degree: int) -> tuple[int, ...]:
+def _column_degree(module: GradedFreeModule, column):
+    """The module degree of a dense vector, outside input checked whole
+    (vector_degree), or of a Column, which the engines and legal maps make
+    homogeneous by construction: read off one term, ANY_DEGREE if empty."""
+    if not isinstance(column, dict):
+        return module.vector_degree(column)
+    for i, e in column.items():
+        exp = next(e.items())[0]
+        return module.ring.reduce_degree(module.ring.term_degree(exp) - module.shifts[i])
+    return ANY_DEGREE
+
+
+def _relation_shifts(generators: GradedFreeModule, columns: list, degree: int) -> tuple[int, ...]:
     """The resolution convention: a column of module degree k gets source
     shift degree - k (a zero column 0), so the columns form a legal map of
-    that degree.  Odd degree is enforced by PresentedModule and Resolution.
+    that degree.  Columns are dense vectors or sparse ones (_column_degree).
+    Odd degree is enforced by PresentedModule and Resolution.
     """
     shifts = []
     for idx, v in enumerate(columns):
-        k = generators.vector_degree(v)
+        k = _column_degree(generators, v)
         if k is INHOMOGENEOUS:
             raise HomogeneityError(f"relation column {idx} is not homogeneous")
         shifts.append(0 if k is ANY_DEGREE else degree - k)

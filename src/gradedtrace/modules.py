@@ -32,6 +32,7 @@ from .freemod import (
     GradedMatrixHom,
     Vector,
     _from_columns,
+    _nonzero,
     _relation_shifts,
     compose,
     hom_from_columns,
@@ -57,7 +58,7 @@ def relation_hom_from_columns(
     """
     cols = [generators.coerce_vector(c) for c in columns]
     source = GradedFreeModule(generators.ring, _relation_shifts(generators, cols, degree))
-    return _from_columns(source, generators, degree, cols)
+    return _from_columns(source, generators, degree, [_nonzero(c) for c in cols])
 
 
 class PresentedModule:
@@ -249,7 +250,7 @@ def kernel_of_hom(h: ModuleHom) -> list[Vector]:
 
 def _block_span(h: ModuleHom) -> ColumnSpan:
     """The span of the block [lift | target relations] in the target generators."""
-    return ColumnSpan(h.target.generators, h.lift.columns() + h.target.relations.columns())
+    return ColumnSpan(h.target.generators, h.lift._sparse_columns() + h.target.relations._sparse_columns())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,8 @@ def verify_resolution(res: Resolution) -> None:
     kernel.  The kernels and images come from each map's own span, the one
     resolve built from the same columns; a span is a deterministic function
     of its columns, so sharing it checks exactly what a rebuilt span would,
-    and the kernel resolve read off a span is not converted again here.
+    and the sparse kernel resolve read off a span is tested as it is, not
+    converted again here.
     Each containment is one many-column membership call (first_outside)
     per matrix or kernel; when the first map is the module's relation map,
     its two containments are the same check and run once.
@@ -347,7 +349,7 @@ def verify_resolution(res: Resolution) -> None:
         if not compose(res.maps[j], res.maps[j + 1]).is_zero():
             raise EngineError(f"maps {j} and {j + 1} do not compose to zero")
     for j in range(len(res.maps)):
-        kernel = image.syzygy_vectors()
+        kernel = image._sparse_kernel()
         if j + 1 < len(res.maps):
             image = column_span(res.maps[j + 1])
             if image.first_outside(kernel) is not None:
@@ -429,17 +431,15 @@ def add_redundant_generator(
     if k is ANY_DEGREE:
         k = 0
     gens2 = GradedFreeModule(ring, gens.shifts + (-k,))
-    old_cols = [col + (ring.zero(),) for col in rel.columns()]
     defining = tuple(-e for e in v) + (ring.one(),)
     # the old columns keep their shifts; the defining one has module degree k
     source2 = GradedFreeModule(ring, rel.source.shifts + _relation_shifts(gens2, [defining], rel.degree))
-    bigger = PresentedModule(gens2, _from_columns(source2, gens2, rel.degree, old_cols + [defining]))
+    bigger = PresentedModule(gens2, _from_columns(source2, gens2, rel.degree, rel._sparse_columns() + [_nonzero(defining)]))
 
     n = gens.rank
-    inc_cols = [gens2.basis_vector(j) for j in range(n)]
-    inclusion = ModuleHom._closed(module, bigger, _from_columns(gens, gens2, 0, inc_cols))
-    proj_cols = [gens.basis_vector(j) for j in range(n)] + [v]
-    projection = ModuleHom(bigger, module, _from_columns(gens2, gens, 0, proj_cols))
+    units = [{j: ring.one()} for j in range(n)]
+    inclusion = ModuleHom._closed(module, bigger, _from_columns(gens, gens2, 0, units))
+    projection = ModuleHom(bigger, module, _from_columns(gens2, gens, 0, units + [_nonzero(v)]))
     return bigger, inclusion, projection
 
 
@@ -453,4 +453,4 @@ def with_extra_relations(module: PresentedModule, columns) -> PresentedModule:
     # the old columns keep their shifts; the extra ones follow the rule
     shifts = rel.source.shifts + _relation_shifts(gens, extra, rel.degree)
     source = GradedFreeModule(module.ring, shifts)
-    return PresentedModule(gens, _from_columns(source, gens, rel.degree, rel.columns() + extra))
+    return PresentedModule(gens, _from_columns(source, gens, rel.degree, rel._sparse_columns() + [_nonzero(c) for c in extra]))

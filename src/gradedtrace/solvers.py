@@ -28,6 +28,12 @@ variable x_i and the relation columns (x_i*y_i - 1)*e_k appended for every
 coordinate; answers map back along y_i -> x_i^-1.  Rescaling columns by
 unit monomials alone would compute membership in the wrong module (the
 polynomial span is not saturated), so the inverse variables are essential.
+
+Columns travel as sparse Columns (freemod: position -> nonzero entry) from
+both backends through kernels, pruning and syzygies into the next map, and
+a map's span is built from its sparse rows; dense tuples are built only
+where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
+basis_vectors, and prune_columns on dense input).
 """
 
 from __future__ import annotations
@@ -38,11 +44,10 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .freemod import GradedFreeModule, GradedMatrixHom, Vector, _from_columns, _relation_shifts
+from .freemod import Column, GradedFreeModule, GradedMatrixHom, Vector, _column_degree, _dense, _from_columns
+from .freemod import _nonzero, _relation_shifts
 from .rings import (
-    ANY_DEGREE,
     GRADING_Z,
-    INHOMOGENEOUS,
     INTEGERS,
     LAURENT,
     HomogeneityError,
@@ -502,43 +507,30 @@ class _IntBackend:
     Hermite column h of the block's matrix A followed by its transform t,
     A.t = h, and the kernel is in Hermite form as well.  A column to reduce
     is read as sparse integers, and only the blocks it touches are reduced.
-
-    solve_column projects nothing, so it reads neither source nor k.  When
-    the column belongs to a map g of the degree of the span's map plus the
-    requested one, it lies in the rows of one grading class, its
-    certificate lies in the block of that class, and every span column of
-    that block has the source shift class that makes its entry of a map of
-    the requested degree homogeneous: the certificate is already the
-    component of module degree k.
     """
 
-    def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
+    def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
         self.ambient = ambient
-        self.columns = columns
         ring = ambient.ring
         # class None holds the zero columns: a block of no rows, whose kernel comes first
         class_cols: dict[int | None, list[int]] = {None: []}
         for j, col in enumerate(columns):
-            k = ambient.vector_degree(col)
-            if k is INHOMOGENEOUS:
+            # a constant entry at row i has module degree -shifts[i]: one class per column
+            classes = {ring.reduce_degree(ambient.shifts[i]) for i in col}
+            if len(classes) > 1:
                 raise HomogeneityError(f"column {j} is not homogeneous")
-            c = None if k is ANY_DEGREE else ring.reduce_degree(-k)
-            class_cols.setdefault(c, []).append(j)
+            class_cols.setdefault(classes.pop() if classes else None, []).append(j)
         class_rows: dict[int, list[int]] = {}
         for i, n in enumerate(ambient.shifts):
             class_rows.setdefault(ring.reduce_degree(n), []).append(i)
         self.blocks: list[tuple] = []
         for c in [None] + sorted(class_cols.keys() - {None}):
             rows, cols = class_rows.get(c, []), class_cols[c]
-            if any(columns[j][i] for j in cols for i in range(ambient.rank) if i not in rows):
-                raise EngineError("column escapes its grading block")
             if not cols:  # the block of zero columns, often empty
                 self.blocks.append((rows, cols, [], [], []))
                 continue
-            vecs = [
-                [columns[j][i].coefficient(()) for i in rows] + unit
-                for j, unit in zip(cols, _eye(len(cols)))
-            ]
+            ints = [{i: e.coefficient(()) for i, e in columns[j].items()} for j in cols]
+            vecs = [[col.get(i, 0) for i in rows] + unit for col, unit in zip(ints, _eye(len(cols)))]
             pivots = _hermite(vecs, len(rows))
             kernel = [v[len(rows) :] for v in vecs[len(pivots) :]]
             _hermite(kernel, len(cols))
@@ -546,7 +538,7 @@ class _IntBackend:
         # ambient row -> (its block, its place in the block); a row of no block is absent
         self._place = {i: (b, r) for b, block in enumerate(self.blocks) for r, i in enumerate(block[0])}
 
-    def _reduce(self, column: dict[int, RingElement], certify: bool) -> tuple[dict[int, int], dict[int, int]]:
+    def _reduce(self, column: Column, certify: bool) -> tuple[dict[int, int], dict[int, int]]:
         """The remainder and certificate of a sparse column, as sparse integers.
 
         Each touched block walks its pivots in order: at each pivot q.(h, t)
@@ -582,47 +574,25 @@ class _IntBackend:
                     cert[j] = -a
         return rem, cert
 
-    def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, cert = self._reduce(_nonzero(v), True)
+    def certify(self, column: Column) -> tuple[Column, Column]:
         const = self.ambient.ring.const
-        return (
-            tuple(const(rem.get(i, 0)) for i in range(self.ambient.rank)),
-            [const(cert.get(j, 0)) for j in range(len(self.columns))],
-        )
+        rem, cert = self._reduce(column, True)
+        return {i: const(a) for i, a in rem.items()}, {j: const(a) for j, a in cert.items()}
 
-    def inside(self, column: dict[int, RingElement]) -> bool:
+    def inside(self, column: Column) -> bool:
         return not self._reduce(column, False)[0]
 
-    def solve_column(self, column: dict[int, RingElement], source: GradedFreeModule, k: int) -> dict | None:
-        rem, cert = self._reduce(column, True)
+    def syzygy_vectors(self) -> list[Column]:
         const = self.ambient.ring.const
-        return None if rem else {j: const(a) for j, a in cert.items()}
+        return [{j: const(a) for j, a in zip(cols, k) if a} for _, cols, _, _, kernel in self.blocks for k in kernel]
 
-    def _embed(self, length: int, parts) -> list[tuple[RingElement, ...]]:
-        """Each (indices, entries) pair as a vector of the given length."""
-        out = []
-        for indices, entries in parts:
-            full = [0] * length
-            for i, c in zip(indices, entries):
-                full[i] = c
-            out.append(tuple(map(self.ambient.ring.const, full)))
-        return out
-
-    def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
-        kernels = [(cols, k) for _, cols, _, _, kernel in self.blocks for k in kernel]
-        return self._embed(len(self.columns), kernels)
-
-    def basis_vectors(self) -> list[Vector]:
-        return self._embed(self.ambient.rank, [(b[0], h) for b in self.blocks for h in b[3]])
+    def basis_vectors(self) -> list[Column]:
+        const = self.ambient.ring.const
+        return [{i: const(a) for i, a in zip(b[0], h) if a} for b in self.blocks for h in b[3]]
 
 
 def _engine_nvars(ring: RingSpec) -> int:
     return 2 * ring.nvars if ring.kind == LAURENT else ring.nvars
-
-
-def _nonzero(v: Vector) -> dict[int, RingElement]:
-    """A vector's nonzero entries by position: the sparse column the backends read."""
-    return {i: e for i, e in enumerate(v) if e}
 
 
 def _to_engine(ring: RingSpec, entries) -> dict:
@@ -661,120 +631,95 @@ class _PolyBackend:
     the entries of the caller's columns, since the added ones vanish.
     """
 
-    def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
+    def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
         self.ambient = ambient
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        engine_cols = [_to_engine(self.ring, enumerate(c)) for c in columns] + _unit_columns(ambient)
+        engine_cols = [_to_engine(self.ring, c.items()) for c in columns] + _unit_columns(ambient)
         self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
 
-    def _element(self, terms: dict) -> RingElement:
-        """The ring element of a fresh, zero-free dict of engine exponents."""
-        if self.laurent:
-            n = self.ring.nvars
-            merged: dict = {}
-            for exp, c in terms.items():
-                key = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
-                merged[key] = merged.get(key, 0) + c
-            terms = {exp: c for exp, c in merged.items() if c}
-        return RingElement._clean(self.ring, terms)
-
-    def _vector(self, vec: dict, length: int) -> Vector:
-        """Positions 0..length-1 of an engine vector or certificate, as ring elements."""
-        per_pos: list[dict] = [dict() for _ in range(length)]
+    def _column(self, vec: dict, length: int, sign: int = 1) -> Column:
+        """Positions 0..length-1 of sign times an engine vector or certificate,
+        as a Column; Laurent terms that cancel along y_i -> x_i^-1 drop out."""
+        n, per_pos = self.ring.nvars, {}
         for key, c in vec.items():
             pos, exp = self.gb.pk.unpack(key)
             if pos < length:
-                per_pos[pos][exp] = c
-        zero = self.ring.zero()  # elements are immutable, so the zero entries share one
-        return tuple(self._element(d) if d else zero for d in per_pos)
+                terms = per_pos.setdefault(pos, {})
+                if self.laurent:
+                    exp = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
+                if s := terms.pop(exp, 0) + sign * c:
+                    terms[exp] = s
+        return {pos: RingElement._clean(self.ring, terms) for pos, terms in per_pos.items() if terms}
 
-    def _certificate(self, entries) -> tuple[dict, Vector]:
-        """The engine remainder and the certificate of (position, element) pairs."""
+    def certify(self, column: Column) -> tuple[Column, Column]:
         cert: dict = {}
-        rem = self.gb._reduce(_to_engine(self.ring, entries), cert)
+        rem = self.gb._reduce(_to_engine(self.ring, column.items()), cert)
         # _reduce subtracts the quotients' certificates: v = rem - sum(cert_j column_j)
-        return rem, self._vector({k: -c for k, c in cert.items()}, len(self.columns))
+        return self._column(rem, self.ambient.rank), self._column(cert, len(self.columns), -1)
 
-    def normal_form(self, v: Vector) -> tuple[Vector, list[RingElement]]:
-        rem, certificate = self._certificate(enumerate(v))
-        return self._vector(rem, self.ambient.rank), list(certificate)
-
-    def inside(self, column: dict[int, RingElement]) -> bool:
+    def inside(self, column: Column) -> bool:
         return self.gb.contains(_to_engine(self.ring, column.items()))
 
-    def solve_column(self, column: dict[int, RingElement], source: GradedFreeModule, k: int) -> dict | None:
-        rem, certificate = self._certificate(column.items())
-        return None if rem else _nonzero(source.vector_component(certificate, k))
-
-    def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
+    def syzygy_vectors(self) -> list[Column]:
         # ColumnSpan converts once and keeps the result, so the certificates go
         certs, self.gb.syzygies = self.gb.syzygies, None
-        vectors = [self._vector(cert, len(self.columns)) for cert in certs]
-        return [vec for vec in vectors if any(vec)]
+        return [col for cert in certs if (col := self._column(cert, len(self.columns)))]
 
-    def basis_vectors(self) -> list[Vector]:
+    def basis_vectors(self) -> list[Column]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
-        out = []
-        for g in self.gb.basis:
-            v = self._vector(g.vec, self.ambient.rank)
-            if any(v):
-                out.append(v)
-        return out
+        return [col for g in self.gb.basis if (col := self._column(g.vec, self.ambient.rank))]
 
 
 class ColumnSpan:
     """The submodule generated by a list of columns of a graded free module.
 
+    Columns are dense vectors, coerced once, or Columns, taken as they are.
     normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
     Two calls answer for a whole matrix g at once, read off its sparse rows:
     first_outside(g) returns the index of the first column of g outside the
     span, or None when every column lies in it; g may also be a list of
-    vectors over the ambient ring, already coerced.  solve(g, degree) returns
-    the map X of that degree with (span columns) . X = g, each column of X
-    the certificate of g's column projected to its forced homogeneous
-    component (over the integers it has no other), and raises EngineError
-    naming the first column of g outside the span.  X maps into the free
-    module that indexes the columns, which only the spans that column_span
-    builds know (as source), so solve needs one of those.
+    coerced vectors or of Columns.  solve(g, degree) returns the map X of
+    that degree with (span columns) . X = g, each column of X the
+    certificate of g's column with each nonzero entry projected to its
+    forced homogeneous component (over the integers it has no other), and
+    raises EngineError naming the first column of g outside the span.  X
+    maps into the free module that indexes the columns, which only the
+    spans that column_span builds know (as source), so solve needs one.
 
     Results are deterministic for a fixed column order.  The kernel
-    generators are fixed at construction; the first syzygy_vectors() call
-    converts the nonzero ones to ring elements and keeps them, and every
-    call returns a fresh list of them.  A span used only for membership
-    never converts.  The span of a matrix's columns is built once, by
-    column_span, and kept on the matrix.
+    generators are fixed at construction; the first _sparse_kernel() call
+    converts the nonzero ones to Columns and keeps them, and every
+    syzygy_vectors() call returns a fresh dense list of them.  A span used
+    only for membership never converts.  The span of a matrix's columns is
+    built once, by column_span, and kept on the matrix.
     """
 
-    def __init__(self, ambient: GradedFreeModule, columns: list[Vector]):
+    def __init__(self, ambient: GradedFreeModule, columns: list):
         self.ambient = ambient
-        self.columns = [ambient.coerce_vector(c) for c in columns]
+        self.columns = [c if isinstance(c, dict) else _nonzero(ambient.coerce_vector(c)) for c in columns]
         self.source: GradedFreeModule | None = None
-        self._kernel: tuple[tuple[RingElement, ...], ...] | None = None
-        if ambient.ring.kind == INTEGERS:
-            self._backend = _IntBackend(ambient, self.columns)
-        else:
-            self._backend = _PolyBackend(ambient, self.columns)
+        self._kernel: tuple[Column, ...] | None = None
+        backend = _IntBackend if ambient.ring.kind == INTEGERS else _PolyBackend
+        self._backend = backend(ambient, self.columns)
 
     def normal_form(self, v) -> tuple[Vector, list[RingElement]]:
-        return self._backend.normal_form(self.ambient.coerce_vector(v))
+        rem, cert = self._backend.certify(_nonzero(self.ambient.coerce_vector(v)))
+        zero = self.ambient.ring.zero()
+        return _dense(rem, self.ambient.rank, zero), list(_dense(cert, len(self.columns), zero))
 
     def contains(self, v) -> bool:
         return self._backend.inside(_nonzero(self.ambient.coerce_vector(v)))
 
-    def _sparse_columns(self, g) -> list[dict[int, RingElement]]:
+    def _sparse_columns(self, g) -> list[Column]:
         if not isinstance(g, GradedMatrixHom):
-            return [_nonzero(v) for v in g]
+            return [v if isinstance(v, dict) else _nonzero(v) for v in g]
         if g.target != self.ambient:
             raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
-        columns: list[dict[int, RingElement]] = [{} for _ in range(g.source.rank)]
-        for i, row in enumerate(g._rows):
-            for j, e in row.items():
-                columns[j][i] = e
-        return columns
+        return g._sparse_columns()
 
     def first_outside(self, g) -> int | None:
         inside = self._backend.inside
@@ -783,28 +728,42 @@ class ColumnSpan:
     def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
         if self.source is None:
             raise ValueError("solve needs the span of a map's columns, from column_span")
-        rows: list[dict[int, RingElement]] = [{} for _ in self.columns]
+        rows: list[Column] = [{} for _ in self.columns]
+        shifts, project = self.source.shifts, self.ambient.ring.kind != INTEGERS
         for c, column in enumerate(self._sparse_columns(g)):
-            cert = self._backend.solve_column(column, self.source, degree - g.source.shifts[c])
-            if cert is None:
+            rem, cert = self._backend.certify(column)
+            if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
+            k = degree - g.source.shifts[c]
             for j, e in cert.items():
+                # over Z a column of g lies in one grading class's rows, so its certificate
+                # lies in that class's block, whose columns all give entries of degree k
+                if project and not (e := e.homogeneous_component(k + shifts[j])):
+                    continue
                 rows[j][c] = e
         return GradedMatrixHom._closed(g.source, self.source, degree, rows)
 
-    def syzygy_vectors(self) -> list[tuple[RingElement, ...]]:
+    def _sparse_kernel(self) -> tuple[Column, ...]:
+        """The nonzero kernel generators as sparse Columns, converted once."""
         if self._kernel is None:
             self._kernel = tuple(self._backend.syzygy_vectors())
-        return list(self._kernel)
+        return self._kernel
+
+    def syzygy_vectors(self) -> list[Vector]:
+        zero, n = self.ambient.ring.zero(), len(self.columns)
+        return [_dense(c, n, zero) for c in self._sparse_kernel()]
 
     def basis_vectors(self) -> list[Vector]:
-        return self._backend.basis_vectors()
+        zero, rank = self.ambient.ring.zero(), self.ambient.rank
+        return [_dense(c, rank, zero) for c in self._backend.basis_vectors()]
 
 
-def prune_columns(
-    ambient: GradedFreeModule, columns: list
-) -> tuple[list[Vector], list[int]]:
+def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[int]]:
     """Drop columns lying in the span of the others (greedy, deterministic).
+
+    Returns the kept columns, in the form given (dense vectors coerced once,
+    or Columns of engine output, whose degree is read off one term), and
+    their indices.
 
     The greedy pass visits the columns in index order and drops each one
     that lies in the span of the other columns still kept (all-zero columns
@@ -826,14 +785,15 @@ def prune_columns(
     ring or input forms one group, on which this is the plain greedy pass.
     The kept indices are the same either way.
     """
-    cols = [ambient.coerce_vector(c) for c in columns]
+    cols = [c if isinstance(c, dict) else ambient.coerce_vector(c) for c in columns]
+    sparse = [c if isinstance(c, dict) else _nonzero(c) for c in cols]
     ring = ambient.ring
     if ring.kind == INTEGERS:
-        kept = _lattice_walk([{i: e.coefficient(()) for i, e in enumerate(c) if e} for c in cols])
+        kept = _lattice_walk([{i: e.coefficient(()) for i, e in c.items()} for c in sparse])
         if not kept and cols:  # every column zero: the greedy pass keeps the last one
             kept = [len(cols) - 1]
         return [cols[k] for k in kept], kept
-    engine = [_to_engine(ring, enumerate(c)) for c in cols]
+    engine = [_to_engine(ring, c.items()) for c in sparse]
     groups = _degree_groups(ambient, cols)
     top = groups[-1][0] if groups else None
     lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
@@ -948,23 +908,20 @@ def _lattice_walk(vecs: list[dict]) -> list[int]:
     return sorted(kept)
 
 
-def _degree_groups(
-    ambient: GradedFreeModule, cols: list[Vector]
-) -> list[tuple[int | None, list[int]]]:
+def _degree_groups(ambient: GradedFreeModule, cols: list) -> list[tuple[int | None, list[int]]]:
     """(degree, column indices) in increasing degree.
 
+    Columns are dense vectors or sparse Columns (freemod._column_degree).
     Laurent rings, Z/2 grading, variables of degree <= 0, and zero or
     inhomogeneous columns put every column into one group, of degree None.
     """
     ring = ambient.ring
-    degrees = [ambient.vector_degree(c) for c in cols]
-    if (
-        ring.kind == LAURENT
-        or ring.grading != GRADING_Z
-        or any(w <= 0 for w in ring.var_degrees)
-        or not all(isinstance(d, int) for d in degrees)
-    ):
-        return [(None, list(range(len(cols))))]
+    one_group = [(None, list(range(len(cols))))]
+    if ring.kind == LAURENT or ring.grading != GRADING_Z or any(w <= 0 for w in ring.var_degrees):
+        return one_group
+    degrees = [_column_degree(ambient, c) for c in cols]
+    if not all(isinstance(d, int) for d in degrees):
+        return one_group
     by_degree: dict[int, list[int]] = {}
     for j, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(j)
@@ -975,7 +932,7 @@ def column_span(f: GradedMatrixHom) -> ColumnSpan:
     """The span of f's columns in f.target, with f.source as its source,
     built on first use and kept on f."""
     if f._span is None:
-        span = ColumnSpan(f.target, f.columns())
+        span = ColumnSpan(f.target, f._sparse_columns())
         span.source = f.source
         f._span = span
     return f._span
@@ -993,10 +950,12 @@ def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
     Each kernel generator is homogeneous as an element of f.source; the
     resolution convention (freemod._relation_shifts) gives it source shift
     1 - (its module degree), so the map has degree exactly 1 and builds
-    unchecked.  The kernel is read off column_span(f), which stays on f.
+    unchecked.  The kernel is read off column_span(f), which stays on f,
+    and goes from the engine through pruning into the map as sparse
+    Columns: no dense vector is built.
     """
-    vectors = column_span(f).syzygy_vectors()
-    if prune and vectors and f.ring.kind != INTEGERS:
-        vectors, _ = prune_columns(f.source, vectors)
-    source = GradedFreeModule(f.ring, _relation_shifts(f.source, vectors, 1))
-    return _from_columns(source, f.source, 1, vectors)
+    columns = list(column_span(f)._sparse_kernel())
+    if prune and columns and f.ring.kind != INTEGERS:
+        columns, _ = prune_columns(f.source, columns)
+    source = GradedFreeModule(f.ring, _relation_shifts(f.source, columns, 1))
+    return _from_columns(source, f.source, 1, columns)

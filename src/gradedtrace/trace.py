@@ -100,8 +100,10 @@ def hs_trace(
     """Trace of a module endomorphism through a free resolution.
 
     The value is independent of the resolution and of the chain lift; both
-    may be supplied to reuse work (lifts requires resolution, and must be
-    one endomorphism of endo's degree on each of its terms).
+    may be supplied to reuse work.  Given lifts require the resolution and
+    are checked: one endomorphism of endo's degree per term, the first
+    equal to endo.lift modulo the module's relations, and every square
+    d_j f_j = f_(j-1) d_j commuting; ValueError names the failed stage.
     """
     if endo.source != endo.target:
         raise ValueError("trace needs an endomorphism")
@@ -111,12 +113,23 @@ def hs_trace(
         resolution = resolve(endo.source)
     if lifts is None:
         lifts = lift_endomorphism(resolution, endo)
-    elif resolution.module != endo.source or len(lifts) != len(resolution.modules) or any(
+    else:
+        _check_lifts(endo, resolution, lifts)
+    total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
+    return TraceValue(total, endo.degree)
+
+
+def _check_lifts(endo: ModuleHom, resolution: Resolution, lifts: list[GradedMatrixHom]) -> None:
+    """Raise ValueError unless lifts is a chain lift of endo over resolution."""
+    if resolution.module != endo.source or len(lifts) != len(resolution.modules) or any(
         (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, resolution.modules)
     ):
         raise ValueError("lifts must be one endomorphism of endo's degree per term of a resolution of its module")
-    total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
-    return TraceValue(total, endo.degree)
+    if resolution.module.span.first_outside(lifts[0] - endo.lift) is not None:
+        raise ValueError("lift 0 does not induce the endomorphism on the module")
+    for j, dj in enumerate(resolution.maps):
+        if compose(dj, lifts[j + 1]) != compose(lifts[j], dj):
+            raise ValueError(f"chain-map square {j} of the lifts does not commute")
 
 
 def base_change_trace(

@@ -31,6 +31,7 @@ from gradedtrace import (
 
 import gradedtrace.solvers as solvers_impl
 import genutils as gu
+from gradedtrace.freemod import _relation_shifts
 
 Z = integers()
 ZX = polynomial_ring(["x"], [2])
@@ -595,6 +596,34 @@ def test_syzygies_random_compose_to_zero_and_homogeneous():
                 # check it is a genuine kernel element
                 assert all(e.is_zero() for e in f.apply(col))
                 assert isinstance(deg, int)
+
+
+def test_sparse_syzygies_equal_the_public_dense_route():
+    # syzygies reads degrees off one term and cancels Laurent terms sparsely;
+    # the reference goes through dense vectors, vector_degree and the
+    # validating constructor
+    rng = random.Random(26)
+    rings = gu.RING_POOL + LAURENT_2VAR + [ZT, polynomial_ring(["s", "x"], [0, 2])]
+    kinds = set()
+    for ring in rings:
+        for _ in range(15):
+            target = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3, lo=-2, hi=2))
+            source = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=4, lo=-2, hi=2))
+            f = gu.random_matrix(rng, source, target, 1)
+            got = syzygies(f)
+            vectors = ColumnSpan(f.target, f.columns()).syzygy_vectors()
+            assert solvers_impl.column_span(f).syzygy_vectors() == vectors
+            if vectors and ring.kind != "integers":
+                vectors = prune_columns(f.source, vectors)[0]
+            shifts = _relation_shifts(f.source, vectors, 1)
+            want = hom_from_columns(GradedFreeModule(ring, shifts), f.source, 1, vectors)
+            assert got.source.shifts == shifts
+            assert got == want
+            # both routes convert the engine's answers alike; these checks do not
+            assert compose(f, got).is_zero()
+            assert all(e and all(c for _, c in e.items()) for row in got._rows for e in row.values())
+            kinds.add((ring.kind, bool(vectors)))
+    assert {(k, True) for k in ("integers", "polynomial", "laurent")} <= kinds
 
 
 # -- graded matrices: determinant and inverses ---------------------------------

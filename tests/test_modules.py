@@ -2,7 +2,13 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +29,7 @@ from gradedtrace import (
     free_presentation,
     hom_from_columns,
     hs_trace,
+    identity_hom,
     identity_module_hom,
     integers,
     kernel_of_hom,
@@ -453,6 +460,86 @@ def test_mpower_cubed_in_five_variables_resolves_minimally():
     res = resolve(_mpower(5, 3))
     assert [p.rank for p in res.modules] == [1, 35, 105, 126, 70, 15]
     verify_resolution(res)
+
+
+def test_mpower_cubed_in_six_variables_resolves_verifies_and_traces_within_three_seconds():
+    # about 0.4 s with sparse columns throughout, interpreter start included;
+    # 1.1-1.3 s when every kernel went through dense vectors
+    code = """
+        import itertools, math
+        from gradedtrace import hs_trace, identity_module_hom, polynomial_ring, presented_module, resolve, verify_resolution
+        ring = polynomial_ring([f"x{i}" for i in range(6)], [2] * 6)
+        x = [ring.gen(name) for name in ring.var_names]
+        cubes = [(math.prod(c, start=ring.one()),) for c in itertools.combinations_with_replacement(x, 3)]
+        m = presented_module(ring, [0], cubes)
+        res = resolve(m)
+        verify_resolution(res)
+        print(hs_trace(identity_module_hom(m), res).value, *[p.rank for p in res.modules])
+    """
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=30
+    )
+    seconds = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    value, *ranks = done.stdout.split()
+    # the identity's trace is the alternating sum of the ranks, zero for a torsion module
+    assert value == "0"
+    assert [int(r) for r in ranks] == [1, 56, 210, 336, 280, 120, 21]
+    assert seconds < 3.0
+
+
+def test_resolving_and_tracing_build_no_dense_vector(monkeypatch):
+    # columns travel sparse from the engine through pruning, spans and lifts
+    m = _mpower(4, 3)
+    three = module_hom(m, m, 0, [[m.ring.const(3)]])
+    calls = []
+    for name in ("coerce_vector", "vector_degree", "vector_component"):
+        method = getattr(GradedFreeModule, name)
+
+        def counting(module, *args, method=method, name=name):
+            calls.append(name)
+            return method(module, *args)
+
+        monkeypatch.setattr(GradedFreeModule, name, counting)
+    res = resolve(m)
+    verify_resolution(res)
+    lifts = lift_endomorphism(res, three)
+    assert hs_trace(three, res).value.is_zero()
+    assert [p.rank for p in res.modules] == [1, 20, 45, 36, 10] and len(lifts) == 5
+    assert calls == []
+
+
+def test_hs_trace_checks_the_squares_of_the_lifts_it_is_given():
+    # multiplication by 3 on Z/(2): with f_1 = 0 the square d f_1 = f_0 d reads 0 = 6
+    m2 = _mod2()
+    three = module_hom(m2, m2, 0, [[3]])
+    res = resolve(m2)
+    p1 = res.modules[1]
+    with pytest.raises(ValueError, match="square 0"):
+        hs_trace(three, res, [three.lift, zero_hom(p1, p1, 0)])
+    # 1 = 3 in Z/(2), so [1, 1] is a lift of 3; in Z/(4) the squares commute but 1 is not 3
+    ones = [identity_hom(p) for p in res.modules]
+    assert hs_trace(three, res, ones).value.is_zero()
+    m4 = _mod4()
+    res4 = resolve(m4)
+    with pytest.raises(ValueError, match="lift 0"):
+        hs_trace(module_hom(m4, m4, 0, [[3]]), res4, [identity_hom(p) for p in res4.modules])
+    # one perturbed entry of a true lift over the resolution of m^3 in 3 variables
+    m = _cube_module()
+    three = module_hom(m, m, 0, [[m.ring.const(3)]])
+    res = resolve(m)
+    lifts = lift_endomorphism(res, three)
+    assert hs_trace(three, res, lifts) == hs_trace(three, res)
+    for j, stage in ((0, "lift 0"), (2, "square 1")):
+        p = res.modules[j]
+        bump = GradedMatrixHom(p, p, 0, [[int(a == b == 0) for b in range(p.rank)] for a in range(p.rank)])
+        bad = lifts[:j] + [lifts[j] + bump] + lifts[j + 1 :]
+        with pytest.raises(ValueError, match=stage):
+            hs_trace(three, res, bad)
 
 
 def test_lift_rejects_foreign_endo():
