@@ -151,8 +151,6 @@ def _resolution_from_file(path: str, module) -> Resolution:
 def _cmd_resolve(args) -> int:
     doc = _load(args.file)
     name, module = _pick(doc.modules, args.name, "module", args.file)
-    if args.max_length < 0:  # no resolution has a negative length, a free module's included
-        raise ResolutionTooLong(f"no free resolution of length <= {args.max_length} found")
     res = resolve(module, max_length=args.max_length)
     verify_resolution(res)
     steps = [{"rank": m.rank, "shifts": list(m.shifts)} for m in res.modules]

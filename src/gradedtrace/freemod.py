@@ -12,8 +12,10 @@ of module degree k iff entry i is homogeneous of ring degree k + n_i.
 
 A map stores sparse rows and never a zero entry; `entries` is a dense view.
 Inside the package a column travels sparse too, as a Column: a dict from
-position to nonzero entry.  The public constructor and hom_from_columns
-validate outside input once.
+position to nonzero entry.  Outside input is validated once, by the one
+loop _checked_rows over sparse rows: the public constructor and
+hom_from_columns run it after their int coercion and ring check, and the
+parser runs it on the rows it reads and then builds through _closed.
 Closed operations (sums, compose, direct sums, tensor products, braidings and
 dualities) give legal maps by construction: after their own shape and ring
 checks they build unchecked and touch nonzero entries only, and so does
@@ -39,6 +41,8 @@ from .rings import (
 
 Vector = tuple[RingElement, ...]
 Column = dict[int, RingElement]  # a vector's nonzero entries by position
+
+Line = tuple[Column, int]  # a row or column from outside: its nonzero entries, its length
 
 
 def _nonzero(v: Sequence[RingElement]) -> Column:
@@ -94,19 +98,20 @@ class GradedFreeModule:
             out.append(e)
         return tuple(out)
 
-    def vector_degree(self, v: Vector):
+    def vector_degree(self, v: Vector | Column):
         """Module degree of v: an int, ANY_DEGREE for 0, or INHOMOGENEOUS.
 
-        Entry i of a degree-k element is homogeneous of ring degree k + n_i.
+        Entry i of a degree-k element is homogeneous of ring degree k + n_i;
+        every entry of v, a dense vector or a Column, is read.
         """
         degs = set()
-        for entry, n in zip(v, self.shifts):
+        for i, entry in v.items() if isinstance(v, dict) else enumerate(v):
             d = entry.degree()
             if d is ANY_DEGREE:
                 continue
             if d is INHOMOGENEOUS:
                 return INHOMOGENEOUS
-            degs.add(self.ring.reduce_degree(d - n))
+            degs.add(self.ring.reduce_degree(d - self.shifts[i]))
         if not degs:
             return ANY_DEGREE
         if len(degs) > 1:
@@ -134,10 +139,11 @@ class GradedMatrixHom:
 
     Rows index the target, columns the source: _rows[i] maps j to the entry
     (i, j) when it is nonzero.  The constructor validates shapes and the entry
-    degree law, and _closed takes rows that are legal by construction, so an
-    instance is always a legal graded map.  An instance never changes, so the
-    span of its columns in the target is built at most once: solvers.column_span
-    builds it on first use and keeps it in _span.
+    degree law (_checked_rows), and _closed takes rows that are legal by
+    construction or checked there, so an instance is always a legal graded
+    map.  An instance never changes, so the span of its columns in the
+    target is built at most once: solvers.column_span builds it on first use
+    and keeps it in _span.
     """
 
     __slots__ = ("source", "target", "degree", "_rows", "_span")
@@ -150,36 +156,19 @@ class GradedMatrixHom:
         entries: Sequence[Sequence],
     ):
         ring = source.ring
-        if not (target.ring is ring or target.ring == ring):
-            raise RingMismatch(f"{ring} is not {target.ring}")
-        if len(entries) != target.rank:
-            raise ValueError(
-                f"expected {target.rank} rows, got {len(entries)}"
-            )
-        rows: list[dict[int, RingElement]] = []
+        lines = []
         for i, row in enumerate(entries):
-            if len(row) != source.rank:
-                raise ValueError(
-                    f"row {i}: expected {source.rank} entries, got {len(row)}"
-                )
             sparse = {}
             for j, e in enumerate(row):
                 if isinstance(e, int):
                     e = ring.const(e)
-                if not (e.ring is ring or e.ring == ring):
+                elif not (e.ring is ring or e.ring == ring):  # a zero too
                     raise RingMismatch(f"entry ({i},{j}) lives in {e.ring}, not {ring}")
-                if not e:  # zero has every degree
-                    continue
-                want = target.shifts[i] - source.shifts[j] + degree
-                if not e.has_degree(want):
-                    raise HomogeneityError(
-                        f"entry ({i},{j}) = {e} must be homogeneous of degree "
-                        f"{ring.reduce_degree(want)}, got degree {e.degree()}"
-                    )
-                sparse[j] = e
-            rows.append(sparse)
+                if e:
+                    sparse[j] = e
+            lines.append((sparse, len(row)))
         self.source, self.target, self.degree = source, target, degree
-        self._rows = tuple(rows)
+        self._rows = _checked_rows(source, target, degree, lines, ring)
         self._span = None
 
     @classmethod
@@ -272,6 +261,31 @@ class GradedMatrixHom:
         return f"<GradedMatrixHom {self}>"
 
 
+def _checked_rows(source, target, degree: int, lines: Sequence[Line], ring: RingSpec) -> tuple[Column, ...]:
+    """The rows of a map from outside Lines over ring, checked in this order:
+    the target's ring, the row count, then row by row its length, its ring
+    (at its first entry, zero or not) and each nonzero entry's degree."""
+    base = source.ring
+    if not (target.ring is base or target.ring == base):
+        raise RingMismatch(f"{base} is not {target.ring}")
+    if len(lines) != target.rank:
+        raise ValueError(f"expected {target.rank} rows, got {len(lines)}")
+    shifts, rank = source.shifts, source.rank
+    for i, (row, length) in enumerate(lines):
+        if length != rank:
+            raise ValueError(f"row {i}: expected {rank} entries, got {length}")
+        if rank and not (ring is base or ring == base):
+            raise RingMismatch(f"entry ({i},0) lives in {ring}, not {base}")
+        offset = target.shifts[i] + degree
+        for j, e in row.items():
+            if not e.has_degree(offset - shifts[j]):
+                raise HomogeneityError(
+                    f"entry ({i},{j}) = {e} must be homogeneous of degree "
+                    f"{base.reduce_degree(offset - shifts[j])}, got degree {e.degree()}"
+                )
+    return tuple(row for row, _ in lines)
+
+
 def _row_sum(terms) -> dict[int, RingElement]:
     """The sparse row summing (column, entry) terms; zero sums are dropped."""
     row: dict[int, RingElement] = {}
@@ -351,15 +365,18 @@ def _column_degree(module: GradedFreeModule, column):
     return ANY_DEGREE
 
 
-def _relation_shifts(generators: GradedFreeModule, columns: list, degree: int) -> tuple[int, ...]:
+def _relation_shifts(
+    generators: GradedFreeModule, columns: list, degree: int, column_degree=_column_degree
+) -> tuple[int, ...]:
     """The resolution convention: a column of module degree k gets source
     shift degree - k (a zero column 0), so the columns form a legal map of
-    that degree.  Columns are dense vectors or sparse ones (_column_degree).
-    Odd degree is enforced by PresentedModule and Resolution.
+    that degree.  Columns are dense vectors or sparse ones (_column_degree;
+    for outside Columns, GradedFreeModule.vector_degree).  Odd degree is
+    enforced by PresentedModule and Resolution.
     """
     shifts = []
     for idx, v in enumerate(columns):
-        k = _column_degree(generators, v)
+        k = column_degree(generators, v)
         if k is INHOMOGENEOUS:
             raise HomogeneityError(f"relation column {idx} is not homogeneous")
         shifts.append(0 if k is ANY_DEGREE else degree - k)

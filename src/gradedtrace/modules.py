@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freemod import (
+    Column,
     GradedFreeModule,
     GradedMatrixHom,
     Vector,
@@ -39,7 +40,7 @@ from .freemod import (
     identity_hom,
     zero_hom,
 )
-from .rings import ANY_DEGREE, INHOMOGENEOUS, HomogeneityError, RingSpec
+from .rings import ANY_DEGREE, INHOMOGENEOUS, HomogeneityError, RingMismatch, RingSpec
 from .solvers import ColumnSpan, EngineError, column_span, prune_columns, syzygies
 
 
@@ -52,13 +53,29 @@ def relation_hom_from_columns(
 ) -> GradedMatrixHom:
     """Package relation columns as a homogeneous map of the given degree.
 
-    Each column is coerced once and must be homogeneous; its source shift
-    follows freemod._relation_shifts, so the map builds unchecked.  An even
-    degree is refused by PresentedModule, not here.
+    A column is a dense vector or a freemod.Line, as the parser reads it;
+    either comes from outside, so every entry is checked: each column's
+    length and ring first, then its homogeneity (vector_degree), not one
+    term as for engine Columns.  Its source shift follows
+    freemod._relation_shifts, so the map builds unchecked.  An even degree
+    is refused by PresentedModule, not here.
     """
-    cols = [generators.coerce_vector(c) for c in columns]
-    source = GradedFreeModule(generators.ring, _relation_shifts(generators, cols, degree))
-    return _from_columns(source, generators, degree, [_nonzero(c) for c in cols])
+    cols = [_outside_column(generators, c) for c in columns]
+    shifts = _relation_shifts(generators, cols, degree, GradedFreeModule.vector_degree)
+    return _from_columns(GradedFreeModule(generators.ring, shifts), generators, degree, cols)
+
+
+def _outside_column(generators: GradedFreeModule, column) -> Column:
+    """The nonzero entries of a dense vector or a Line, its length and entries' ring checked."""
+    if not (len(column) == 2 and isinstance(column[0], dict)):  # no dense vector holds a dict
+        return _nonzero(generators.coerce_vector(column))
+    (entries, length), ring = column, generators.ring
+    if length != generators.rank:
+        raise ValueError(f"expected {generators.rank} entries, got {length}")
+    for e in entries.values():
+        if not (e.ring is ring or e.ring == ring):
+            raise RingMismatch(f"{e.ring} is not {ring}")
+    return entries
 
 
 class PresentedModule:
@@ -298,7 +315,8 @@ def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
 
     max_length bounds the length, the number of maps with the relation map
     counted first: past it ResolutionTooLong is raised instead of looping
-    forever.  It does not bound the work inside one step.  Over the
+    forever, and a negative bound is refused for every module, a free one's
+    included.  It does not bound the work inside one step.  Over the
     integers a step is one reduced Hermite form per grading block, whose
     entries stay within the bound smith_normal_form states,
     3 * N * log2(B * sqrt(N)) + 64 bits for N x N blocks with entries of
@@ -307,7 +325,7 @@ def resolve(module: PresentedModule, max_length: int = 32) -> Resolution:
     """
     maps: list[GradedMatrixHom] = []
     nxt = module.relations
-    while nxt.source.rank:
+    while max_length < 0 or nxt.source.rank:
         if len(maps) >= max_length:
             raise ResolutionTooLong(f"no free resolution of length <= {max_length} found")
         maps.append(nxt)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 INTEGERS = "integers"
@@ -122,7 +123,7 @@ class RingSpec:
         return RingElement(self, {tuple(exponents): coeff})
 
     def term_degree(self, exponents: tuple[int, ...]) -> int:
-        d = sum(e * w for e, w in zip(exponents, self.var_degrees))
+        d = sum(map(mul, exponents, self.var_degrees))
         return d % 2 if self.grading == GRADING_Z2 else d
 
     def reduce_degree(self, d: int) -> int:
@@ -220,8 +221,8 @@ class RingElement:
     Canonical form (no zero coefficients) is enforced at construction, so
     two elements are equal iff their term maps are identical.  Instances are
     immutable by convention; all arithmetic returns new elements.  A product
-    with a constant factor scales the other factor's terms instead of
-    convolving them.
+    of two terms is one term, and a product with a constant factor scales
+    the other factor's terms instead of convolving them.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -283,12 +284,12 @@ class RingElement:
 
     def has_degree(self, d: int) -> bool:
         """True iff homogeneous of degree d (the zero element always is)."""
-        deg = self.degree()
-        if deg is ANY_DEGREE:
-            return True
-        if deg is INHOMOGENEOUS:
-            return False
-        return self.ring.degrees_match(deg, d)
+        ring = self.ring
+        want = ring.reduce_degree(d)
+        for exp in self._terms:
+            if ring.term_degree(exp) != want:
+                return False
+        return True
 
     def homogeneous_component(self, d: int) -> RingElement:
         want = self.ring.reduce_degree(d)
@@ -341,6 +342,9 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            ((e1, c1),), ((e2, c2),) = self._terms.items(), other._terms.items()
+            return RingElement._clean(self.ring, {tuple(map(add, e1, e2)): c1 * c2})
         for const, rest in (self._terms, other._terms), (other._terms, self._terms):
             if len(const) == 1 and not any(next(iter(const))):
                 (c,) = const.values()

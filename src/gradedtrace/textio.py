@@ -25,28 +25,39 @@ are lists of columns.  Element expressions use integer literals, declared
 generators, +, -, *, ^ and parentheses; exponents may be negative only when
 the generator is invertible.  Comments run from '#' to end of line.
 
-The parser is recursive descent, and three rules carry most of it.  The
-list rule `_list` reads "[" (item ("," item)*)? "]" for shift lists, rows,
-tables and payloads.  The item-block rule `_items` reads the braces of
-module, matrix, hom, ses and case: each NAME is looked up in a table of
-item readers, an unknown one is refused with the names the block knows,
-and an optional ";" follows every item.  The term rule `_term` reads the
-factors of a product left to right.  While they are integer literals and
-generators, each perhaps raised to a power n >= 0, it keeps one
-coefficient and one exponent vector and builds the term as one element at
-its end, so a literal such as 0, -3 or 2*x^2*y costs no ring arithmetic.
-The first parenthesized factor or negative power turns the product so far
-into an element, and ring arithmetic reads the rest of the term.  Sums of
-terms always use ring arithmetic.  Integer tokens are converted in one
-place, `_decimal`, and each "*" and "^" is refused at its own token before
-it expands past the caps in GRAMMAR.
+The parser is recursive descent, and four rules carry most of it.  The
+list rule `_list` reads "[" (item ("," item)*)? "]" for tables and
+payloads.  The row rule `_line` reads every table row (matrix rows, hom
+lift, ses a, b, fA and fB, module rels) straight into a sparse row, a
+freemod.Line: a dict from position to nonzero element, plus the row's
+length.  An integer literal, perhaps after one "-", that a "," or "]"
+follows skips the expression rule there, and a literal 0 builds no
+element; shift lists go through the same loop.  The item-block rule
+`_items` reads the braces of module, matrix, hom, ses and case: each NAME
+is looked up in a table of item readers, an unknown one is refused with
+the names the block knows, and an optional ";" follows every item.  The
+term rule `_term` reads the factors of a product left to right.  While
+they are integer literals and generators, each perhaps raised to a power
+n >= 0, it keeps one coefficient and one exponent vector and builds the
+term as one element at its end, so a literal such as 0, -3 or 2*x^2*y
+costs no ring arithmetic.  The first parenthesized factor or negative
+power turns the product so far into an element, and ring arithmetic reads
+the rest of the term.  Sums of terms always use ring arithmetic.  Integer
+tokens are converted in one place, `_decimal`, and each "*" and "^" is
+refused at its own token before it expands past the caps in GRAMMAR.
 
 Parsing is strict: every object is rebuilt through the library constructors,
 so shape, homogeneity, and well-definedness failures surface as ParseError
-with a line and column.  `document_source` is the one printer and emits
-exactly this grammar: every braced statement goes through `_block`, the
-printing side of `_items`, which writes the head and "{", one item a line
-indented two spaces, and "}".  parse(print(x)) reproduces x.
+with a line and column.  A table is read whole before it is checked, so a
+parse error in it wins over a shape or degree error.  Each parsed entry is
+checked once: by freemod._checked_rows, the loop the public constructor
+runs too, before the map builds through GradedMatrixHom._closed, or, in a
+relation column, by relation_hom_from_columns.
+
+`document_source` is the one printer and emits exactly this grammar: every
+braced statement goes through `_block`, the printing side of `_items`,
+which writes the head and "{", one item a line indented two spaces, and
+"}".  parse(print(x)) reproduces x.
 
 Lexing is one scan of the compiled `_TOKEN_RE` over the whole text.  Each
 match skips blanks and comments, then takes one token, the end of input, or
@@ -67,7 +78,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, NoReturn
 
-from .freemod import GradedFreeModule, GradedMatrixHom
+from .freemod import GradedFreeModule, GradedMatrixHom, Line, _checked_rows
 from .lefschetz import ExampleCase
 from .modules import (
     ModuleHom,
@@ -174,6 +185,9 @@ _STATEMENTS = ("ring", "free", "module", "matrix", "hom", "ses", "case")
 # parser recurses at most four frames per level, so this cap keeps every
 # document far below the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# the tokens that may follow an item of a list
+_ENTRY_ENDS = frozenset((",", "]"))
 
 # The expansion caps live in rings; the parser adds the engine's exponent bound.
 _POWER_CAPS = f"exponent {_LIMIT}, {_EXPANSION_CAPS}"
@@ -284,16 +298,18 @@ class _Parser:
 
     # small literals
 
-    def _int(self) -> int:
-        return _decimal(self._expect_kind("int"))
-
     def _signed_int(self) -> int:
         neg = self._accept("-")
-        value = self._int()
+        value = _decimal(self._expect_kind("int"))
         return -value if neg else value
 
     def _string(self) -> str:
         return _unescape(self._expect_kind("string"))
+
+    def _shifts(self) -> list[int]:
+        """Read list(SIGNED) in the one loop of _line."""
+        values, length = self._line(self._signed_int, int)
+        return [values.get(j, 0) for j in range(length)]
 
     # ring specifications
 
@@ -450,10 +466,40 @@ class _Parser:
         if not _product_fits(terms, bits):
             self._fail(star, f"product too large to expand: the caps are {_POWER_CAPS}")
 
-    # nested list literals over a ring: rows of a matrix, or oracle payloads
+    # nested list literals: tables of rows or columns over a ring, or oracle payloads
 
-    def _table(self, ring: RingSpec) -> list[list[RingElement]]:
-        return self._list(partial(self._list, partial(self._element, ring)))
+    def _table(self, ring: RingSpec) -> list[Line]:
+        return self._list(partial(self._line, partial(self._element, ring), ring.const))
+
+    def _line(self, item: Callable[[], object], literal: Callable[[int], object]) -> Line:
+        """Read list(item) as its nonzero items by position and its length.
+
+        An integer literal, perhaps after one "-", that ends its item is
+        read here and passed to literal instead; a 0 is dropped unbuilt.
+        """
+        tokens = self.tokens
+        self._expect("[")
+        pos, entries, j = self.pos, {}, 0
+        if tokens[pos] != "]":
+            while True:
+                neg = tokens[pos] == "-"
+                tok = tokens[pos + neg]
+                if tok.isdigit() and tokens[pos + neg + 1] in _ENTRY_ENDS:
+                    pos += neg + 1
+                    if tok != "0" and (c := _decimal(tok)):
+                        entries[j] = literal(-c if neg else c)
+                else:
+                    self.pos = pos
+                    if e := item():
+                        entries[j] = e
+                    pos = self.pos
+                j += 1
+                if tokens[pos] != ",":
+                    break
+                pos += 1
+        self.pos = pos
+        self._expect("]")
+        return entries, j
 
     def _payload(self, ring: RingSpec) -> list:
         at = self.pos
@@ -509,7 +555,7 @@ class _Parser:
         anchor = self._advance()
         name = self._declare(self.doc.modules, "module")
         ring = self._current_ring(anchor)
-        shifts = self._list(self._signed_int)
+        shifts = self._shifts()
         self._accept(";")
         self.doc.modules[name] = self._build(
             anchor, lambda: free_presentation(GradedFreeModule(ring, tuple(shifts)))
@@ -522,7 +568,7 @@ class _Parser:
         items = self._items(
             "module item",
             {
-                "gens": lambda at: self._list(self._signed_int),
+                "gens": lambda at: self._shifts(),
                 "rels": lambda at: self._table(ring),
                 "reldegree": lambda at: self._signed_int(),
             },
@@ -540,7 +586,7 @@ class _Parser:
         self._expect_kind("arrow")
         return source, self._lookup(self.doc.modules, "module")
 
-    def _rows_block(self, anchor: int, ring: RingSpec, body_key: str) -> tuple[int, list[list[RingElement]]]:
+    def _rows_block(self, anchor: int, ring: RingSpec, body_key: str) -> tuple[int, list[Line]]:
         items = self._items(
             "item",
             {"degree": lambda at: self._signed_int(), body_key: lambda at: self._table(ring)},
@@ -550,28 +596,35 @@ class _Parser:
             self._fail(anchor, f"missing '{body_key} [...];' item")
         return items["degree"], items[body_key]
 
+    def _matrix(
+        self, anchor: int, source: GradedFreeModule, target: GradedFreeModule, degree: int, rows, ring: RingSpec
+    ) -> GradedMatrixHom:
+        """The map with these parsed rows over ring, checked once; a rejection fails at anchor."""
+        return self._build(
+            anchor,
+            lambda: GradedMatrixHom._closed(source, target, degree, _checked_rows(source, target, degree, rows, ring)),
+        )
+
     def _hom(
-        self, anchor: int, source: PresentedModule, target: PresentedModule, degree: int, rows
+        self, anchor: int, source: PresentedModule, target: PresentedModule, degree: int, rows, ring: RingSpec
     ) -> ModuleHom:
         """The map of presented modules lifted by rows; a rejection fails at anchor."""
-        gens = source.generators, target.generators
-        return self._build(anchor, lambda: ModuleHom(source, target, GradedMatrixHom(*gens, degree, rows)))
+        lift = self._matrix(anchor, source.generators, target.generators, degree, rows, ring)
+        return self._build(anchor, lambda: ModuleHom(source, target, lift))
 
     def _stmt_matrix(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.matrices, "matrix")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(anchor, source.ring, "rows")
-        self.doc.matrices[name] = self._build(
-            anchor, lambda: GradedMatrixHom(source.generators, target.generators, degree, rows)
-        )
+        self.doc.matrices[name] = self._matrix(anchor, source.generators, target.generators, degree, rows, source.ring)
 
     def _stmt_hom(self) -> None:
         anchor = self._advance()
         name = self._declare(self.doc.homs, "hom")
         source, target = self._arrow_heads()
         degree, rows = self._rows_block(anchor, source.ring, "lift")
-        self.doc.homs[name] = self._hom(anchor, source, target, degree, rows)
+        self.doc.homs[name] = self._hom(anchor, source, target, degree, rows, source.ring)
 
     def _stmt_ses(self) -> None:
         anchor = self._advance()
@@ -584,7 +637,7 @@ class _Parser:
                 parts.append(self._lookup(self.doc.modules, "module"))
             return parts
 
-        def table(at: int) -> list[list[RingElement]]:
+        def table(at: int) -> list[Line]:
             return self._table(self._current_ring(at))
 
         items = self._items(
@@ -597,12 +650,13 @@ class _Parser:
         if "a" not in items or "b" not in items:
             self._fail(anchor, "ses needs both 'a [...];' and 'b [...];' items")
         left, middle, right = items["modules"]
-        a = self._hom(anchor, left, middle, 0, items["a"])
-        b = self._hom(anchor, middle, right, 0, items["b"])
+        ring = self.doc.ring  # every table of the statement was read over it
+        a = self._hom(anchor, left, middle, 0, items["a"], ring)
+        b = self._hom(anchor, middle, right, 0, items["b"], ring)
         ses = self._build(anchor, lambda: ShortExactSequence(left, middle, right, a, b))
         self._build(anchor, ses.validate)
         endos = [
-            self._hom(anchor, module, module, items["degree"], items[key]) if key in items else None
+            self._hom(anchor, module, module, items["degree"], items[key], ring) if key in items else None
             for key, module in (("fA", left), ("fB", middle))
         ]
         self.doc.sequences[name] = SequencePackage(ses, *endos)

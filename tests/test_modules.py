@@ -163,10 +163,13 @@ def test_resolution_too_long_raises():
 
 
 def test_max_length_bounds_the_length_counting_the_relation_map():
+    free = free_presentation(GradedFreeModule(ZX, (0,)))
     for bound in (0, -3):
         with pytest.raises(ResolutionTooLong):
             resolve(_dual_numbers(), max_length=bound)
-        assert resolve(free_presentation(GradedFreeModule(ZX, (0,))), max_length=bound).length == 0
+    assert resolve(free, max_length=0).length == 0
+    with pytest.raises(ResolutionTooLong, match=r"^no free resolution of length <= -3 found$"):
+        resolve(free, max_length=-3)
     assert resolve(_dual_numbers(), max_length=1).length == 1
     assert resolve(_koszul_point(), max_length=2).length == 2
 

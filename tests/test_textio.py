@@ -34,6 +34,7 @@ from gradedtrace import (
     parse_source,
     polynomial_ring,
     presented_module,
+    relation_hom_from_columns,
     textio,
 )
 from gradedtrace.cli import main
@@ -114,6 +115,8 @@ def test_parse_errors_carry_positions():
 
 # Each malformed document is refused with this exact message at this line and column.
 _HEAD = "ring Z;\nfree P [0];\nmodule M { gens [0]; }\nhom f : M -> M { lift [[1]]; }\n"
+_XHEAD = "ring Z[x:2];\nfree P [0, 0];\nmodule M { gens [0]; rels [[x^2]]; }\n"
+_SHEAD = "ring Z;\nmodule A { gens [0]; }\nmodule B { gens [0, 2]; }\nmodule C { gens [2]; }\n"
 MALFORMED = [
     ('module item', 'ring Z;\nmodule M { gens [0]; bogus [1]; }\n', "unknown module item 'bogus' (gens, rels, reldegree)", 2, 22),
     ('matrix item', _HEAD + 'matrix F : P -> P { degree 0; lift [[1]]; }\n', "unknown item 'lift' (degree, rows)", 5, 31),
@@ -141,6 +144,23 @@ MALFORMED = [
     ('arity, row', _HEAD + 'matrix F : P -> P { rows [[1, 2]]; }\n', 'row 0: expected 1 entries, got 2', 5, 1),
     ('arity, table', _HEAD + 'matrix F : P -> P {\n  rows [[1], [2]];\n}\n', 'expected 1 rows, got 2', 5, 1),
     ('arity, rels', 'ring Z;\nmodule M { gens [0, 0]; rels [[1]]; }\n', 'expected 2 entries, got 1', 2, 1),
+    ('degree, rows', _XHEAD + 'matrix F : P -> P { rows [[1, 0], [x, 1]]; }\n', 'entry (1,0) = x must be homogeneous of degree 0, got degree 2', 4, 1),
+    ('degree, lift', _XHEAD + 'hom g : M -> M { degree 2; lift [[x^2]]; }\n', 'entry (0,0) = x^2 must be homogeneous of degree 2, got degree 4', 4, 1),
+    ('degree, rels', _XHEAD + 'module N { gens [0, 0]; rels [[x, 1]]; }\n', 'relation column 0 is not homogeneous', 4, 1),
+    ('degree, rels entry', _XHEAD + 'module N { gens [0]; rels [[1], [x + 1]]; }\n', 'relation column 1 is not homogeneous', 4, 1),
+    ('degree, ses a', _SHEAD + 'ses S { modules A, B, C; a [[1], [1]]; b [[0, 1]]; }\n', 'entry (1,0) = 1 must be homogeneous of degree 2, got degree 0', 5, 1),
+    ('degree, ses b', _SHEAD + 'ses S { modules A, B, C; a [[1], [0]]; b [[1, 1]]; }\n', 'entry (0,0) = 1 must be homogeneous of degree 2, got degree 0', 5, 1),
+    ('degree, ses fA', _SHEAD + 'ses S { modules A, B, C; a [[1], [0]]; b [[0, 1]]; fA [[1]]; fB [[1, 0], [0, 1]]; degree 2; }\n', 'entry (0,0) = 1 must be homogeneous of degree 2, got degree 0', 5, 1),
+    ('degree, ses fB', _SHEAD + 'ses S { modules A, B, C; a [[1], [0]]; b [[0, 1]]; fA [[1]]; fB [[1, 1], [0, 1]]; }\n', 'entry (0,1) = 1 must be homogeneous of degree -2, got degree 0', 5, 1),
+    ('degree, then a parse error', _XHEAD + 'matrix F : P -> P { rows [[x, 0], [0, 1 +]]; }\n', "expected an element, got ']'", 4, 42),
+    ('degree, then a parse error in a later table', _XHEAD + 'matrix F : P -> P { rows [[x, 0], [0, 1]]; rows [[1 2]]; }\n', "expected ']', got '2'", 4, 53),
+    ('degree, then a length', _XHEAD + 'matrix F : P -> P { rows [[x, 0], [0]]; }\n', 'entry (0,0) = x must be homogeneous of degree 0, got degree 2', 4, 1),
+    ('length, then a degree, rels', _XHEAD + 'module N { gens [0, 0]; rels [[x, 1], [1]]; }\n', 'expected 2 entries, got 1', 4, 1),
+    ('two rings', 'ring Z[x:2];\nfree P [0];\nring Z[y:2];\nfree Q [0];\nmatrix F : P -> Q { rows [[x]]; }\n', 'Z[x:2] is not Z[y:2]', 5, 1),
+    ('two rings, zero', 'ring Z[x:2];\nfree P [0];\nring Z[y:2];\nfree Q [0];\nmatrix F : Q -> P { rows [[0]]; }\n', 'Z[y:2] is not Z[x:2]', 5, 1),
+    ('ses over another ring', 'ring Z[x:2];\nmodule A { gens [0]; }\nring Z;\nses S { modules A, A, A; a [[0]]; b [[1]]; }\n', 'entry (0,0) lives in Z, not Z[x:2]', 4, 1),
+    ('ses over another ring, rows', 'ring Z[x:2];\nmodule A { gens [0]; }\nring Z;\nses S { modules A, A, A; a [[1], [1]]; b [[1]]; }\n', 'expected 1 rows, got 2', 4, 1),
+    ('ses over another ring, row', 'ring Z[x:2];\nmodule A { gens [0]; }\nring Z;\nses S { modules A, A, A; a [[1, 1]]; b [[1]]; }\n', 'row 0: expected 1 entries, got 2', 4, 1),
     ('some generators inverted', 'ring Z[s:0,s^-1,t:0];\n', "either all generators are invertible or none; missing ['t']", 1, 6),
     ('odd generator degree', 'ring Z[s:1];\n', 'generator s has odd degree 1; only even degrees are supported', 1, 6),
 ]
@@ -151,6 +171,63 @@ def test_malformed_documents_are_refused_with_message_and_position(label, source
     with pytest.raises(ParseError) as err:
         parse_source(source)
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+# Entries at the edge of the integer-literal shortcut, each with the element ring arithmetic gives.
+_ZX0 = polynomial_ring(["x"], [0])
+LITERAL_EDGES = [
+    ("0*x", _ZX0.zero()),
+    ("2^3", _ZX0.const(8)),
+    ("-0", _ZX0.zero()),
+    ("0 + x", _ZX0.gen("x")),
+    ("-3", _ZX0.const(-3)),
+    ("(0)", _ZX0.zero()),
+    ("- 2", _ZX0.const(-2)),
+    ("0", _ZX0.zero()),
+    ("7 - 7", _ZX0.zero()),
+    ("-3*x", -3 * _ZX0.gen("x")),
+    ("9" * 700, _ZX0.const(10**700 - 1)),
+]
+
+
+@pytest.mark.parametrize("text, want", LITERAL_EDGES, ids=[row[0][:16] for row in LITERAL_EDGES])
+def test_literal_edges_parse_to_the_elements_of_ring_arithmetic(text, want):
+    """Each entry is read before a "," and before a "]", in a row and in a relation column."""
+    source = f"ring Z[x:0];\nfree P [0, 0];\nmatrix F : P -> P {{ rows [[{text}, 1], [0, {text}]]; }}\n"
+    source += f"module M {{ gens [0, 0]; rels [[{text}, 1], [1, {text}]]; }}\n"
+    doc = parse_source(source)
+    p = GradedFreeModule(_ZX0, (0, 0))
+    dense = GradedMatrixHom(p, p, 0, [[want, 1], [0, want]])
+    assert doc.matrices["F"] == dense and doc.matrices["F"]._rows == dense._rows
+    assert doc.matrices["F"][0, 0] == want
+    relations = doc.modules["M"].relations
+    dense = relation_hom_from_columns(p, [[want, 1], [1, want]])
+    assert relations == dense and relations._rows == dense._rows
+
+
+def test_parsed_maps_equal_the_dense_constructor_on_the_same_entries():
+    rng = random.Random(2718)
+    for ring in RING_POOL:
+        for _ in range(6):
+            doc = Document()
+            shifts = [random_shifts(rng, max_rank=5) for _ in range(2)]
+            for k, s in enumerate(shifts):
+                doc.modules[f"P{k}"] = free_presentation(GradedFreeModule(ring, s))
+            frees = [m.generators for m in doc.modules.values()]
+            for k in range(3):
+                source, target = rng.choice(frees), rng.choice(frees)
+                doc.matrices[f"F{k}"] = random_matrix(rng, source, target, rng.randint(-2, 2), density=rng.random())
+            module = random_presented_module(rng, ring)
+            doc.modules["M"] = module
+            doc.homs["h"] = random_module_endo(rng, module)
+            again = parse_source(document_source(doc))
+            pairs = [(again.matrices[name], f) for name, f in doc.matrices.items()]
+            pairs += [(again.homs["h"].lift, doc.homs["h"].lift), (again.modules["M"].relations, module.relations)]
+            for parsed, original in pairs:
+                dense = GradedMatrixHom(original.source, original.target, original.degree, original.entries)
+                assert parsed == dense
+                assert parsed._rows == dense._rows
+                assert all(all(row.values()) for row in parsed._rows)
 
 
 def test_nesting_is_capped_at_the_offending_token():
