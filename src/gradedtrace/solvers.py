@@ -13,7 +13,8 @@ position-over-term (lower index wins) with degree-reverse-lexicographic
 monomials; it is not configurable.  Inside the engine a term is one packed
 integer whose integer order is that term order, every basis element keeps
 its leading term, and the basis is indexed by leading position, so that a
-division step scans only the elements at the term's own position.  An
+division step scans only the elements at the term's own position.  Term
+keys are computed once per monomial per process and looked up after.  An
 exponent or degree past 32767 raises EngineError instead of wrapping.
 
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
@@ -246,31 +247,49 @@ _LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the largest exponent or degree a field 
 
 
 class _Packing:
-    """Term keys over nvars engine variables."""
+    """Term keys over nvars engine variables.
 
-    __slots__ = ("shifts", "deg_shift", "top", "one", "exp_guard", "guard")
+    A monomial's key at position 0 is computed once and kept in two tables,
+    exponent tuple -> key and key -> exponent tuple; the key at position p
+    is that key minus p << top.  The tables hold one entry per distinct
+    monomial met, and the packing is shared per nvars, so they last the
+    process.
+    """
+
+    __slots__ = ("shifts", "deg_shift", "top", "mask", "one", "exp_guard", "guard", "keys", "exps")
 
     def __init__(self, nvars: int):
         self.shifts = [i * _FIELD_BITS for i in range(nvars)]
         self.deg_shift = nvars * _FIELD_BITS
         self.top = self.deg_shift + _FIELD_BITS
+        self.mask = (1 << self.top) - 1  # the monomial's part of a key
         # the monomial 1 at position 0; the key offset of a monomial is key - one
         self.one = sum(_LIMIT << s for s in self.shifts)
         self.exp_guard = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)
         self.guard = self.exp_guard | (1 << (self.top - 1))
+        self.keys: dict[tuple[int, ...], int] = {}
+        self.exps: dict[int, tuple[int, ...]] = {}
 
     def pack(self, pos: int, exp: tuple[int, ...]) -> int:
-        deg = sum(exp)
-        if deg > _LIMIT:
-            raise EngineError(f"degree {deg} passes the engine's bound of {_LIMIT}")
-        key = (deg << self.deg_shift) + self.one - (pos << self.top)
-        for e, s in zip(exp, self.shifts):
-            key -= e << s
-        return key
+        key = self.keys.get(exp)
+        if key is None:
+            deg = sum(exp)
+            if deg > _LIMIT:
+                raise EngineError(f"degree {deg} passes the engine's bound of {_LIMIT}")
+            key = (deg << self.deg_shift) + self.one
+            for e, s in zip(exp, self.shifts):
+                key -= e << s
+            self.keys[exp] = key
+            self.exps[key] = exp
+        return key - (pos << self.top)
 
     def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
-        low = self.one - (key & ((1 << self.deg_shift) - 1))
-        return -(key >> self.top), tuple([(low >> s) & _LIMIT for s in self.shifts])
+        mono = key & self.mask
+        exp = self.exps.get(mono)
+        if exp is None:
+            low = self.one - (mono & ((1 << self.deg_shift) - 1))
+            exp = self.exps[mono] = tuple([(low >> s) & _LIMIT for s in self.shifts])
+        return -(key >> self.top), exp
 
 
 @functools.cache
@@ -595,16 +614,25 @@ def _engine_nvars(ring: RingSpec) -> int:
     return 2 * ring.nvars if ring.kind == LAURENT else ring.nvars
 
 
+@functools.cache
+def _engine_exp(exp: tuple[int, ...]) -> tuple[int, ...]:
+    """The engine exponent of a Laurent exponent: (max(e, 0), ..., max(-e, 0), ...)."""
+    return tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
+
+
+@functools.cache
+def _ring_exp(exp: tuple[int, ...]) -> tuple[int, ...]:
+    """The Laurent exponent of an engine exponent, along y_i -> x_i^-1."""
+    n = len(exp) // 2
+    return tuple(a - b for a, b in zip(exp[:n], exp[n:]))
+
+
 def _to_engine(ring: RingSpec, entries) -> dict:
     """The engine vector of (position, ring element) pairs."""
-    pk = _packing(_engine_nvars(ring))
-    out: dict = {}
-    for pos, entry in entries:
-        for exp, c in entry.items():
-            if ring.kind == LAURENT:
-                exp = tuple(max(e, 0) for e in exp) + tuple(max(-e, 0) for e in exp)
-            out[pk.pack(pos, exp)] = c
-    return out
+    pack = _packing(_engine_nvars(ring)).pack
+    if ring.kind == LAURENT:
+        return {pack(pos, _engine_exp(exp)): c for pos, entry in entries for exp, c in entry.items()}
+    return {pack(pos, exp): c for pos, entry in entries for exp, c in entry.items()}
 
 
 def _unit_columns(ambient: GradedFreeModule) -> list[dict]:
@@ -642,13 +670,13 @@ class _PolyBackend:
     def _column(self, vec: dict, length: int, sign: int = 1) -> Column:
         """Positions 0..length-1 of sign times an engine vector or certificate,
         as a Column; Laurent terms that cancel along y_i -> x_i^-1 drop out."""
-        n, per_pos = self.ring.nvars, {}
+        unpack, per_pos = self.gb.pk.unpack, {}
         for key, c in vec.items():
-            pos, exp = self.gb.pk.unpack(key)
+            pos, exp = unpack(key)
             if pos < length:
                 terms = per_pos.setdefault(pos, {})
                 if self.laurent:
-                    exp = tuple(a - b for a, b in zip(exp[:n], exp[n:]))
+                    exp = _ring_exp(exp)
                 if s := terms.pop(exp, 0) + sign * c:
                     terms[exp] = s
         return {pos: RingElement._clean(self.ring, terms) for pos, terms in per_pos.items() if terms}

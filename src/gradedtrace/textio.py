@@ -38,11 +38,13 @@ is looked up in a table of item readers, an unknown one is refused with
 the names the block knows, and an optional ";" follows every item.  The
 term rule `_term` reads the factors of a product left to right.  While
 they are integer literals and generators, each perhaps raised to a power
-n >= 0, it keeps one coefficient and one exponent vector and builds the
-term as one element at its end, so a literal such as 0, -3 or 2*x^2*y
-costs no ring arithmetic.  The first parenthesized factor or negative
-power turns the product so far into an element, and ring arithmetic reads
-the rest of the term.  Sums of terms always use ring arithmetic.  Integer
+n >= 0 (any n for a Laurent ring's generator), it keeps one coefficient
+and one exponent vector and builds the term as one element at its end, so
+a literal such as 0, -3, 2*x^2*y or 2*t^-1 costs no ring arithmetic.  The
+first parenthesized factor, or negative power of a literal or of a
+polynomial generator, turns the product so far into an element, and ring
+arithmetic reads the rest of the term.  Sums of terms always use ring
+arithmetic.  Integer
 tokens are converted in one place, `_decimal`, and each "*" and "^" is
 refused at its own token before it expands past the caps in GRAMMAR.
 
@@ -92,6 +94,7 @@ from .rings import (
     _EXPANSION_CAPS,
     GRADING_Z,
     GRADING_Z2,
+    LAURENT,
     RingElement,
     RingMap,
     RingSpec,
@@ -375,11 +378,12 @@ class _Parser:
         """Read factor ("*" factor)*, where factor := "-"* atom ("^" SIGNED)?.
 
         While the factors are literals and generators, each perhaps raised
-        to a power n >= 0, the product is one coefficient and one exponent
-        vector, built as one element when the term ends.  The first
-        parenthesized factor or negative power makes the product so far an
-        element, and ring arithmetic reads the rest of the term.  Either way
-        each "*" and "^" meets the caps at its own token.
+        to a power n >= 0 (any n for a Laurent ring's generator), the
+        product is one coefficient and one exponent vector, built as one
+        element when the term ends.  The first parenthesized factor, or
+        negative power of a literal or of a polynomial generator, makes the
+        product so far an element, and ring arithmetic reads the rest of the
+        term.  Either way each "*" and "^" meets the caps at its own token.
         """
         tokens, names = self.tokens, ring.var_names
         coeff, exps = 1, [0] * len(names)
@@ -412,10 +416,11 @@ class _Parser:
                 self.pos += 1
                 power_at = self.pos
                 power = self._signed_int()
-                if factor is None and power < 0:  # ring arithmetic knows the units
+                # ring arithmetic knows the units; a Laurent generator's power stays a monomial
+                if factor is None and power < 0 and (var is None or ring.kind != LAURENT):
                     factor = ring.const(c) if var is None else ring.gen(tok)
                 if factor is None:
-                    self._check_power(power_at, power, 1 if c else 0, c)
+                    self._check_power(power_at, abs(power), 1 if c else 0, c)
                     if var is None:
                         c **= power
                     else:

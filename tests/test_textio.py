@@ -38,6 +38,7 @@ from gradedtrace import (
     textio,
 )
 from gradedtrace.cli import main
+from gradedtrace.rings import GRADING_Z2
 from gradedtrace.textio import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -913,3 +914,51 @@ def test_the_exponent_cap_bounds_each_power_not_the_product():
     t = laurent_ring(["t"], [0]).gen("t")
     assert parse_source(_LAURENT % "t^30000*t^30000").matrices["F"].entries == ((t**60000,),)
     assert parse_source(_LAURENT % "t^-30000*-t^-30000").matrices["F"].entries == ((-(t**-60000),),)
+# Negative powers of invertible generators, each with the element ring arithmetic gives.
+_ST = laurent_ring(["s", "t"], [0, 0])
+_S, _T = _ST.gen("s"), _ST.gen("t")
+_TZ2 = laurent_ring(["t"], [2], GRADING_Z2)
+NEGATIVE_POWERS = [
+    ("Z[s:0,s^-1,t:0,t^-1]", "t^-1", _T**-1),
+    ("Z[s:0,s^-1,t:0,t^-1]", "-t^-2", -(_T**-2)),
+    ("Z[s:0,s^-1,t:0,t^-1]", "2*t^-3*s", _ST.const(2) * _T**-3 * _S),
+    ("Z[s:0,s^-1,t:0,t^-1]", "t^3*t^-3", _T**3 * _T**-3),
+    ("Z[s:0,s^-1,t:0,t^-1]", "s^-1*t", _S**-1 * _T),
+    ("Z[t:2,t^-1] mod2", "t^-1", _TZ2.gen("t") ** -1),
+]
+
+
+@pytest.mark.parametrize("ring, text, want", NEGATIVE_POWERS, ids=[f"{row[1]} {row[0]}" for row in NEGATIVE_POWERS])
+def test_negative_powers_of_invertible_generators_parse_to_the_elements_of_ring_arithmetic(ring, text, want):
+    """Each entry is read in a row and in a relation column."""
+    source = f"ring {ring};\nfree P [0, 0];\nmatrix F : P -> P {{ rows [[{text}, 1], [0, {text}]]; }}\n"
+    source += f"module M {{ gens [0, 0]; rels [[{text}, 1], [1, {text}]]; }}\n"
+    doc = parse_source(source)
+    p = GradedFreeModule(want.ring, (0, 0))
+    dense = GradedMatrixHom(p, p, 0, [[want, 1], [0, want]])
+    assert doc.matrices["F"] == dense and doc.matrices["F"]._rows == dense._rows
+    assert doc.matrices["F"][1, 1].terms() == want.terms()
+    relations = doc.modules["M"].relations
+    dense = relation_hom_from_columns(p, [[want, 1], [1, want]])
+    assert relations == dense and relations._rows == dense._rows
+
+
+# document, entry, message, and the last text of the source that starts at the refused token
+NEGATIVE_POWER_REFUSALS = [
+    (_POLY, "x^-1", "x is not a unit in Z[x:0]", "-1"),
+    (_POLY, "2*x^-1", "x is not a unit in Z[x:0]", "-1"),
+    (_LAURENT, "2^-1", "2 is not a unit in Z[t:0,t^-1]", "-1"),
+    (_LAURENT, "t*2^-1", "2 is not a unit in Z[t:0,t^-1]", "-1"),
+    (_LAURENT, "t^-40000", _POWER, "-40000"),
+    (_LAURENT, "-3*t^-40000", _POWER, "-40000"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, entry, message, at", NEGATIVE_POWER_REFUSALS, ids=[row[1] for row in NEGATIVE_POWER_REFUSALS]
+)
+def test_negative_powers_keep_their_refusals(document, entry, message, at):
+    source = document % entry
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    assert (err.value.message, err.value.line, err.value.col) == (message, 1, source.rindex(at) + 1)
