@@ -203,6 +203,9 @@ def smith_normal_form(rows: list[list[int]]) -> SNFResult:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError(f"row {i} of a ragged matrix has {len(r)} entries, row 0 has {n}")
     # D's columns, each followed by its column of V^-1; V's rows are their duals
     cols = [[r[j] for r in rows] + e for j, e in enumerate(_eye(n))]
     V, U_cols, Uinv = _eye(n), _eye(m), _eye(m)
@@ -379,10 +382,13 @@ class _ModuleGB:
                 self.syzygies.append(cert)
 
     def grown(self, columns: list[dict], max_degree: int | None = None) -> _ModuleGB:
-        """A copy with columns admitted and completed, certifying nothing."""
-        out = _ModuleGB(self.nvars, [], self.grading)
-        out.max_degree = max_degree
-        out.certify = False
+        """A copy with columns admitted and completed, certifying nothing.
+
+        It shares the basis elements and skips __init__, which would
+        complete and interreduce an empty input first."""
+        out = object.__new__(_ModuleGB)
+        out.nvars, out.pk, out.grading, out.max_degree = self.nvars, self.pk, self.grading, max_degree
+        out.certify, out.syzygies, out._queue = False, None, []
         out.basis = list(self.basis)
         out.by_pos = {pos: list(ix) for pos, ix in self.by_pos.items()}
         out._complete((dict(col), None) for col in columns)
@@ -807,11 +813,14 @@ def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[
     each group is one pass (_lattice_greedy): the degree 0 part of the ring
     is Z, so within a group it is the same lattice question about the
     remainders modulo N_<d.  A group whose remainders keep a residue term
-    falls back to the greedy pass with one completion per column, truncated
-    at d, since for homogeneous input a strong basis truncated at degree d
-    decides membership in degrees <= d.  Every other polynomial or Laurent
-    ring or input forms one group, on which this is the plain greedy pass.
-    The kept indices are the same either way.
+    falls back to the plain greedy pass, truncated at d, since for
+    homogeneous input a strong basis truncated at degree d decides
+    membership in degrees <= d.  Every other polynomial or Laurent ring or
+    input forms one group, on which this is the plain greedy pass; the kept
+    indices are the same either way.  The plain pass over k columns grows
+    suffix bases S_(k-1) = lower and S_i = S_(i+1) + column i+1, and tests
+    column i against S_i plus the columns kept before it, the span of the
+    others still kept: (k-1) + k*r admitted columns for r kept, not k*(k-1).
     """
     cols = [c if isinstance(c, dict) else ambient.coerce_vector(c) for c in columns]
     sparse = [c if isinstance(c, dict) else _nonzero(c) for c in cols]
@@ -834,11 +843,18 @@ def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[
         else:
             if g:
                 group = [j for j in group if not lower.contains(engine[j])]
-            for j in list(group):
+            suffixes = [lower]  # suffixes[-1] spans N_<d and the columns after the one tested
+            for j in reversed(group[1:]):
+                suffixes.append(suffixes[-1].grown([engine[j]], degree))
+            chosen: list[int] = []
+            for i, j in enumerate(group):
+                span = suffixes.pop()
+                if chosen:
+                    span = span.grown([engine[k] for k in chosen], degree)
                 # alone in a later group, a column was just tested against N_<d
-                others = [engine[k] for k in group if k != j]
-                if others and lower.grown(others, degree).contains(engine[j]):
-                    group.remove(j)
+                if (i + 1 == len(group) and not chosen) or not span.contains(engine[j]):
+                    chosen.append(j)
+            group = chosen
         kept.extend(group)
         if g + 1 < len(groups):
             # with N_<d, the kept columns span what the whole group does

@@ -100,6 +100,13 @@ def test_snf_random_properties():
                 assert b == 0
 
 
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]]])
+def test_snf_refuses_a_ragged_matrix_by_its_row(rows):
+    # the first once dropped the 3, the second raised a bare IndexError
+    with pytest.raises(ValueError, match="row 1 of a ragged matrix"):
+        smith_normal_form(rows)
+
+
 def test_int_determinant():
     assert int_determinant([[2, 1], [1, 1]]) == 1
     assert int_determinant([[1, 2], [3, 4]]) == -2
@@ -325,6 +332,83 @@ def test_prune_columns_matches_greedy_reference(ring, rng):
     kept, indices = prune_columns(m, cols)
     assert indices == _greedy_reference(m, cols)
     assert kept == [cols[i] for i in indices]
+
+
+ONE_GROUP_RINGS = [
+    polynomial_ring(["s"], [0]),
+    laurent_ring(["t"], [0]),
+    laurent_ring(["t"], [2], GRADING_Z2),
+]
+
+
+def _one_group_columns(rng, ring):
+    """6-12 homogeneous columns: two or three drawn, a duplicate, a scalar
+    multiple, a zero column, then combinations, shuffled."""
+    m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=2, lo=-1, hi=1))
+    base, want = [], rng.randint(2, 3)
+    for _ in range(20):
+        k = -rng.choice(m.shifts)  # degree 0 at one position at least: the constants lie there
+        col = [gu.random_homogeneous(rng, ring, k + n, span=1) for n in m.shifts]
+        if any(col):
+            base.append((k, col))
+        if len(base) == want:
+            break
+    cols = [col for _, col in base]
+    if base:
+        cols.append(list(rng.choice(base)[1]))
+        cols.append([rng.choice((-3, -2, 2, 3)) * e for e in rng.choice(base)[1]])
+    cols.append([ring.zero()] * m.rank)
+    size = rng.randint(6, 12)
+    while base and len(cols) < size:
+        k = rng.choice(base)[0]
+        combo = [ring.zero()] * m.rank
+        for kb, col in base:
+            a = gu.random_homogeneous(rng, ring, k - kb, span=1)
+            combo = [e + a * c for e, c in zip(combo, col)]
+        cols.append(combo)
+    rng.shuffle(cols)
+    return m, [m.coerce_vector(c) for c in cols]
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ring=st.sampled_from(ONE_GROUP_RINGS), rng=st.randoms(use_true_random=False))
+def test_one_group_pruning_matches_greedy_reference(ring, rng):
+    # every column of these rings falls into one group, pruned by the chain of suffix bases
+    m, cols = _one_group_columns(rng, ring)
+    kept, indices = prune_columns(m, cols)
+    assert indices == _greedy_reference(m, cols)
+    assert kept == [cols[i] for i in indices]
+
+
+def test_one_group_pruning_admits_each_column_to_a_few_bases(monkeypatch):
+    # The 165 raw first syzygies of a module over R(SU(2)) = Z[s:0] form one
+    # group.  With r = 3 kept of k = 165, the chain of suffix bases admits at
+    # most (k - 1) + k * r = 659 columns; one completion of the other columns
+    # per column admitted 13,533.
+    ring = polynomial_ring(["s"], [0])
+    s = ring.gen("s")
+    gens = GradedFreeModule(ring, (0, 0))
+    rels = [[-2 * s**2 - 3 * s, 2 * s**2 + 3], [3 * s**2 + 2, 2 * s**2], [2 * s - 2, -(s**2) - 3]]
+    rel = relation_hom_from_columns(gens, rels)
+    columns = list(solvers_impl.column_span(rel)._sparse_kernel())
+    assert len(columns) == 165
+    admitted = []
+    grown = solvers_impl._ModuleGB.grown
+
+    def counting(self, cols, max_degree=None):
+        admitted.append(len(cols))
+        return grown(self, cols, max_degree)
+
+    monkeypatch.setattr(solvers_impl._ModuleGB, "grown", counting)
+    kept = prune_columns(rel.source, columns)[1]
+    assert kept == [162, 163, 164]
+    assert sum(admitted) <= (len(columns) - 1) + len(columns) * len(kept)
 
 
 def test_prune_columns_keeps_the_last_of_all_zero_columns():

@@ -727,3 +727,22 @@ def test_even_degree_resolution_maps_are_refused():
     with pytest.raises(ValueError) as err:
         Resolution(m, [m.relations, top])
     assert str(err.value) == "map 1 has even degree 2; resolution maps must have odd degree"
+
+
+def test_the_laurent_zero_module_exits_two_within_five_seconds(tmp_path):
+    # Z[t, 1/t]/(-2 - t^-1, -2*t^-1) is zero, yet its syzygies never vanish,
+    # so resolve gives up at length 32.  About 0.5 s with the chain of suffix
+    # bases, interpreter start included; one completion per pruned column
+    # took 6-9 s.
+    doc = tmp_path / "z.txt"
+    doc.write_text("ring Z[t:0,t^-1];\nmodule Z0 { gens [0]; rels [[-2 - t^-1], [-2*t^-1]]; }\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    args = [sys.executable, "-m", "gradedtrace.cli", "resolve", "-f", str(doc), "-m", "Z0"]
+    try:
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=5)
+    except subprocess.TimeoutExpired:
+        pytest.fail("did not finish within 5 s")
+    assert done.returncode == 2, done.stderr
+    assert "no free resolution of length <= 32 found" in done.stderr
