@@ -81,11 +81,6 @@ class GradedFreeModule:
     def shifted(self, n: int) -> GradedFreeModule:
         return GradedFreeModule(self.ring, tuple(s + n for s in self.shifts))
 
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(
-            self.ring.one() if j == i else self.ring.zero() for j in range(self.rank)
-        )
-
     def coerce_vector(self, entries: Sequence) -> Vector:
         if len(entries) != self.rank:
             raise ValueError(f"expected {self.rank} entries, got {len(entries)}")

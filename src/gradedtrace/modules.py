@@ -11,9 +11,11 @@ exactness; endomorphisms lift along them one differential at a time, each
 step one solve of a whole matrix against the differential's column span.
 Lifts from outside columns validate through hom_from_columns; relation
 maps, syzygy maps and chain lifts are legal by construction and build
-unchecked, and verify_resolution and verify_lift certify them.  Every
+unchecked, and verify_resolution and verify_lift (the one chain-lift
+check; its ValueError names the failed stage) certify them.  Every
 containment check (descent, equality, verification) asks a span about a
-whole matrix at once.
+whole matrix at once; kernels of module maps and the exactness checks of
+trace.py read the span of one block map [lift | target relations].
 
 Relation columns follow freemod._relation_shifts: a homogeneous column of
 module degree k gets source shift (degree - k), so the relation map is
@@ -32,6 +34,7 @@ from .freemod import (
     GradedFreeModule,
     GradedMatrixHom,
     Vector,
+    _dense,
     _from_columns,
     _nonzero,
     _relation_shifts,
@@ -256,18 +259,27 @@ def module_hom(
 def kernel_of_hom(h: ModuleHom) -> list[Vector]:
     """Generators of {v : h(v) = 0}, as vectors in the source generators.
 
-    The syzygies of the block [lift | target relations], projected to the
-    lift's part, generate the full preimage of the target relation span;
-    they are returned pruned to an irredundant list (prune_columns).
+    The kernel of the block map [lift | target relations], cut to the
+    lift's positions, generates the full preimage of the target relation
+    span; its Columns are pruned to an irredundant list (prune_columns).
     """
-    s = h.source.generators.rank
-    vectors = [vec[:s] for vec in _block_span(h).syzygy_vectors() if any(vec[:s])]
-    return prune_columns(h.source.generators, vectors)[0] if vectors else []
+    gens, zero = h.source.generators, h.ring.zero()
+    columns = _kernel_on_lift(column_span(_block_map(h)), gens.rank)
+    return [_dense(c, gens.rank, zero) for c in prune_columns(gens, columns)[0]] if columns else []
 
 
-def _block_span(h: ModuleHom) -> ColumnSpan:
-    """The span of the block [lift | target relations] in the target generators."""
-    return ColumnSpan(h.target.generators, h.lift._sparse_columns() + h.target.relations._sparse_columns())
+def _block_map(h: ModuleHom) -> GradedMatrixHom:
+    """[h.lift | target relations] as one map of the lift's degree, legal by construction:
+    each relation's source shift moves by lift.degree - relations.degree."""
+    lift, rel = h.lift, h.target.relations
+    moved = tuple(s + lift.degree - rel.degree for s in rel.source.shifts)
+    source = GradedFreeModule(h.ring, lift.source.shifts + moved)
+    return _from_columns(source, lift.target, lift.degree, lift._sparse_columns() + rel._sparse_columns())
+
+
+def _kernel_on_lift(span: ColumnSpan, n: int) -> list[Column]:
+    """The span's nonzero kernel generators, cut to its first n (a block map's lift) positions."""
+    return [c for k in span._sparse_kernel() if (c := {i: e for i, e in k.items() if i < n})]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +293,8 @@ class Resolution:
 
     maps[i] is the differential modules[i+1] -> modules[i]; the augmentation
     P_0 -> module is the identity on generators.  Construction refuses a map
-    of even degree (the traces over it would not sum).  The free modules are
+    of even degree (the traces over it would not sum) and a map j >= 1 that
+    does not land in the source of map j - 1.  The free modules are
     read off the maps, so they cannot disagree with them.  Each map carries
     the one span of its columns (solvers.column_span): resolve builds it to
     take the map's kernel, and verify_resolution and lift_endomorphism read
@@ -296,6 +309,9 @@ class Resolution:
         for i, d in enumerate(self.maps):
             if d.degree % 2 == 0:
                 raise ValueError(f"map {i} has even degree {d.degree}; resolution maps must have odd degree")
+        for j in range(1, len(self.maps)):
+            if self.maps[j].target != self.maps[j - 1].source:
+                raise ValueError(f"map {j} does not land in the source of map {j - 1}")
 
     @property
     def modules(self) -> list[GradedFreeModule]:
@@ -396,15 +412,19 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
 
 
 def verify_lift(res: Resolution, endo: ModuleHom, lifts: list[GradedMatrixHom]) -> None:
-    """Check the chain-map equations exactly; raises EngineError on failure."""
-    if len(lifts) != len(res.maps) + 1:
-        raise EngineError("one chain map per resolution term required")
-    # lifts may differ from endo.lift by something landing in the relations
-    if ModuleHom(res.module, res.module, lifts[0]) != endo:
-        raise EngineError("chain map does not induce the given endomorphism")
+    """Raise ValueError unless lifts is a chain lift of endo over res: one
+    endomorphism of endo's degree per term, the first equal to endo.lift
+    modulo the relations ("lift 0"), every square d_j f_j = f_(j-1) d_j
+    commuting ("chain-map square j").  The message names the failed stage."""
+    if res.module != endo.source or res.module != endo.target or len(lifts) != len(res.modules) or any(
+        (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, res.modules)
+    ):
+        raise ValueError("lifts must be one endomorphism of endo's degree per term of a resolution of its module")
+    if res.module.span.first_outside(lifts[0] - endo.lift) is not None:
+        raise ValueError("lift 0 does not induce the endomorphism on the module")
     for j, dj in enumerate(res.maps):
         if compose(dj, lifts[j + 1]) != compose(lifts[j], dj):
-            raise EngineError(f"chain-map square {j} does not commute")
+            raise ValueError(f"chain-map square {j} of the lifts does not commute")
 
 
 def perturb_lift(
@@ -417,6 +437,8 @@ def perturb_lift(
     homotopies[j] maps modules[j] -> modules[j+1] (or None); the result is
     another valid chain lift of the same module endomorphism.
     """
+    if (len(lifts), len(homotopies)) != (len(res.modules), len(res.maps)):
+        raise ValueError(f"expected {len(res.modules)} lifts and {len(res.maps)} homotopies, got {len(lifts)} and {len(homotopies)}")
     out = []
     for j in range(len(res.modules)):
         term = lifts[j]

@@ -80,14 +80,13 @@ from functools import partial
 from itertools import islice
 from typing import Callable, NoReturn
 
-from .freemod import GradedFreeModule, GradedMatrixHom, Line, _checked_rows
+from .freemod import GradedFreeModule, GradedMatrixHom, Line, _checked_rows, _relation_shifts
 from .lefschetz import ExampleCase
 from .modules import (
     ModuleHom,
     PresentedModule,
     free_presentation,
     presented_module,
-    relation_hom_from_columns,
 )
 from .oracles import ORACLES
 from .rings import (
@@ -755,8 +754,8 @@ def _module_statement(name: str, module: PresentedModule) -> str:
     rel = module.relations
     if rel.source.rank == 0:
         return f"free {name} {gens};"
-    rebuilt = relation_hom_from_columns(module.generators, rel.columns(), rel.degree)
-    if rebuilt.source.shifts != rel.source.shifts:
+    # a legal map's columns are homogeneous, so the rule reads one term of each
+    if _relation_shifts(module.generators, rel._sparse_columns(), rel.degree) != rel.source.shifts:
         raise ValueError(
             f"module {name}: relation shifts do not follow the column rule; "
             "this module cannot be serialized"

@@ -11,9 +11,10 @@ a resolution: the resolution convention (differentials of odd degree, shift
 = degree - module degree of each relation column) stores the homological
 sign in the shift parity, so no extra alternation appears here.
 
-Short exact sequences carry enough certificates (preimages under the
-surjection) to induce an endomorphism on the quotient, which makes the
-additivity defect tr(f_C) - tr(f_B) + tr(f_A) computable and testable.
+Short exact sequences certify exactness from the spans of two block maps
+and record one section of b, a map; composites through it induce an
+endomorphism on the quotient, which makes the additivity defect
+tr(f_C) - tr(f_B) + tr(f_A) computable and testable.
 """
 
 from __future__ import annotations
@@ -23,21 +24,23 @@ from dataclasses import dataclass, field
 from .freemod import (
     GradedFreeModule,
     GradedMatrixHom,
-    Vector,
     compose,
-    hom_from_columns,
+    identity_hom,
     map_matrix,
 )
 from .modules import (
     ModuleHom,
     PresentedModule,
     Resolution,
-    _block_span,
+    _block_map,
+    _kernel_on_lift,
     compose_module_homs,
     lift_endomorphism,
     resolve,
+    verify_lift,
 )
 from .rings import RingElement, RingMap
+from .solvers import column_span
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,8 @@ def hs_trace(
 
     The value is independent of the resolution and of the chain lift; both
     may be supplied to reuse work.  Given lifts require the resolution and
-    are checked: one endomorphism of endo's degree per term, the first
-    equal to endo.lift modulo the module's relations, and every square
-    d_j f_j = f_(j-1) d_j commuting; ValueError names the failed stage.
+    are checked by modules.verify_lift, whose ValueError names the failed
+    stage.
     """
     if endo.source != endo.target:
         raise ValueError("trace needs an endomorphism")
@@ -114,22 +116,9 @@ def hs_trace(
     if lifts is None:
         lifts = lift_endomorphism(resolution, endo)
     else:
-        _check_lifts(endo, resolution, lifts)
+        verify_lift(resolution, endo, lifts)
     total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
     return TraceValue(total, endo.degree)
-
-
-def _check_lifts(endo: ModuleHom, resolution: Resolution, lifts: list[GradedMatrixHom]) -> None:
-    """Raise ValueError unless lifts is a chain lift of endo over resolution."""
-    if resolution.module != endo.source or len(lifts) != len(resolution.modules) or any(
-        (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, resolution.modules)
-    ):
-        raise ValueError("lifts must be one endomorphism of endo's degree per term of a resolution of its module")
-    if resolution.module.span.first_outside(lifts[0] - endo.lift) is not None:
-        raise ValueError("lift 0 does not induce the endomorphism on the module")
-    for j, dj in enumerate(resolution.maps):
-        if compose(dj, lifts[j + 1]) != compose(lifts[j], dj):
-            raise ValueError(f"chain-map square {j} of the lifts does not commute")
 
 
 def base_change_trace(
@@ -161,9 +150,9 @@ def base_change_commutes(phi: RingMap, f: GradedMatrixHom) -> bool:
 class ShortExactSequence:
     """0 -> left -a-> middle -b-> right -> 0 with degree-0 maps.
 
-    validate() certifies exactness and records, for each generator of the
-    right module, a preimage under b; those certificates are what later
-    induces endomorphisms on the quotient.
+    validate() certifies exactness and records preimages, a degree-0
+    section of b on generators (right -> middle generators, column i a
+    preimage of generator i), which induces endomorphisms on the quotient.
     """
 
     left: PresentedModule
@@ -171,7 +160,7 @@ class ShortExactSequence:
     right: PresentedModule
     a: ModuleHom
     b: ModuleHom
-    _preimages: list[Vector] | None = field(default=None, init=False, repr=False, compare=False)
+    _preimages: GradedMatrixHom | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a.source != self.left or self.a.target != self.middle:
@@ -182,37 +171,38 @@ class ShortExactSequence:
             raise ValueError("short exact sequences use degree-0 maps")
 
     def validate(self) -> None:
-        """Raise ValueError unless the sequence is exact; cache preimages."""
+        """Raise ValueError unless the sequence is exact; record the section.
+
+        The checks read the spans and sparse kernels of the block maps
+        [a | middle relations] and [b | right relations]; kernels go
+        unpruned, as a submodule holds them iff it holds what they span.
+        The section is the middle rows of one solve against b's block.
+        """
         # b . a = 0
         composite = compose_module_homs(self.b, self.a)
         if self.right.span.first_outside(composite.lift) is not None:
             raise ValueError("b∘a is not zero")
         # a injective: anything a sends into middle relations dies in left;
-        # the span of [a | middle relations] also serves the last check.
-        # Kernel generators are tested unpruned: a submodule holds them all
-        # iff it holds a list spanning what they span.
-        cover = _block_span(self.a)
-        na = self.left.generators.rank
-        if self.left.span.first_outside([v[:na] for v in cover.syzygy_vectors()]) is not None:
+        # the span of [a | middle relations] also serves the last check
+        cover = column_span(_block_map(self.a))
+        if self.left.span.first_outside(_kernel_on_lift(cover, self.left.generators.rank)) is not None:
             raise ValueError("a is not injective")
-        # b surjective, with certificates
-        preimages = []
-        image_span = _block_span(self.b)
+        # b surjective, with a section on generators
+        image = column_span(_block_map(self.b))
+        unit = identity_hom(self.right.generators)
+        i = image.first_outside(unit)
+        if i is not None:
+            raise ValueError(f"b misses generator {i} of the right module")
         nb = self.middle.generators.rank
-        for i in range(self.right.generators.rank):
-            target = self.right.generators.basis_vector(i)
-            remainder, cert = image_span.normal_form(target)
-            if any(remainder):
-                raise ValueError(f"b misses generator {i} of the right module")
-            preimages.append(self.middle.generators.coerce_vector(cert[:nb]))
+        section = GradedMatrixHom._closed(unit.source, self.middle.generators, 0, image.solve(unit, 0)._rows[:nb])
         # ker b is contained in im a + relations
-        if cover.first_outside([v[:nb] for v in image_span.syzygy_vectors()]) is not None:
+        if cover.first_outside(_kernel_on_lift(image, nb)) is not None:
             raise ValueError("the kernel of b escapes the image of a")
         # recorded only once every check passed, so a failed validate is retried
-        self._preimages = preimages
+        self._preimages = section
 
     @property
-    def preimages(self) -> list[Vector]:
+    def preimages(self) -> GradedMatrixHom:
         if self._preimages is None:
             self.validate()
         assert self._preimages is not None
@@ -222,21 +212,13 @@ class ShortExactSequence:
 def induced_quotient_endo(ses: ShortExactSequence, f_middle: ModuleHom) -> ModuleHom:
     """The endomorphism of the right module induced by f_middle.
 
-    Sends each generator e_i of the right module to b(f_middle(u_i)) for the
-    recorded preimage u_i with b(u_i) = e_i; the ModuleHom constructor then
-    re-verifies well-definedness, so a middle endomorphism that fails to
-    preserve the image of a is rejected loudly.
+    Its lift is the closed composite b . f_middle . section (ses.preimages);
+    the ModuleHom constructor checks that it descends, so a middle
+    endomorphism that fails to preserve the image of a is rejected loudly.
     """
     if f_middle.source != ses.middle or f_middle.target != ses.middle:
         raise ValueError("f_middle must be an endomorphism of the middle module")
-    cols = []
-    for u in ses.preimages:
-        cols.append(ses.b.lift.apply(f_middle.lift.apply(u)))
-    lift = hom_from_columns(
-        ses.right.generators, ses.right.generators, f_middle.degree, cols
-    )
-    induced = ModuleHom(ses.right, ses.right, lift)
-    return induced
+    return ModuleHom(ses.right, ses.right, compose(ses.b.lift, compose(f_middle.lift, ses.preimages)))
 
 
 @dataclass(frozen=True)

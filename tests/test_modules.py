@@ -524,6 +524,8 @@ def test_hs_trace_checks_the_squares_of_the_lifts_it_is_given():
     p1 = res.modules[1]
     with pytest.raises(ValueError, match="square 0"):
         hs_trace(three, res, [three.lift, zero_hom(p1, p1, 0)])
+    with pytest.raises(ValueError, match="square 0"):
+        verify_lift(res, three, [three.lift, zero_hom(p1, p1, 0)])
     # 1 = 3 in Z/(2), so [1, 1] is a lift of 3; in Z/(4) the squares commute but 1 is not 3
     ones = [identity_hom(p) for p in res.modules]
     assert hs_trace(three, res, ones).value.is_zero()
@@ -531,6 +533,8 @@ def test_hs_trace_checks_the_squares_of_the_lifts_it_is_given():
     res4 = resolve(m4)
     with pytest.raises(ValueError, match="lift 0"):
         hs_trace(module_hom(m4, m4, 0, [[3]]), res4, [identity_hom(p) for p in res4.modules])
+    with pytest.raises(ValueError, match="lift 0"):
+        verify_lift(res4, module_hom(m4, m4, 0, [[3]]), [identity_hom(p) for p in res4.modules])
     # one perturbed entry of a true lift over the resolution of m^3 in 3 variables
     m = _cube_module()
     three = module_hom(m, m, 0, [[m.ring.const(3)]])
@@ -543,6 +547,8 @@ def test_hs_trace_checks_the_squares_of_the_lifts_it_is_given():
         bad = lifts[:j] + [lifts[j] + bump] + lifts[j + 1 :]
         with pytest.raises(ValueError, match=stage):
             hs_trace(three, res, bad)
+        with pytest.raises(ValueError, match=stage):
+            verify_lift(res, three, bad)
 
 
 def test_lift_rejects_foreign_endo():
@@ -601,6 +607,18 @@ def test_perturb_lift_changes_chain_but_stays_valid():
             hs_trace(f, res, perturbed).value == hs_trace(f, res, lifts).value
         )
     assert found_change >= 2
+
+
+def test_perturb_lift_refuses_the_wrong_number_of_lifts_or_homotopies():
+    module = _dual_numbers()
+    res = resolve(module)
+    lifts = lift_endomorphism(res, identity_module_hom(module))
+    assert res.length == 1
+    for bad_lifts, homotopies in ((lifts, []), (lifts, [None, None]), (lifts[:1], [None]), (lifts + lifts[:1], [None])):
+        with pytest.raises(ValueError) as err:
+            perturb_lift(res, bad_lifts, homotopies)
+        assert str(err.value) == f"expected 2 lifts and 1 homotopies, got {len(bad_lifts)} and {len(homotopies)}"
+    assert perturb_lift(res, lifts, [None]) == lifts
 
 
 def test_verify_lift_rejects_broken_square():
@@ -727,6 +745,21 @@ def test_even_degree_resolution_maps_are_refused():
     with pytest.raises(ValueError) as err:
         Resolution(m, [m.relations, top])
     assert str(err.value) == "map 1 has even degree 2; resolution maps must have odd degree"
+
+
+def test_resolution_maps_must_chain():
+    # Z/(2): the relation map's source is Z[1], and a second map into Z[0,0] does not chain
+    m = _mod2()
+    loose = zero_hom(GradedFreeModule(Z, (1,)), GradedFreeModule(Z, (0, 0)), 1)
+    with pytest.raises(ValueError) as err:
+        Resolution(m, [m.relations, loose])
+    assert str(err.value) == "map 1 does not land in the source of map 0"
+    # the even-degree check still comes first
+    even = zero_hom(GradedFreeModule(Z, (1,)), GradedFreeModule(Z, (0, 0)), 2)
+    with pytest.raises(ValueError, match="map 1 has even degree 2"):
+        Resolution(m, [m.relations, even])
+    # maps that chain still build
+    Resolution(m, [m.relations, zero_hom(GradedFreeModule(Z, (2,)), m.relations.source, 1)])
 
 
 def test_the_laurent_zero_module_exits_two_within_five_seconds(tmp_path):

@@ -19,6 +19,7 @@ from gradedtrace import (
     free_presentation,
     free_trace,
     hs_trace,
+    identity_hom,
     identity_module_hom,
     induced_quotient_endo,
     integers,
@@ -408,6 +409,39 @@ def test_validate_prunes_no_kernel(monkeypatch):
     for ses in sequences:
         ses.validate()
     assert len(sequences) >= 6 and calls == []
+
+
+def test_preimages_are_a_degree_zero_section_of_b():
+    rng = random.Random(41)
+    drawn = [gu.random_stable_ses(rng, ring) for ring in gu.THREE_KINDS for _ in range(20)]
+    sequences = [make()[0] for make in FIXED_SEQUENCES] + [out[0] for out in drawn if out is not None]
+    assert len(sequences) >= 50
+    for ses in sequences:
+        section = ses.preimages
+        right = ses.right.generators
+        assert isinstance(section, GradedMatrixHom)
+        assert (section.source, section.target, section.degree) == (right, ses.middle.generators, 0)
+        # b . section is the identity on the right module: the difference lies in its relations
+        assert ses.right.span.first_outside(compose(ses.b.lift, section) - identity_hom(right)) is None
+
+
+def test_additivity_builds_no_map_through_the_checking_constructor(monkeypatch):
+    rng = random.Random(33)
+    drawn = [gu.random_stable_ses(rng, ring) for ring in gu.THREE_KINDS for _ in range(3)]
+    cases = [make() for make in FIXED_SEQUENCES] + [out for out in drawn if out is not None]
+    for ses, _, _ in cases:
+        ses._preimages = None  # validate again under the counter
+    built = []
+    init = GradedMatrixHom.__init__
+
+    def counting_init(hom, *args):
+        built.append(args)
+        init(hom, *args)
+
+    monkeypatch.setattr(GradedMatrixHom, "__init__", counting_init)
+    for ses, f_left, f_middle in cases:
+        assert additivity_defect(ses, f_left, f_middle).holds()
+    assert len(cases) >= 10 and built == []
 
 
 def test_mod2_graded_ring_traces():
