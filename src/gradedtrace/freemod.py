@@ -11,6 +11,8 @@ stored as given.  An element of ⊕R[n_i] is a column vector; it is homogeneous
 of module degree k iff entry i is homogeneous of ring degree k + n_i.
 
 A map stores sparse rows and never a zero entry; `entries` is a dense view.
+Rows are never mutated once built, which lets closed operations share row
+dicts (direct sums, is_invertible) and emit one shared empty row, _EMPTY.
 Inside the package a column travels sparse too, as a Column: a dict from
 position to nonzero entry.  Outside input is validated once, by the one
 loop _checked_rows over sparse rows: the public constructor and
@@ -41,6 +43,7 @@ from .rings import (
 
 Vector = tuple[RingElement, ...]
 Column = dict[int, RingElement]  # a vector's nonzero entries by position
+_EMPTY: Column = {}  # closed maps' one empty row; a plain dict so maps pickle, never tested by id
 
 Line = tuple[Column, int]  # a row or column from outside: its nonzero entries, its length
 
@@ -136,9 +139,9 @@ class GradedMatrixHom:
     (i, j) when it is nonzero.  The constructor validates shapes and the entry
     degree law (_checked_rows), and _closed takes rows that are legal by
     construction or checked there, so an instance is always a legal graded
-    map.  An instance never changes, so the span of its columns in the
-    target is built at most once: solvers.column_span builds it on first use
-    and keeps it in _span.
+    map.  Neither an instance nor its rows ever change, so closed operations
+    share rows, and solvers.column_span builds the span of its columns in the
+    target at most once, on first use, and keeps it in _span.
     """
 
     __slots__ = ("source", "target", "degree", "_rows", "_span")
@@ -168,7 +171,7 @@ class GradedMatrixHom:
 
     @classmethod
     def _closed(cls, source, target, degree: int, rows) -> GradedMatrixHom:
-        """The map with these sparse rows, unchecked: legal by construction."""
+        """The map with these sparse rows, unchecked: legal by construction; kept, never mutated."""
         hom = object.__new__(cls)
         hom.source, hom.target, hom.degree = source, target, degree
         hom._rows = tuple(rows)
@@ -229,22 +232,23 @@ class GradedMatrixHom:
         return hash((self.source, self.target, self.degree, rows))
 
     def __add__(self, other: GradedMatrixHom) -> GradedMatrixHom:
+        return self._signed_sum(other, False)
+
+    def _signed_sum(self, other: GradedMatrixHom, negate: bool) -> GradedMatrixHom:
         if (
             self.source != other.source
             or self.target != other.target
             or self.degree != other.degree
         ):
             raise ValueError("can only add maps with equal source, target, degree")
-        pairs = zip(self._rows, other._rows)
-        rows = [_row_sum([*r1.items(), *r2.items()]) for r1, r2 in pairs]
+        rows = [_merged(r1, r2, negate) for r1, r2 in zip(self._rows, other._rows)]
         return GradedMatrixHom._closed(self.source, self.target, self.degree, rows)
 
     def __neg__(self) -> GradedMatrixHom:
-        rows = [{j: -e for j, e in row.items()} for row in self._rows]
-        return GradedMatrixHom._closed(self.source, self.target, self.degree, rows)
+        return zero_hom(self.source, self.target, self.degree) - self
 
     def __sub__(self, other: GradedMatrixHom) -> GradedMatrixHom:
-        return self + (-other)
+        return self._signed_sum(other, True)
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -281,12 +285,13 @@ def _checked_rows(source, target, degree: int, lines: Sequence[Line], ring: Ring
     return tuple(row for row, _ in lines)
 
 
-def _row_sum(terms) -> dict[int, RingElement]:
-    """The sparse row summing (column, entry) terms; zero sums are dropped."""
-    row: dict[int, RingElement] = {}
-    for j, e in terms:
+def _merged(r1: Column, r2: Column, negate: bool = False) -> Column:
+    """The sparse row r1 + r2, or r1 - r2 when negate; zero sums are dropped."""
+    row = dict(r1)
+    for j, e in r2.items():
+        e = -e if negate else e
         row[j] = row[j] + e if j in row else e
-    return {j: e for j, e in row.items() if e}
+    return {j: e for j, e in row.items() if e} or _EMPTY
 
 
 def identity_hom(module: GradedFreeModule) -> GradedMatrixHom:
@@ -300,7 +305,7 @@ def zero_hom(
 ) -> GradedMatrixHom:
     if not (source.ring is target.ring or source.ring == target.ring):
         raise RingMismatch(f"{source.ring} is not {target.ring}")
-    return GradedMatrixHom._closed(source, target, degree, [{} for _ in target.shifts])
+    return GradedMatrixHom._closed(source, target, degree, [_EMPTY] * target.rank)
 
 
 def compose(g: GradedMatrixHom, f: GradedMatrixHom) -> GradedMatrixHom:
@@ -318,15 +323,15 @@ def compose(g: GradedMatrixHom, f: GradedMatrixHom) -> GradedMatrixHom:
     one = g.ring.one() if g.ring is f.ring else None
     rows = []
     for g_row in g._rows:
-        terms = []
+        row = {}
         for k, gk in g_row.items():
-            f_row = f._rows[k]
-            if gk is one:
-                terms += f_row.items()
-                continue
-            for j, fkj in f_row.items():
-                terms.append((j, gk if fkj is one else gk * fkj))
-        rows.append(_row_sum(terms))
+            for j, e in f._rows[k].items():
+                if gk is not one:
+                    e = gk if e is one else gk * e
+                row[j] = row[j] + e if j in row else e
+        if not all(row.values()):  # drop cancelled entries, once
+            row = {j: e for j, e in row.items() if e}
+        rows.append(row or _EMPTY)
     return GradedMatrixHom._closed(f.source, g.target, g.degree + f.degree, rows)
 
 
@@ -384,7 +389,7 @@ def direct_sum_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     source = direct_sum_modules(f.source, g.source)
     target = direct_sum_modules(f.target, g.target)
     offset = f.source.rank
-    rows = list(f._rows) + [{offset + j: e for j, e in row.items()} for row in g._rows]
+    rows = [*f._rows, *({offset + j: e for j, e in row.items()} if row else _EMPTY for row in g._rows)]
     return GradedMatrixHom._closed(source, target, f.degree, rows)
 
 
@@ -415,7 +420,7 @@ def is_invertible(f: GradedMatrixHom) -> tuple[bool, GradedMatrixHom | None]:
     a = GradedMatrixHom._closed(f.source, f.source, 0, f._rows)
     b = identity_hom(f.source)
     for c in coeffs[1:]:
-        rows = [_row_sum([*row.items(), (i, c)]) for i, row in enumerate(compose(a, b)._rows)]
+        rows = [_merged(row, {i: c}) for i, row in enumerate(compose(a, b)._rows)]
         b = GradedMatrixHom._closed(f.source, f.source, 0, rows)
     scale = -c_n.unit_inverse()
     rows = [{j: scale * e for j, e in row.items()} for row in b._rows]

@@ -20,7 +20,8 @@ The identity, unit, counit and braiding take their entries from the ring's
 shared one (RingSpec.one), so composing or tensoring with them hands the
 other entries over instead of multiplying by 1.  The composite stays
 literal: every structural map is still built and composed, only the
-products by 1 are gone.
+products by 1 are gone.  A zigzag factor through A ⊗ A* ⊗ A has r³ rows,
+all but r² empty, and each empty one is freemod's shared row: a list slot.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freemod import (
+    _EMPTY,
     GradedFreeModule,
     GradedMatrixHom,
     compose,
@@ -63,10 +65,13 @@ def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     rows = []
     for f_row in f._rows:
         if not f_row:
-            rows.extend({} for _ in g._rows)
+            rows.extend([_EMPTY] * len(g._rows))
             continue
         signed = [(j * rs_b, -fij if negate[j] else fij) for j, fij in f_row.items()]
         for g_row in g._rows:
+            if not g_row:
+                rows.append(_EMPTY)
+                continue
             row = {}
             for base, fij in signed:
                 if fij is one:
@@ -115,7 +120,7 @@ def standard_duality(a: GradedFreeModule) -> DualityData:
     one = unit_module(ring)
     r = a.rank
     diagonal = {i * r + i: ring.one() for i in range(r)}
-    unit_rows = [{0: diagonal[k]} if k in diagonal else {} for k in range(r * r)]
+    unit_rows = [{0: diagonal[k]} if k in diagonal else _EMPTY for k in range(r * r)]
     unit = GradedMatrixHom._closed(one, tensor_modules(a, dual), 0, unit_rows)
     counit = GradedMatrixHom._closed(tensor_modules(dual, a), one, 0, [diagonal])
     return DualityData(a, dual, unit, counit)

@@ -1,7 +1,10 @@
 """Tensor structure: Koszul signs, duality zigzags, categorical traces."""
 
+import copy
 import itertools
+import pickle
 import random
+import time
 
 import pytest
 
@@ -15,6 +18,7 @@ from gradedtrace import (
     braiding,
     categorical_trace,
     compose,
+    direct_sum_homs,
     euler_characteristic,
     free_trace,
     identity_hom,
@@ -25,6 +29,7 @@ from gradedtrace import (
     tensor_homs,
     tensor_modules,
     unit_module,
+    zero_hom,
     zigzag_defects,
     zigzag_holds,
 )
@@ -365,3 +370,52 @@ def test_categorical_trace_never_multiplies_by_the_shared_one(ring, monkeypatch)
     traces = [categorical_trace(f) for f in maps]
     assert by_one == []
     assert [t.value for t in traces] == [free_trace(f).value for f in maps]
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_rank_24_zigzags_share_one_empty_row(ring):
+    rng = random.Random(59)
+    a = GradedFreeModule(ring, tuple(rng.randint(-3, 3) for _ in range(24)))
+    f = gu.random_endo(rng, a)
+    start = time.perf_counter()
+    d = standard_duality(a)
+    assert zigzag_holds(d)
+    assert categorical_trace(f) == free_trace(f)
+    m = tensor_homs(d.unit, identity_hom(a))
+    assert len(m._rows) == 24**3
+    assert len({id(r) for r in m._rows if not r}) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def _closed_maps_with_empty_rows(ring: RingSpec, rng: random.Random) -> list[GradedMatrixHom]:
+    """The four zigzag tensor factors, a composite, f - f, a zero map and a direct sum;
+    all but the two counit factors have empty rows."""
+    a = GradedFreeModule(ring, (0, 2, -1))
+    d = standard_duality(a)
+    ida, idstar = identity_hom(a), identity_hom(d.dual)
+    f = gu.random_matrix(rng, a, a, 0, density=0.4)
+    factors = [
+        tensor_homs(d.unit, ida),
+        tensor_homs(ida, d.counit),
+        tensor_homs(idstar, d.unit),
+        tensor_homs(d.counit, idstar),
+    ]
+    zero = zero_hom(a, d.dual, 1)
+    return [*factors, compose(factors[0], f), f - f, zero, direct_sum_homs(zero, zero_hom(a, a, 1))]
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_closed_maps_with_empty_rows_survive_pickle_and_deepcopy(ring):
+    maps = _closed_maps_with_empty_rows(ring, random.Random(61))
+    assert [any(not row for row in m._rows) for m in maps] == [True, False, True, False, True, True, True, True]
+    for m in maps:
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin == m and hash(twin) == hash(m)
+            assert twin.entries == m.entries
+            assert (twin - m).is_zero() and (m - twin).is_zero()
+            assert (twin + m) == (m + m) and -twin == -m
+            assert twin.is_zero() == m.is_zero()
+            assert tensor_homs(twin, twin) == tensor_homs(m, m)
+            assert compose(twin, zero_hom(twin.target, twin.source, 0)) == compose(m, zero_hom(m.target, m.source, 0))
+    snake = compose(*(pickle.loads(pickle.dumps(m)) for m in (maps[1], maps[0])))
+    assert (snake - identity_hom(maps[0].source)).is_zero()
