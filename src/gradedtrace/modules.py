@@ -361,8 +361,12 @@ def verify_resolution(res: Resolution) -> None:
     and the sparse kernel resolve read off a span is tested as it is, not
     converted again here.
     Each containment is one many-column membership call (first_outside)
-    per matrix or kernel; when the first map is the module's relation map,
-    its two containments are the same check and run once.
+    per matrix or kernel, and first_outside settles a column equal to the
+    next unmatched generator of its span without the backend, since it is
+    the image of a basis vector.  So when the first map is the module's
+    relation map both of its containments hold by equality, and so does
+    each kernel generator that pruning kept, a column of the next map; the
+    backend tests only the generators that pruning dropped.
     """
     if not res.maps:
         if res.module.relations.source.rank:
@@ -374,10 +378,8 @@ def verify_resolution(res: Resolution) -> None:
         raise EngineError("resolution does not start at the generator module")
     image = column_span(first)
     # alternative resolutions may present the relation submodule differently;
-    # only the column span must agree (one check when first is the relation map)
-    if image.first_outside(rel) is not None or (
-        first is not rel and res.module.span.first_outside(first) is not None
-    ):
+    # only the column span must agree
+    if image.first_outside(rel) is not None or res.module.span.first_outside(first) is not None:
         raise EngineError("first map does not span the relations of the module")
     for j in range(len(res.maps) - 1):
         if not compose(res.maps[j], res.maps[j + 1]).is_zero():

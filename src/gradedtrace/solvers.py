@@ -17,6 +17,12 @@ division step scans only the elements at the term's own position.  Term
 keys are computed once per monomial per process and looked up after.  An
 exponent or degree past 32767 raises EngineError instead of wrapping.
 
+Membership of a whole list of columns (ColumnSpan.first_outside) walks the
+list alongside the span's own generators, in order: a column equal to the
+next unmatched generator k is d(e_k), the image of a basis vector, so it
+lies in the span and no backend sees it; every other column gets a backend
+answer.
+
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
 in the span of others.  Over the integers, and for each degree group of a
 polynomial ring's columns, that is one Z-lattice question, answered by the
@@ -71,11 +77,23 @@ def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _check_ints(rows: list[list[int]]) -> None:
+    """Refuse an entry that is not an int (a bool is one), naming its place."""
+    for i, r in enumerate(rows):
+        for j, a in enumerate(r):
+            if not isinstance(a, int):
+                raise ValueError(f"entry {a!r} at row {i}, column {j} is not an int")
+
+
 def int_determinant(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    """Fraction-free (Bareiss) determinant of a square integer matrix.
+
+    A matrix that is not square, or an entry that is not an int, raises
+    ValueError."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError(f"determinant of a non-square matrix with {n} rows")
+    _check_ints(rows)
     if n == 0:
         return 1
     a = [list(r) for r in rows]
@@ -199,13 +217,15 @@ def smith_normal_form(rows: list[list[int]]) -> SNFResult:
     input and B >= 2 a bound on its entries' size, every entry of the five
     matrices stays within 3 * N * log2(B * sqrt(N)) + 64 bits, three times
     a Hadamard bound plus slack; the Hermite columns, transforms and kernels
-    of integer spans stay within it too.
+    of integer spans stay within it too.  A ragged matrix, or an entry that
+    is not an int, raises ValueError naming where it is.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     for i, r in enumerate(rows):
         if len(r) != n:
             raise ValueError(f"row {i} of a ragged matrix has {len(r)} entries, row 0 has {n}")
+    _check_ints(rows)
     # D's columns, each followed by its column of V^-1; V's rows are their duals
     cols = [[r[j] for r in rows] + e for j, e in enumerate(_eye(n))]
     V, U_cols, Uinv = _eye(n), _eye(m), _eye(m)
@@ -494,12 +514,12 @@ class _ModuleGB:
         # before the elements it divides, ties included.
         divides = self.pk.exp_guard
         kept: list[_GBElem] = []
+        kept_at: dict[int, list[_GBElem]] = {}  # only a same-position element can divide
         for g in sorted(self.basis, key=lambda g: (g.key, g.lc)):
-            if not any(
-                h.pos == g.pos and not (h.key - g.key) & divides and g.lc % h.lc == 0
-                for h in kept
-            ):
+            same = kept_at.setdefault(g.pos, [])
+            if not any(not (h.key - g.key) & divides and g.lc % h.lc == 0 for h in same):
                 kept.append(g)
+                same.append(g)
         self.basis = kept
         self.by_pos = _positions(kept)
         changed = True
@@ -716,7 +736,10 @@ class ColumnSpan:
     Two calls answer for a whole matrix g at once, read off its sparse rows:
     first_outside(g) returns the index of the first column of g outside the
     span, or None when every column lies in it; g may also be a list of
-    coerced vectors or of Columns.  solve(g, degree) returns the map X of
+    coerced vectors or of Columns.  It walks g's columns alongside the
+    span's generators: a column equal (==) to the next unmatched generator k
+    is the image of e_k, which proves it lies in the span, and only the other
+    columns go to the backend.  solve(g, degree) returns the map X of
     that degree with (span columns) . X = g, each column of X the
     certificate of g's column with each nonzero entry projected to its
     forced homogeneous component (over the integers it has no other), and
@@ -756,8 +779,14 @@ class ColumnSpan:
         return g._sparse_columns()
 
     def first_outside(self, g) -> int | None:
-        inside = self._backend.inside
-        return next((j for j, c in enumerate(self._sparse_columns(g)) if not inside(c)), None)
+        inside, gens = self._backend.inside, iter(self.columns)
+        gen = next(gens, None)
+        for j, c in enumerate(self._sparse_columns(g)):
+            if c == gen:  # d(e_k) for the next unmatched generator k
+                gen = next(gens, None)
+            elif not inside(c):
+                return j
+        return None
 
     def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
         if self.source is None:

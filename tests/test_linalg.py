@@ -119,6 +119,26 @@ def test_int_determinant_refuses_a_matrix_that_is_not_square(rows):
         int_determinant(rows)
 
 
+@pytest.mark.parametrize("solver", [smith_normal_form, int_determinant])
+@pytest.mark.parametrize(
+    "rows, place",
+    [
+        ([[1.5, 2], [3, 4]], "row 0, column 0"),  # once a Smith diagonal [0.5, 0.0], a determinant 0.0
+        ([[1, 2], [3, 4.0]], "row 1, column 1"),
+        ([[1, "2"], [3, 4]], "row 0, column 1"),  # once a bare TypeError from a comparison
+        ([[1, 2], [None, 4]], "row 1, column 0"),
+    ],
+)
+def test_integer_solvers_refuse_an_entry_that_is_not_an_int(solver, rows, place):
+    with pytest.raises(ValueError, match=f"at {place} is not an int"):
+        solver(rows)
+
+
+def test_integer_solvers_take_bools_as_ints():
+    assert smith_normal_form([[True, 2], [3, 4]]).diagonal == smith_normal_form([[1, 2], [3, 4]]).diagonal == [1, 2]
+    assert int_determinant([[True, 2], [3, 4]]) == -2
+
+
 # -- membership and certificates ---------------------------------------------
 
 

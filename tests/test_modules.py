@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtrace import (
     ColumnSpan,
@@ -284,6 +286,76 @@ def test_verify_resolution_still_certifies_shared_spans():
     doubled = Resolution(m, [res.maps[0], res.maps[1] + res.maps[1]])
     with pytest.raises(EngineError, match="not covered"):
         verify_resolution(doubled)
+
+
+def _without_column(d, k):
+    shifts = d.source.shifts[:k] + d.source.shifts[k + 1 :]
+    columns = [c for j, c in enumerate(d.columns()) if j != k]
+    return hom_from_columns(GradedFreeModule(d.ring, shifts), d.target, d.degree, columns)
+
+
+def _with_column_doubled(d, k):
+    columns = [tuple(e + e for e in c) if j == k else c for j, c in enumerate(d.columns())]
+    return hom_from_columns(d.source, d.target, d.degree, columns)
+
+
+@pytest.mark.parametrize("k", [0, 7, 14])
+def test_a_broken_second_map_over_a_polynomial_ring_is_not_covered(k):
+    # each column of d2 is a kernel generator of d1 that pruning kept, and
+    # matches by equality; a missing or doubled one must reach the engine
+    m = _cube_module()
+    d1, d2 = resolve(m).maps[:2]
+    assert d2.source.rank == 15
+    with pytest.raises(EngineError, match="nonzero kernel"):
+        verify_resolution(Resolution(m, [d1, d2]))
+    for broken in (_without_column(d2, k), _with_column_doubled(d2, k)):
+        with pytest.raises(EngineError, match="not covered"):
+            verify_resolution(Resolution(m, [d1, broken]))
+
+
+def _count_memberships(monkeypatch):
+    asked = []
+    for backend in (solvers_impl._IntBackend, solvers_impl._PolyBackend):
+        inside = backend.inside
+
+        def counting(obj, column, inside=inside):
+            asked.append(column)
+            return inside(obj, column)
+
+        monkeypatch.setattr(backend, "inside", counting)
+    return asked
+
+
+def test_verify_resolution_asks_the_backend_only_for_pruned_kernel_columns(monkeypatch):
+    rng = random.Random(73)
+    integer = [resolve(_random_integer_presentation(rng, size)) for size in (2, 3, 4, 5, 6)]
+    cube = resolve(_cube_module())
+    asked = _count_memberships(monkeypatch)
+    for res in integer:
+        verify_resolution(res)
+    # over Z nothing is pruned: every kernel generator is a column of the next map
+    assert asked == []
+    verify_resolution(cube)
+    spans = [solvers_impl.column_span(d) for d in cube.maps]
+    dropped = [c for span, nxt in zip(spans, spans[1:]) for c in span._sparse_kernel() if c not in nxt.columns]
+    assert dropped and asked == dropped
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring=st.sampled_from(gu.RING_POOL), rng=st.randoms(use_true_random=False))
+def test_first_outside_agrees_with_the_backend_alone(ring, rng):
+    target = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3))
+    gens = gu.random_matrix(rng, GradedFreeModule(ring, gu.random_shifts(rng, max_rank=4)), target, 1)
+    span = ColumnSpan(target, gens._sparse_columns())
+    others = gu.random_matrix(rng, GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3)), target, 1)
+    # copies of every generator, in order, then of every other one again
+    in_order = [dict(c) for c in span.columns + span.columns[::2]]
+    for c in others._sparse_columns():
+        in_order.insert(rng.randint(0, len(in_order)), c)
+    shuffled = rng.sample(in_order, len(in_order))
+    inside = span._backend.inside
+    for g in (in_order, shuffled):
+        assert span.first_outside(g) == next((j for j, c in enumerate(g) if not inside(c)), None)
 
 
 def _count_conversions(monkeypatch):
