@@ -400,10 +400,10 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     Returns [f_0, .., f_n] with f_0 the given lift on generators and
     d_j f_j = f_{j-1} d_j throughout.  Each f_j is one solve of the matrix
     f_{j-1} d_j against the span the differential carries (the one resolve
-    built): its columns are membership certificates projected to their
-    forced homogeneous components, so it is a legal graded map and builds
-    unchecked.  A column that does not solve means the resolution is not
-    exact, and solve raises EngineError naming it.
+    built): its columns are membership certificates, homogeneous of their
+    forced degrees because the differential's columns are, so it is a legal
+    graded map and builds unchecked.  A column that does not solve means
+    the resolution is not exact, and solve raises EngineError naming it.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
@@ -481,7 +481,8 @@ def add_redundant_generator(
     n = gens.rank
     units = [{j: ring.one()} for j in range(n)]
     inclusion = ModuleHom._closed(module, bigger, _from_columns(gens, gens2, 0, units))
-    projection = ModuleHom(bigger, module, _from_columns(gens2, gens, 0, units + [_nonzero(v)]))
+    # the defining column (-v, 1) maps to -v + v = 0 and the old relations to themselves
+    projection = ModuleHom._closed(bigger, module, _from_columns(gens2, gens, 0, units + [_nonzero(v)]))
     return bigger, inclusion, projection
 
 

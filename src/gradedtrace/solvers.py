@@ -365,10 +365,19 @@ class _ModuleGB:
     Completion processes every S-pair (lcm of leading terms) and G-pair
     (Bezout gcd of leading coefficients) of same-position basis elements;
     each zero reduction contributes a syzygy of the input columns.  After
-    completion the inputs themselves are re-reduced, which contributes the
-    remaining syzygy generators, and the basis is interreduced into a
-    canonical form (sorted leading terms, positive leading coefficients,
-    tails Euclidean-reduced).
+    completion the basis is interreduced into a canonical form (sorted
+    leading terms, positive leading coefficients, tails Euclidean-reduced),
+    and the inputs themselves are re-reduced, which contributes the
+    remaining syzygy generators.  Interreduction drops every element whose
+    leading term another strongly divides, then tail-reduces the sorted
+    rest in one pass.  When one kept element's leading monomial divides
+    another's, their G-pair and strongness make the divisor's leading
+    coefficient a proper multiple of the other's, so its quotient is zero:
+    no kept element reduces another's leading term, and none can move.  A
+    divisor of a tail term comes earlier in the sorted list, so every
+    reducer is final before it is used, and one pass is the fixpoint
+    (Lichtblau, "Effective computation of strong Groebner bases over
+    Euclidean domains", Illinois J. Math. 56, 2012).
 
     grown() copies a basis and admits more columns without certificates, so
     the copy answers contains() and nothing else.  Given a grading
@@ -522,19 +531,13 @@ class _ModuleGB:
                 same.append(g)
         self.basis = kept
         self.by_pos = _positions(kept)
-        changed = True
-        while changed:
-            changed = False
-            for idx, g in enumerate(kept):
-                cert = dict(g.cert)
-                rem = self._reduce(g.vec, cert, skip=idx)
-                if rem != g.vec:
-                    if not rem:
-                        raise EngineError("interreduction killed a basis element")
-                    kept[idx] = _GBElem(rem, cert, self.pk)
-                    if kept[idx].key != g.key:
-                        self.by_pos = _positions(kept)
-                    changed = True
+        for idx, g in enumerate(kept):
+            cert = dict(g.cert)
+            rem = self._reduce(g.vec, cert, skip=idx)
+            if rem != g.vec:
+                if rem.get(g.key) != g.lc:  # reduction only adds terms below the one it reduces
+                    raise EngineError("interreduction moved a leading term")
+                kept[idx] = _GBElem(rem, cert, self.pk)
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +744,13 @@ class ColumnSpan:
     is the image of e_k, which proves it lies in the span, and only the other
     columns go to the backend.  solve(g, degree) returns the map X of
     that degree with (span columns) . X = g, each column of X the
-    certificate of g's column with each nonzero entry projected to its
-    forced homogeneous component (over the integers it has no other), and
-    raises EngineError naming the first column of g outside the span.  X
-    maps into the free module that indexes the columns, which only the
-    spans that column_span builds know (as source), so solve needs one.
+    certificate of g's column as it is: the span's columns are homogeneous
+    (so are the Laurent unit columns, y_i having degree -deg x_i), and
+    strong division of a homogeneous column leaves every certificate entry
+    in its forced degree.  solve raises EngineError naming the first column
+    of g outside the span.  X maps into the free module that indexes the
+    columns, which only the spans that column_span builds know (as source),
+    so solve needs one.
 
     Results are deterministic for a fixed column order.  The kernel
     generators are fixed at construction; the first _sparse_kernel() call
@@ -792,17 +797,11 @@ class ColumnSpan:
         if self.source is None:
             raise ValueError("solve needs the span of a map's columns, from column_span")
         rows: list[Column] = [{} for _ in self.columns]
-        shifts, project = self.source.shifts, self.ambient.ring.kind != INTEGERS
         for c, column in enumerate(self._sparse_columns(g)):
             rem, cert = self._backend.certify(column)
             if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
-            k = degree - g.source.shifts[c]
             for j, e in cert.items():
-                # over Z a column of g lies in one grading class's rows, so its certificate
-                # lies in that class's block, whose columns all give entries of degree k
-                if project and not (e := e.homogeneous_component(k + shifts[j])):
-                    continue
                 rows[j][c] = e
         return GradedMatrixHom._closed(g.source, self.source, degree, rows)
 

@@ -342,9 +342,7 @@ class _Parser:
                     break
             self._expect("]")
         grading = GRADING_Z2 if self._accept("mod2") else GRADING_Z
-        if not names:
-            if inverted:
-                self._fail(anchor, "no generators to invert")
+        if not names:  # a name^-1 needs its name declared first
             return integers(grading)
         if inverted and inverted != set(names):
             missing = sorted(set(names) - inverted)
@@ -534,8 +532,6 @@ class _Parser:
         """Run a library constructor; report its rejection at the statement."""
         try:
             return make()
-        except ParseError:
-            raise
         except (ValueError, ArithmeticError) as exc:
             self._fail(anchor, str(exc))
 

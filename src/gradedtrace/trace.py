@@ -238,7 +238,7 @@ def additivity_defect(
     """tr(f_right) - tr(f_middle) + tr(f_left), with f_right induced.
 
     Requires the left square to commute (f_middle ∘ a = a ∘ f_left), which
-    is what makes the induced endomorphism well defined.
+    makes the induced endomorphism well defined and the right square commute.
     """
     if f_left.source != ses.left or f_left.target != ses.left:
         raise ValueError("f_left must be an endomorphism of the left module")
@@ -249,9 +249,6 @@ def additivity_defect(
     if square_left != square_right:
         raise ValueError("f_middle does not restrict to f_left along a")
     f_right = induced_quotient_endo(ses, f_middle)
-    # the induced endo commutes with b by construction; verify anyway
-    if compose_module_homs(f_right, ses.b) != compose_module_homs(ses.b, f_middle):
-        raise ValueError("induced endomorphism fails to commute with b")
     t_left = hs_trace(f_left)
     t_middle = hs_trace(f_middle)
     t_right = hs_trace(f_right)

@@ -348,6 +348,14 @@ module C { gens [0]; rels [[2]]; }
 ses S { modules A, B, C; a [[2]]; b [[1]]; fA [[1]]; }
 ses T { modules A, B, C; a [[2]]; b [[1]]; fA [[1]]; fB [[1]]; }
 """,
+    # fB = 1 sends a(1) = 2 to 2 in Z/4, but a(fA(1)) = 0
+    "no_restrict.txt": """
+ring Z;
+module A { gens [0]; rels [[2]]; }
+module B { gens [0]; rels [[4]]; }
+module C { gens [0]; rels [[2]]; }
+ses S { modules A, B, C; a [[2]]; b [[1]]; fA [[0]]; fB [[1]]; }
+""",
 }
 
 # argv with {d} for the working directory, and the exact message after "error: "
@@ -365,7 +373,12 @@ CLI_REFUSALS = [
         ["trace", "hs", "-M", "{d}/refuse.txt", "--module-name", "M", "-f", "{d}/refuse.txt"],
         "hom onto is not an endomorphism of module M",
     ),
+    (
+        ["trace", "hs", "-M", "{d}/endo.txt", "--module-name", "M", "-f", "{d}/endo.txt", "--name", "g", "--resolution", "{d}/ses.txt"],
+        "{d}/ses.txt declares no matrices named d1, d2, ...",
+    ),
     (["zigzag", "-A", "{d}/endo.txt", "--name", "M"], "module M is not free; zigzag works on free modules"),
+    (["check-additivity", "-s", "{d}/no_restrict.txt"], "ses S: f_middle does not restrict to f_left along a"),
     (["check-additivity", "-s", "{d}/two_ses.txt", "--name", "S"], "ses S needs both fA and fB to check additivity"),
     (["lefschetz", "run", "--filter", "nope"], "no case matches filter 'nope'"),
     (["lefschetz", "list", "--filter", "nix"], "no case matches filter 'nix'"),

@@ -1,5 +1,6 @@
 """Exact solvers: Smith normal form, membership, certificates, syzygies."""
 
+import copy
 import random
 import time
 
@@ -559,12 +560,11 @@ def test_solve_and_first_outside_match_the_per_column_calls(ring, rng):
     x = span.solve(g, d)
     assert x == _per_column_solve(span, g, d)
     assert compose(dmap, x) == g
-    if ring.kind == "integers":
-        # the validating constructor accepts it, and certificates need no projection
-        assert GradedMatrixHom(x.source, x.target, x.degree, x.entries) == x
-        for c, v in enumerate(g.columns()):
-            _, cert = span.normal_form(v)
-            assert p.vector_component(cert, d - q.shifts[c]) == tuple(cert)
+    # the validating constructor accepts it, and certificates need no projection
+    assert GradedMatrixHom(x.source, x.target, x.degree, x.entries) == x
+    for c, v in enumerate(g.columns()):
+        _, cert = span.normal_form(v)
+        assert p.vector_component(cert, d - q.shifts[c]) == tuple(cert)
     # many-column membership agrees with contains, on a map and on vectors
     h = gu.random_matrix(rng, q, m, 1 + d)
     per_column = next((j for j, v in enumerate(h.columns()) if not span.contains(v)), None)
@@ -666,6 +666,59 @@ def test_engine_refuses_exponents_past_its_field_bound():
     # a zero column puts all three into one group, completed in full
     with pytest.raises(EngineError):
         prune_columns(m, [(x**limit, y**limit), (y, 0), (0, 0)])
+
+
+class _RecordingGB(solvers_impl._ModuleGB):
+    """A certifying basis that records the skip index of every tail reduction."""
+
+    def __init__(self, nvars, columns):
+        self.skips = []
+        super().__init__(nvars, columns)
+
+    def _reduce(self, v, cert=None, skip=-1):
+        if skip >= 0:
+            self.skips.append(skip)
+        return super()._reduce(v, cert, skip)
+
+
+def _tail_reduced_to_fixpoint(gb):
+    """The basis after tail reduction is repeated until a pass changes nothing."""
+    ref = copy.copy(gb)
+    ref.basis = list(gb.basis)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(ref.basis):
+            cert = dict(g.cert)
+            rem = ref._reduce(g.vec, cert, skip=i)
+            if rem != g.vec:
+                ref.basis[i] = solvers_impl._GBElem(rem, cert, ref.pk)
+                changed = True
+    return ref.basis
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(ring=st.sampled_from(gu.RING_POOL + LAURENT_2VAR[:1]), rng=st.randoms(use_true_random=False))
+def test_one_tail_reduction_pass_is_the_interreduction_fixpoint(ring, rng):
+    # even shifts and column degrees, so that few entries are forced to zero
+    target = GradedFreeModule(ring, tuple(2 * s for s in gu.random_shifts(rng, max_rank=2, lo=-1, hi=0)))
+    columns = []
+    for _ in range(rng.randint(1, 5)):
+        k = 2 * rng.randint(0, 2)
+        column = ((i, gu.random_homogeneous(rng, ring, k + n, span=1)) for i, n in enumerate(target.shifts))
+        columns.append(solvers_impl._to_engine(ring, ((i, e) for i, e in column if e)))
+    gb = _RecordingGB(solvers_impl._engine_nvars(ring), columns + solvers_impl._unit_columns(target))
+    basis = gb.basis
+    # one pass, in basis order, which sorts leading terms
+    assert gb.skips == list(range(len(basis)))
+    assert [(g.key, g.lc) for g in basis] == sorted((g.key, g.lc) for g in basis)
+    # no element reduces another's leading term, so no leading term can move
+    for g in basis:
+        for h in basis:
+            if h is not g and h.pos == g.pos and not (h.key - g.key) & gb.pk.exp_guard:
+                assert g.lc // h.lc == 0
+    fixpoint = _tail_reduced_to_fixpoint(gb)
+    assert [(g.vec, g.cert) for g in fixpoint] == [(g.vec, g.cert) for g in basis]
 
 
 # -- syzygies ------------------------------------------------------------------

@@ -715,6 +715,8 @@ def test_add_redundant_generator_round_trip():
     x = ZX.gen("x")
     bigger, inc, proj = add_redundant_generator(m, [x])
     assert bigger.generators.rank == m.generators.rank + 1
+    # the projection builds unchecked; the checking constructor accepts it
+    assert ModuleHom(proj.source, proj.target, proj.lift) == proj
     assert compose_module_homs(proj, inc) == identity_module_hom(m)
     assert compose_module_homs(inc, proj) == identity_module_hom(bigger)
     # transported endomorphism has the same trace
@@ -772,6 +774,7 @@ def test_maps_built_unchecked_pass_the_checked_constructor():
             bigger, inc, proj = add_redundant_generator(m, expr)
             for f in (bigger.relations, inc.lift, proj.lift):
                 assert _checked(f) == f
+            assert ModuleHom(bigger, m, proj.lift) == proj
             for d in resolve(m, max_length=8).maps:
                 assert _checked(d) == d
 

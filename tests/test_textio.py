@@ -118,6 +118,7 @@ def test_parse_errors_carry_positions():
 _HEAD = "ring Z;\nfree P [0];\nmodule M { gens [0]; }\nhom f : M -> M { lift [[1]]; }\n"
 _XHEAD = "ring Z[x:2];\nfree P [0, 0];\nmodule M { gens [0]; rels [[x^2]]; }\n"
 _SHEAD = "ring Z;\nmodule A { gens [0]; }\nmodule B { gens [0, 2]; }\nmodule C { gens [2]; }\n"
+_THEAD = "ring Z[t:0, t^-1];\nmodule K { gens [0]; rels [[t - 1]]; }\nhom f : K -> K { lift [[1]]; }\n"
 MALFORMED = [
     ('module item', 'ring Z;\nmodule M { gens [0]; bogus [1]; }\n', "unknown module item 'bogus' (gens, rels, reldegree)", 2, 22),
     ('matrix item', _HEAD + 'matrix F : P -> P { degree 0; lift [[1]]; }\n', "unknown item 'lift' (degree, rows)", 5, 31),
@@ -164,6 +165,13 @@ MALFORMED = [
     ('ses over another ring, row', 'ring Z[x:2];\nmodule A { gens [0]; }\nring Z;\nses S { modules A, A, A; a [[1, 1]]; b [[1]]; }\n', 'row 0: expected 1 entries, got 2', 4, 1),
     ('some generators inverted', 'ring Z[s:0,s^-1,t:0];\n', "either all generators are invertible or none; missing ['t']", 1, 6),
     ('odd generator degree', 'ring Z[s:1];\n', 'generator s has odd degree 1; only even degrees are supported', 1, 6),
+    ('inverse power other than -1', 'ring Z[t:0, t^-2];\n', 'only ^-1 marks an invertible generator', 1, 16),
+    ('inverse before its generator', 'ring Z[t^-1, t:0];\n', 't^-1 before t is declared', 1, 8),
+    ('generator declared twice', 'ring Z[t:0, t:2];\n', 'generator t declared twice', 1, 13),
+    ('unknown statement', 'rung Z;\n', "expected one of ring, free, module, matrix, hom, ses, case, got 'rung'", 1, 1),
+    ('case map, unknown generator', _THEAD + 'case c { even f; odd f; map Z { s -> 1; } oracle weight_sum [1]; }\n', "unknown generator 's' in ring Z[t:0,t^-1]", 4, 33),
+    ('case map, generator mapped twice', _THEAD + 'case c { even f; odd f; map Z { t -> 1; t -> 1; } oracle weight_sum [1]; }\n', 'generator t mapped twice', 4, 41),
+    ('case map, generator sent nowhere', _THEAD + 'case c { even f; odd f; map Z { } oracle weight_sum [1]; }\n', "map does not send ['t'] anywhere", 4, 25),
 ]
 
 

@@ -16,6 +16,7 @@ from gradedtrace import (
     base_change_commutes,
     base_change_trace,
     compose,
+    compose_module_homs,
     free_presentation,
     free_trace,
     hs_trace,
@@ -349,7 +350,19 @@ def _ses_b_misses_a_generator():
     return ShortExactSequence(left, middle, right, a, b), "misses generator 1"
 
 
-@pytest.mark.parametrize("make", [_ses_kernel_escapes, _ses_b_misses_a_generator], ids=lambda f: f.__name__.strip("_"))
+def _ses_a_not_injective():
+    # a = 1: Z -> Z/2 sends 2 to the relation 2 of the middle module, but 2 is not 0 in Z
+    left = free_presentation(GradedFreeModule(Z, (0,)))
+    middle = presented_module(Z, [0], [[2]])
+    right = free_presentation(GradedFreeModule(Z, ()))
+    a = module_hom(left, middle, 0, [[1]])
+    b = module_hom(middle, right, 0, [[]])
+    return ShortExactSequence(left, middle, right, a, b), "a is not injective"
+
+
+@pytest.mark.parametrize(
+    "make", [_ses_kernel_escapes, _ses_b_misses_a_generator, _ses_a_not_injective], ids=lambda f: f.__name__.strip("_")
+)
 def test_a_failed_validate_leaves_no_preimages_behind(make):
     ses, reason = make()
     with pytest.raises(ValueError, match=reason):
@@ -372,6 +385,9 @@ def test_random_stable_sequences_have_zero_defect():
             ses, f_left, f_middle = out
             report = additivity_defect(ses, f_left, f_middle)
             assert report.holds()
+            # the right square commutes by construction, so additivity_defect does not check it
+            f_right = induced_quotient_endo(ses, f_middle)
+            assert compose_module_homs(f_right, ses.b) == compose_module_homs(ses.b, f_middle)
             produced += 1
     assert produced >= 10
 
