@@ -141,7 +141,8 @@ class GradedMatrixHom:
     construction or checked there, so an instance is always a legal graded
     map.  Neither an instance nor its rows ever change, so closed operations
     share rows, and solvers.column_span builds the span of its columns in the
-    target at most once, on first use, and keeps it in _span.
+    target at most once, on first use, and keeps it in _span; a syzygy map
+    holds its columns there until then (solvers.syzygies).
     """
 
     __slots__ = ("source", "target", "degree", "_rows", "_span")

@@ -40,7 +40,10 @@ Columns travel as sparse Columns (freemod: position -> nonzero entry) from
 both backends through kernels, pruning and syzygies into the next map, and
 a map's span is built from its sparse rows; dense tuples are built only
 where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
-basis_vectors, and prune_columns on dense input).
+basis_vectors, and prune_columns on dense input).  A kernel column of the
+Groebner engine keeps its engine vector on its way to the next map's span,
+and over a polynomial ring the products of a resolution check and of a
+chain lift are formed on engine vectors (_engine_compose).
 """
 
 from __future__ import annotations
@@ -664,6 +667,50 @@ def _to_engine(ring: RingSpec, entries) -> dict:
     return {pack(pos, exp): c for pos, entry in entries for exp, c in entry.items()}
 
 
+class _EngineColumn(dict):
+    """A kernel Column that keeps its engine vector, equal to _to_engine of its
+    entries, so that pruning, the next span and membership tests read it
+    instead of encoding the column again.  The vector is never mutated."""
+
+    __slots__ = ("engine",)
+
+
+def _engine_vector(ring: RingSpec, column: Column) -> dict:
+    """The engine vector of a Column: the one it keeps, or encoded now."""
+    if isinstance(column, _EngineColumn):
+        return column.engine
+    return _to_engine(ring, column.items())
+
+
+def _engine_columns(f: GradedMatrixHom) -> list[dict]:
+    """The engine vectors of f's columns, encoded from f's own entries."""
+    return [_to_engine(f.ring, c.items()) for c in f._sparse_columns()]
+
+
+def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
+    """The engine columns of f . g over a polynomial ring, vecs[k] the engine
+    column k of f.
+
+    Column c is the sum over k of g[k, c] * vecs[k]: each term of g[k, c]
+    shifts vecs[k]'s keys by its monomial's key offset, and since packed
+    keys are one-to-one with ring terms, the result is the engine vector of
+    the product's column, with no ring element multiplied.  Laurent keys are
+    not canonical (x*y packs apart from 1), so Laurent products stay with
+    freemod.compose.
+    """
+    pk = _packing(g.ring.nvars)
+    pack, one, guard = pk.pack, pk.one, pk.guard
+    out = []
+    for column in g._sparse_columns():
+        acc: dict = {}
+        for k, entry in column.items():
+            vec = vecs[k]
+            for exp, c in entry.items():
+                _iadd_scaled(acc, pack(0, exp) - one, c, vec, guard)
+        out.append(acc)
+    return out
+
+
 def _unit_columns(ambient: GradedFreeModule) -> list[dict]:
     """The columns (x_i*y_i - 1)*e_k of a Laurent ring; none for other rings."""
     ring = ambient.ring
@@ -693,12 +740,12 @@ class _PolyBackend:
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        engine_cols = [_to_engine(self.ring, c.items()) for c in columns] + _unit_columns(ambient)
+        engine_cols = [_engine_vector(self.ring, c) for c in columns] + _unit_columns(ambient)
         self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
 
-    def _column(self, vec: dict, length: int, sign: int = 1) -> Column:
-        """Positions 0..length-1 of sign times an engine vector or certificate,
-        as a Column; Laurent terms that cancel along y_i -> x_i^-1 drop out."""
+    def _column(self, vec: dict, length: int) -> Column:
+        """Positions 0..length-1 of an engine vector or certificate, as a
+        Column; Laurent terms that cancel along y_i -> x_i^-1 drop out."""
         unpack, per_pos = self.gb.pk.unpack, {}
         for key, c in vec.items():
             pos, exp = unpack(key)
@@ -706,23 +753,39 @@ class _PolyBackend:
                 terms = per_pos.setdefault(pos, {})
                 if self.laurent:
                     exp = _ring_exp(exp)
-                if s := terms.pop(exp, 0) + sign * c:
+                if s := terms.pop(exp, 0) + c:
                     terms[exp] = s
         return {pos: RingElement._clean(self.ring, terms) for pos, terms in per_pos.items() if terms}
 
-    def certify(self, column: Column) -> tuple[Column, Column]:
+    def divide(self, vec: dict) -> tuple[dict, dict]:
+        """The remainder and certificate of an engine vector, as engine dicts:
+        vec = remainder + sum(certificate_j column_j)."""
         cert: dict = {}
-        rem = self.gb._reduce(_to_engine(self.ring, column.items()), cert)
-        # _reduce subtracts the quotients' certificates: v = rem - sum(cert_j column_j)
-        return self._column(rem, self.ambient.rank), self._column(cert, len(self.columns), -1)
+        rem = self.gb._reduce(vec, cert)
+        # _reduce subtracts the quotients' certificates
+        return rem, {k: -c for k, c in cert.items()}
+
+    def certify(self, column: Column) -> tuple[Column, Column]:
+        rem, cert = self.divide(_engine_vector(self.ring, column))
+        return self._column(rem, self.ambient.rank), self._column(cert, len(self.columns))
 
     def inside(self, column: Column) -> bool:
-        return self.gb.contains(_to_engine(self.ring, column.items()))
+        return self.gb.contains(_engine_vector(self.ring, column))
 
     def syzygy_vectors(self) -> list[Column]:
+        """The nonzero kernel generators, each an _EngineColumn.  Over a
+        polynomial ring its engine vector is its certificate as it is, since
+        packed keys are one-to-one with ring terms; over a Laurent ring the
+        canonical one is encoded here, once."""
         # ColumnSpan converts once and keeps the result, so the certificates go
         certs, self.gb.syzygies = self.gb.syzygies, None
-        return [col for cert in certs if (col := self._column(cert, len(self.columns)))]
+        out = []
+        for cert in certs:
+            if col := self._column(cert, len(self.columns)):
+                col = _EngineColumn(col)
+                col.engine = _to_engine(self.ring, col.items()) if self.laurent else cert
+                out.append(col)
+        return out
 
     def basis_vectors(self) -> list[Column]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
@@ -752,12 +815,20 @@ class ColumnSpan:
     columns, which only the spans that column_span builds know (as source),
     so solve needs one.
 
+    solve_engine(vecs, source, degree) is solve over a polynomial ring for
+    a map given by the engine vectors of its columns; it also returns the
+    engine vectors of the solution's columns, so that a chain lift never
+    leaves the engine's packed form.
+
     Results are deterministic for a fixed column order.  The kernel
     generators are fixed at construction; the first _sparse_kernel() call
     converts the nonzero ones to Columns and keeps them, and every
-    syzygy_vectors() call returns a fresh dense list of them.  A span used
-    only for membership never converts.  The span of a matrix's columns is
-    built once, by column_span, and kept on the matrix.
+    syzygy_vectors() call returns a fresh dense list of them.  Over a
+    polynomial or Laurent ring each kept Column is an _EngineColumn, which
+    carries its engine vector, and a span or membership test given one
+    reads that vector instead of encoding the column.  A span used only for
+    membership never converts.  The span of a matrix's columns is built
+    once, by column_span, and kept on the matrix.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list):
@@ -794,16 +865,33 @@ class ColumnSpan:
         return None
 
     def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
+        self._need_source()
+        return self._solution(g.source, degree, map(self._backend.certify, self._sparse_columns(g)))
+
+    def solve_engine(self, vecs: list[dict], source: GradedFreeModule, degree: int) -> tuple[GradedMatrixHom, list[dict]]:
+        """solve for a map from source given by the engine vectors of its
+        columns, over a polynomial ring: the map X, and the engine vectors
+        of X's columns, its certificates as the engine leaves them."""
+        self._need_source()
+        backend, n = self._backend, len(self.columns)
+        divided = [backend.divide(vec) for vec in vecs]
+        x = self._solution(source, degree, ((rem, backend._column(cert, n)) for rem, cert in divided))
+        return x, [cert for _, cert in divided]
+
+    def _need_source(self) -> None:
         if self.source is None:
             raise ValueError("solve needs the span of a map's columns, from column_span")
+
+    def _solution(self, source: GradedFreeModule, degree: int, pairs) -> GradedMatrixHom:
+        """The map from source whose column c is the c-th certificate of
+        (remainder, certificate) pairs; a nonzero remainder raises."""
         rows: list[Column] = [{} for _ in self.columns]
-        for c, column in enumerate(self._sparse_columns(g)):
-            rem, cert = self._backend.certify(column)
+        for c, (rem, cert) in enumerate(pairs):
             if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
             for j, e in cert.items():
                 rows[j][c] = e
-        return GradedMatrixHom._closed(g.source, self.source, degree, rows)
+        return GradedMatrixHom._closed(source, self.source, degree, rows)
 
     def _sparse_kernel(self) -> tuple[Column, ...]:
         """The nonzero kernel generators as sparse Columns, converted once."""
@@ -858,7 +946,7 @@ def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[
         if not kept and cols:  # every column zero: the greedy pass keeps the last one
             kept = [len(cols) - 1]
         return [cols[k] for k in kept], kept
-    engine = [_to_engine(ring, c.items()) for c in sparse]
+    engine = [_engine_vector(ring, c) for c in sparse]
     groups = _degree_groups(ambient, cols)
     top = groups[-1][0] if groups else None
     lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
@@ -1002,12 +1090,14 @@ def _degree_groups(ambient: GradedFreeModule, cols: list) -> list[tuple[int | No
 
 def column_span(f: GradedMatrixHom) -> ColumnSpan:
     """The span of f's columns in f.target, with f.source as its source,
-    built on first use and kept on f."""
-    if f._span is None:
-        span = ColumnSpan(f.target, f._sparse_columns())
+    built on first use and kept on f.  Until then a map that syzygies made
+    holds its kernel columns in the same slot, and the span is built from
+    them, their engine vectors kept."""
+    span = f._span
+    if not isinstance(span, ColumnSpan):
+        span = f._span = ColumnSpan(f.target, span or f._sparse_columns())
         span.source = f.source
-        f._span = span
-    return f._span
+    return span
 
 
 # No caller in the package: kept for the tracer of perfbench/layers.py, which wraps it.
@@ -1024,10 +1114,15 @@ def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
     1 - (its module degree), so the map has degree exactly 1 and builds
     unchecked.  The kernel is read off column_span(f), which stays on f,
     and goes from the engine through pruning into the map as sparse
-    Columns: no dense vector is built.
+    Columns: no dense vector is built.  The map holds its columns for its
+    own column_span; over a polynomial or Laurent ring each keeps its engine
+    vector (_EngineColumn), which pruning and that span read, so no kernel
+    column is encoded again on its way to the next span.
     """
     columns = list(column_span(f)._sparse_kernel())
     if prune and columns and f.ring.kind != INTEGERS:
         columns, _ = prune_columns(f.source, columns)
     source = GradedFreeModule(f.ring, _relation_shifts(f.source, columns, 1))
-    return _from_columns(source, f.source, 1, columns)
+    out = _from_columns(source, f.source, 1, columns)
+    out._span = columns  # column_span(out) builds from them
+    return out

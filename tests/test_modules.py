@@ -27,6 +27,7 @@ from gradedtrace import (
     RingElement,
     RingMap,
     add_redundant_generator,
+    compose,
     compose_module_homs,
     free_presentation,
     hom_from_columns,
@@ -194,8 +195,31 @@ def test_verify_resolution_rejects_non_composing_maps():
         top.shifted(1), top, 1, [[ZX.one()] * top.rank for _ in range(top.rank)]
     )
     broken = type(res)(module, res.maps + [fake])
-    with pytest.raises(Exception):
+    with pytest.raises(EngineError, match=r"^maps 0 and 1 do not compose to zero$"):
         verify_resolution(broken)
+
+
+def _with_entry_doubled(d, i, c):
+    rows = [list(row) for row in d.entries]
+    rows[i][c] = rows[i][c] + rows[i][c]
+    return GradedMatrixHom(d.source, d.target, d.degree, rows)
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_verify_resolution_names_the_pair_that_does_not_compose_to_zero(ring):
+    # doubling a nonzero entry (i, c) of map k adds e * (column i of map k - 1)
+    # to column c of their product, nonzero over a domain; map k + 1 may fail too
+    rng = random.Random(78)
+    checked = 0
+    while checked < 4:
+        res = resolve(gu.random_presented_module(rng, ring, max_rank=2, max_rels=4))
+        for k in range(1, res.length):
+            d = res.maps[k]
+            i, c = rng.choice([(i, c) for i, row in enumerate(d._rows) for c in row])
+            maps = res.maps[:k] + [_with_entry_doubled(d, i, c)] + res.maps[k + 1 :]
+            with pytest.raises(EngineError, match=rf"^maps {k - 1} and {k} do not compose to zero$"):
+                verify_resolution(Resolution(res.module, maps))
+            checked += 1
 
 
 def test_padded_resolution_differs_and_verifies():
@@ -445,6 +469,89 @@ def test_integer_lifts_match_the_per_column_lifts_up_to_six_by_six():
     for size in (2, 3, 4, 5, 6, 6, 6):
         module = _random_integer_presentation(rng, size)
         _check_lifts_against_per_column(module, gu.random_module_endo(rng, module))
+
+
+def _reference_lifts(res, endo):
+    """Chain lifts through ring-element products: one solve of compose(f_(j-1), d_j) per differential."""
+    lifts = [endo.lift]
+    for dj in res.maps:
+        lifts.append(solvers_impl.column_span(dj).solve(compose(lifts[-1], dj), endo.degree))
+    return lifts
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_lifts_match_the_reference_lifts_map_for_map(ring):
+    rng = random.Random(74)
+    for _ in range(8):
+        module = gu.random_presented_module(rng, ring, max_rels=3)
+        res = resolve(module)
+        for degree in (0, 2):
+            endo = gu.random_module_endo(rng, module, degree)
+            assert lift_endomorphism(res, endo) == _reference_lifts(res, endo)
+
+
+def test_lifts_of_mpowers_match_the_reference_lifts_map_for_map():
+    rng = random.Random(75)
+    for n, d in ((2, 3), (3, 2), (3, 3)):
+        module = _mpower(n, d)
+        res = resolve(module)
+        # degree 2: multiplication by a random linear form, not a scalar
+        for degree in (0, 2, 2):
+            endo = gu.random_module_endo(rng, module, degree)
+            assert lift_endomorphism(res, endo) == _reference_lifts(res, endo)
+
+
+def _kept_engine_forms(res) -> int:
+    """Assert that every kernel column, and every later map's span column,
+    keeps the engine vector of its entries; return how many were checked."""
+    ring = res.module.ring
+    spans = [solvers_impl.column_span(d) for d in res.maps]
+    kept = [c for span in spans for c in span._sparse_kernel()] + [c for span in spans[1:] for c in span.columns]
+    for column in kept:
+        assert isinstance(column, solvers_impl._EngineColumn)
+        assert column.engine == solvers_impl._to_engine(ring, column.items())
+    return len(kept)
+
+
+@pytest.mark.parametrize("ring", [r for r in gu.RING_POOL if r.kind != "integers"], ids=str)
+def test_kernel_columns_keep_the_engine_vector_of_their_entries(ring):
+    rng = random.Random(76)
+    checked = 0
+    for _ in range(40):
+        res = resolve(gu.random_presented_module(rng, ring, max_rank=2, max_rels=5))
+        verify_resolution(res)
+        checked += _kept_engine_forms(res)
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (3, 3), (4, 2)])
+def test_mpower_kernel_columns_keep_the_engine_vector_of_their_entries(n, d):
+    res = resolve(_mpower(n, d))
+    verify_resolution(res)
+    assert _kept_engine_forms(res) > sum(p.rank for p in res.modules[2:])
+
+
+def test_verify_and_lift_multiply_no_ring_elements_over_a_polynomial_ring(monkeypatch):
+    # d_j d_(j+1) and f_(j-1) d_j are formed on packed engine vectors
+    module = _mpower(4, 2)
+    rng = random.Random(77)
+    endos = [gu.random_module_endo(rng, module, degree) for degree in (0, 2, 4)]
+    res = resolve(module)
+    products = []
+    mul = RingElement.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    verify_resolution(res)
+    lifts = [lift_endomorphism(res, endo) for endo in endos]
+    assert products == []
+    monkeypatch.setattr(RingElement, "__mul__", mul)
+    assert [len(f) for f in lifts] == [len(res.modules)] * 3
+    for endo, f in zip(endos, lifts):
+        verify_lift(res, endo, f)
 
 
 def test_closed_operations_build_nothing_through_the_validating_constructors(monkeypatch):
