@@ -43,7 +43,7 @@ from .freemod import (
     identity_hom,
     zero_hom,
 )
-from .rings import ANY_DEGREE, INHOMOGENEOUS, POLYNOMIAL, HomogeneityError, RingMismatch, RingSpec
+from .rings import ANY_DEGREE, INHOMOGENEOUS, LAURENT, HomogeneityError, RingMismatch, RingSpec
 from .solvers import ColumnSpan, EngineError, _engine_columns, _engine_compose, column_span, prune_columns, syzygies
 
 
@@ -355,11 +355,12 @@ def verify_resolution(res: Resolution) -> None:
     Checks: the first map spans the relations of the module, consecutive
     maps compose to zero (by multiplying them), every kernel generator of
     one map lies in the image of the next, and the last map has vanishing
-    kernel.  Over a polynomial ring d_j d_(j+1) is formed on packed engine
-    vectors (solvers._engine_compose): d_(j+1)'s entries multiply d_j's
-    columns, encoded from d_j's own entries, so the product is checked for
-    every resolution, one from outside included, and no ring element is
-    multiplied; other rings multiply through compose.  The kernels and
+    kernel.  Over every ring but a Laurent ring d_j d_(j+1) is formed on
+    engine vectors (solvers._engine_compose), packed over a polynomial ring
+    and plain integer columns over the integers: d_(j+1)'s entries multiply
+    d_j's columns, encoded from d_j's own entries, so the product is checked
+    for every resolution, one from outside included, and no ring element is
+    multiplied; Laurent rings multiply through compose.  The kernels and
     images come from each map's own span, the one resolve built from the
     same columns; a span is a deterministic function of its columns, so
     sharing it checks exactly what a rebuilt span would, and the sparse
@@ -386,7 +387,7 @@ def verify_resolution(res: Resolution) -> None:
     # only the column span must agree
     if image.first_outside(rel) is not None or res.module.span.first_outside(first) is not None:
         raise EngineError("first map does not span the relations of the module")
-    packed = first.ring.kind == POLYNOMIAL
+    packed = first.ring.kind != LAURENT
     for j in range(len(res.maps) - 1):
         dj, dk = res.maps[j], res.maps[j + 1]
         product = _engine_compose(_engine_columns(dj), dk) if packed else compose(dj, dk)._rows
@@ -412,17 +413,18 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     forced degrees because the differential's columns are, so it is a legal
     graded map and builds unchecked.  A column that does not solve means
     the resolution is not exact, and solve raises EngineError naming it.
-    Over a polynomial ring the product stays in the engine's packed form:
-    f_0's columns are encoded once, d_j's entries multiply them
+    Over every ring but a Laurent ring the product stays in the engine's
+    form, packed over a polynomial ring and plain integer columns over the
+    integers: f_0's columns are encoded once, d_j's entries multiply them
     (solvers._engine_compose), and each stage's certificates, engine
     vectors already, are the columns of f_j that the next product reads
     (ColumnSpan.solve_engine); no ring element is multiplied.  Laurent
-    and integer rings form f_{j-1} d_j through compose.
+    rings form f_{j-1} d_j through compose.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
     lifts = [endo.lift]
-    if endo.ring.kind != POLYNOMIAL:
+    if endo.ring.kind == LAURENT:
         for dj in res.maps:
             lifts.append(column_span(dj).solve(compose(lifts[-1], dj), endo.degree))
         return lifts

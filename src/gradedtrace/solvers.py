@@ -41,9 +41,11 @@ both backends through kernels, pruning and syzygies into the next map, and
 a map's span is built from its sparse rows; dense tuples are built only
 where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
 basis_vectors, and prune_columns on dense input).  A kernel column of the
-Groebner engine keeps its engine vector on its way to the next map's span,
-and over a polynomial ring the products of a resolution check and of a
-chain lift are formed on engine vectors (_engine_compose).
+Groebner engine keeps its engine vector on its way to the next map's span.
+Over a polynomial ring and over the integers the products of a resolution
+check and of a chain lift are formed on engine vectors (_engine_compose),
+sparse integer columns {row: int} over the integers; only Laurent products
+go through freemod.compose.
 """
 
 from __future__ import annotations
@@ -167,6 +169,11 @@ def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None
             g, s, t = _xgcd(vecs[k][r], b)
             x, y = vecs[k][r] // g, b // g
             vk, vj = vecs[k], vecs[j]
+            if not t:  # the pivot divides b, so s = x = 1: vecs[k] and duals[j] stay
+                vecs[j] = [q - y * p for p, q in zip(vk, vj)]
+                if duals is not None:
+                    duals[k] = [p + y * q for p, q in zip(duals[k], duals[j])]
+                continue
             vecs[k] = [s * p + t * q for p, q in zip(vk, vj)]
             vecs[j] = [x * q - y * p for p, q in zip(vk, vj)]
             if duals is not None:
@@ -556,8 +563,9 @@ class _IntBackend:
     certificates, and kernels decompose blockwise and stay homogeneous.  A
     block is (rows, cols, pivot rows, basis, kernel): each basis vector is a
     Hermite column h of the block's matrix A followed by its transform t,
-    A.t = h, and the kernel is in Hermite form as well.  A column to reduce
-    is read as sparse integers, and only the blocks it touches are reduced.
+    A.t = h, and the kernel is in Hermite form as well.  divide takes a
+    sparse integer column {row: int}, the backend's engine vector, and
+    reduces only the blocks it touches; certify and inside convert a Column.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
@@ -580,7 +588,7 @@ class _IntBackend:
             if not cols:  # the block of zero columns, often empty
                 self.blocks.append((rows, cols, [], [], []))
                 continue
-            ints = [{i: e.coefficient(()) for i, e in columns[j].items()} for j in cols]
+            ints = [_int_column(columns[j]) for j in cols]
             vecs = [[col.get(i, 0) for i in rows] + unit for col, unit in zip(ints, _eye(len(cols)))]
             pivots = _hermite(vecs, len(rows))
             kernel = [v[len(rows) :] for v in vecs[len(pivots) :]]
@@ -589,8 +597,8 @@ class _IntBackend:
         # ambient row -> (its block, its place in the block); a row of no block is absent
         self._place = {i: (b, r) for b, block in enumerate(self.blocks) for r, i in enumerate(block[0])}
 
-    def _reduce(self, column: Column, certify: bool) -> tuple[dict[int, int], dict[int, int]]:
-        """The remainder and certificate of a sparse column, as sparse integers.
+    def divide(self, column: dict[int, int], certify: bool = True) -> tuple[dict[int, int], dict[int, int]]:
+        """The remainder and certificate of a sparse integer column, as sparse integers.
 
         Each touched block walks its pivots in order: at each pivot q.(h, t)
         is subtracted, q the floor quotient there, so the remainder lies in
@@ -600,17 +608,17 @@ class _IntBackend:
         rem: dict[int, int] = {}
         cert: dict[int, int] = {}
         works: dict[int, list[int]] = {}
-        for i, e in column.items():
+        for i, a in column.items():
             place = self._place.get(i)
             if place is None:
-                rem[i] = e.coefficient(())
+                rem[i] = a
                 continue
             b, r = place
             work = works.get(b)
             if work is None:
                 rows, cols = self.blocks[b][:2]
                 work = works[b] = [0] * (len(rows) + len(cols) if certify else len(rows))
-            work[r] = e.coefficient(())
+            work[r] = a
         for b, work in works.items():
             rows, cols, pivots, basis, _ = self.blocks[b]
             for p, vec in zip(pivots, basis):
@@ -625,13 +633,18 @@ class _IntBackend:
                     cert[j] = -a
         return rem, cert
 
-    def certify(self, column: Column) -> tuple[Column, Column]:
+    def _column(self, vec: dict[int, int], length: int | None = None) -> Column:
+        """A sparse integer column as a Column; unlike the engine's, no integer
+        remainder or certificate has a position past length to drop."""
         const = self.ambient.ring.const
-        rem, cert = self._reduce(column, True)
-        return {i: const(a) for i, a in rem.items()}, {j: const(a) for j, a in cert.items()}
+        return {i: const(a) for i, a in vec.items()}
+
+    def certify(self, column: Column) -> tuple[Column, Column]:
+        rem, cert = self.divide(_int_column(column))
+        return self._column(rem), self._column(cert)
 
     def inside(self, column: Column) -> bool:
-        return not self._reduce(column, False)[0]
+        return not self.divide(_int_column(column), False)[0]
 
     def syzygy_vectors(self) -> list[Column]:
         const = self.ambient.ring.const
@@ -682,22 +695,39 @@ def _engine_vector(ring: RingSpec, column: Column) -> dict:
     return _to_engine(ring, column.items())
 
 
+def _int_column(column: Column) -> dict[int, int]:
+    """The sparse integer column {row: int} of a Column over the integers."""
+    return {i: e.coefficient(()) for i, e in column.items()}
+
+
 def _engine_columns(f: GradedMatrixHom) -> list[dict]:
-    """The engine vectors of f's columns, encoded from f's own entries."""
+    """The engine vectors of f's columns, encoded from f's own entries; over
+    the integers, sparse integer columns."""
+    if f.ring.kind == INTEGERS:
+        return [_int_column(c) for c in f._sparse_columns()]
     return [_to_engine(f.ring, c.items()) for c in f._sparse_columns()]
 
 
 def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
-    """The engine columns of f . g over a polynomial ring, vecs[k] the engine
-    column k of f.
+    """The engine columns of f . g over a polynomial ring or the integers,
+    vecs[k] the engine column k of f.
 
     Column c is the sum over k of g[k, c] * vecs[k]: each term of g[k, c]
     shifts vecs[k]'s keys by its monomial's key offset, and since packed
     keys are one-to-one with ring terms, the result is the engine vector of
-    the product's column, with no ring element multiplied.  Laurent keys are
-    not canonical (x*y packs apart from 1), so Laurent products stay with
-    freemod.compose.
+    the product's column, with no ring element multiplied.  Over the
+    integers the keys are rows and the sum is taken on ints.  Laurent keys
+    are not canonical (x*y packs apart from 1), so Laurent products stay
+    with freemod.compose.
     """
+    if g.ring.kind == INTEGERS:  # row k of g scales vecs[k] into the columns it touches
+        out: list[dict[int, int]] = [{} for _ in range(g.source.rank)]
+        for vec, row in zip(vecs, g._rows):
+            for col, entry in row.items():
+                acc, c = out[col], entry.coefficient(())
+                for i, a in vec.items():
+                    acc[i] = acc.get(i, 0) + c * a
+        return [{i: a for i, a in acc.items() if a} for acc in out]
     pk = _packing(g.ring.nvars)
     pack, one, guard = pk.pack, pk.one, pk.guard
     out = []
@@ -815,10 +845,11 @@ class ColumnSpan:
     columns, which only the spans that column_span builds know (as source),
     so solve needs one.
 
-    solve_engine(vecs, source, degree) is solve over a polynomial ring for
-    a map given by the engine vectors of its columns; it also returns the
-    engine vectors of the solution's columns, so that a chain lift never
-    leaves the engine's packed form.
+    solve_engine(vecs, source, degree) is solve over a polynomial ring or
+    the integers for a map given by the engine vectors of its columns (sparse
+    integer columns over the integers); it also returns the engine vectors
+    of the solution's columns, so that a chain lift never leaves the
+    engine's form.
 
     Results are deterministic for a fixed column order.  The kernel
     generators are fixed at construction; the first _sparse_kernel() call
@@ -870,8 +901,9 @@ class ColumnSpan:
 
     def solve_engine(self, vecs: list[dict], source: GradedFreeModule, degree: int) -> tuple[GradedMatrixHom, list[dict]]:
         """solve for a map from source given by the engine vectors of its
-        columns, over a polynomial ring: the map X, and the engine vectors
-        of X's columns, its certificates as the engine leaves them."""
+        columns, over a polynomial ring or the integers: the map X, and the
+        engine vectors of X's columns, its certificates as the backend
+        leaves them.  Only X's entries are built as ring elements."""
         self._need_source()
         backend, n = self._backend, len(self.columns)
         divided = [backend.divide(vec) for vec in vecs]
@@ -942,7 +974,7 @@ def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[
     sparse = [c if isinstance(c, dict) else _nonzero(c) for c in cols]
     ring = ambient.ring
     if ring.kind == INTEGERS:
-        kept = _lattice_walk([{i: e.coefficient(()) for i, e in c.items()} for c in sparse])
+        kept = _lattice_walk([_int_column(c) for c in sparse])
         if not kept and cols:  # every column zero: the greedy pass keeps the last one
             kept = [len(cols) - 1]
         return [cols[k] for k in kept], kept

@@ -5,6 +5,7 @@ deadline, so that an engine whose coefficients swell fails them instead of
 hanging the suite.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -291,6 +292,19 @@ def test_hermite_matches_its_frozen_reference(rng, with_duals):
     assert solvers_impl._hermite(vecs, m, duals) == want_rows
     assert vecs == want_vecs
     assert duals == want_duals
+
+
+def test_smith_transforms_match_their_frozen_hash():
+    # one SHA-256 over U, D, V, U^-1 and V^-1 of seeded matrices up to 7 x 7:
+    # a change to any transform, not only to the diagonal, moves it
+    rng = random.Random(2718)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+        snf = smith_normal_form(rows)
+        digest.update(repr((snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv)).encode())
+    assert digest.hexdigest() == "b532b9bb981a789a38b2adc173a9c409c04b4405d63df68070acce732faacd5a"
 
 
 def test_thirty_integer_columns_prune_within_the_deadline():

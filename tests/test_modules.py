@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedtrace import (
+    GRADING_Z2,
     ColumnSpan,
     EngineError,
     GradedFreeModule,
@@ -536,6 +537,21 @@ def test_verify_and_lift_multiply_no_ring_elements_over_a_polynomial_ring(monkey
     module = _mpower(4, 2)
     rng = random.Random(77)
     endos = [gu.random_module_endo(rng, module, degree) for degree in (0, 2, 4)]
+    _assert_verify_and_lift_multiply_nothing(monkeypatch, module, endos)
+
+
+@pytest.mark.parametrize("ring", [Z, integers(GRADING_Z2)], ids=str)
+def test_verify_and_lift_multiply_no_ring_elements_over_the_integers(monkeypatch, ring):
+    # d_j d_(j+1) and f_(j-1) d_j are formed on sparse integer columns; five
+    # relations on three generators leave a kernel of rank 2
+    module = presented_module(ring, [0, 0, 2], [(2, 0, 0), (0, 3, 0), (2, 3, 0), (0, 0, 4), (0, 0, 6)])
+    rng = random.Random(78)
+    endos = [gu.random_module_endo(rng, module) for _ in range(3)]
+    assert [p.rank for p in resolve(module).modules] == [3, 5, 2]
+    _assert_verify_and_lift_multiply_nothing(monkeypatch, module, endos)
+
+
+def _assert_verify_and_lift_multiply_nothing(monkeypatch, module, endos):
     res = resolve(module)
     products = []
     mul = RingElement.__mul__
@@ -549,7 +565,7 @@ def test_verify_and_lift_multiply_no_ring_elements_over_a_polynomial_ring(monkey
     lifts = [lift_endomorphism(res, endo) for endo in endos]
     assert products == []
     monkeypatch.setattr(RingElement, "__mul__", mul)
-    assert [len(f) for f in lifts] == [len(res.modules)] * 3
+    assert [len(f) for f in lifts] == [len(res.modules)] * len(endos)
     for endo, f in zip(endos, lifts):
         verify_lift(res, endo, f)
 
