@@ -43,7 +43,7 @@ from .freemod import (
     identity_hom,
     zero_hom,
 )
-from .rings import ANY_DEGREE, INHOMOGENEOUS, LAURENT, HomogeneityError, RingMismatch, RingSpec
+from .rings import ANY_DEGREE, INHOMOGENEOUS, HomogeneityError, RingMismatch, RingSpec
 from .solvers import ColumnSpan, EngineError, _engine_columns, _engine_compose, column_span, prune_columns, syzygies
 
 
@@ -355,17 +355,16 @@ def verify_resolution(res: Resolution) -> None:
     Checks: the first map spans the relations of the module, consecutive
     maps compose to zero (by multiplying them), every kernel generator of
     one map lies in the image of the next, and the last map has vanishing
-    kernel.  Over every ring but a Laurent ring d_j d_(j+1) is formed on
-    engine vectors (solvers._engine_compose), packed over a polynomial ring
-    and plain integer columns over the integers: d_(j+1)'s entries multiply
-    d_j's columns, encoded from d_j's own entries, so the product is checked
-    for every resolution, one from outside included, and no ring element is
-    multiplied; Laurent rings multiply through compose.  The kernels and
-    images come from each map's own span, the one resolve built from the
-    same columns; a span is a deterministic function of its columns, so
-    sharing it checks exactly what a rebuilt span would, and the sparse
-    kernel resolve read off a span is tested as it is, through the engine
-    vectors its columns keep, not converted again here.
+    kernel.  d_j d_(j+1) is formed on canonical engine vectors
+    (solvers._engine_compose), plain integer columns over the integers:
+    d_(j+1)'s entries multiply d_j's columns, encoded from d_j's own entries,
+    so the product is checked for every resolution, one from outside
+    included, and no ring element is multiplied.  The kernels and images
+    come from each map's own span, the one resolve built from the same
+    columns; a span is a deterministic function of its columns, so sharing
+    it checks exactly what a rebuilt span would, and the sparse kernel
+    resolve read off a span is tested as it is, through the engine vectors
+    its columns keep, not converted again here.
     Each containment is one many-column membership call (first_outside)
     per matrix or kernel, and first_outside settles a column equal to the
     next unmatched generator of its span without the backend, since it is
@@ -387,11 +386,8 @@ def verify_resolution(res: Resolution) -> None:
     # only the column span must agree
     if image.first_outside(rel) is not None or res.module.span.first_outside(first) is not None:
         raise EngineError("first map does not span the relations of the module")
-    packed = first.ring.kind != LAURENT
     for j in range(len(res.maps) - 1):
-        dj, dk = res.maps[j], res.maps[j + 1]
-        product = _engine_compose(_engine_columns(dj), dk) if packed else compose(dj, dk)._rows
-        if any(product):
+        if any(_engine_compose(_engine_columns(res.maps[j]), res.maps[j + 1])):
             raise EngineError(f"maps {j} and {j + 1} do not compose to zero")
     for j in range(len(res.maps)):
         kernel = image._sparse_kernel()
@@ -413,21 +409,15 @@ def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]
     forced degrees because the differential's columns are, so it is a legal
     graded map and builds unchecked.  A column that does not solve means
     the resolution is not exact, and solve raises EngineError naming it.
-    Over every ring but a Laurent ring the product stays in the engine's
-    form, packed over a polynomial ring and plain integer columns over the
+    The product stays in the engine's form, plain integer columns over the
     integers: f_0's columns are encoded once, d_j's entries multiply them
     (solvers._engine_compose), and each stage's certificates, engine
     vectors already, are the columns of f_j that the next product reads
-    (ColumnSpan.solve_engine); no ring element is multiplied.  Laurent
-    rings form f_{j-1} d_j through compose.
+    (ColumnSpan.solve_engine); no ring element is multiplied.
     """
     if endo.source != res.module or endo.target != res.module:
         raise ValueError("can only lift an endomorphism of the resolved module")
     lifts = [endo.lift]
-    if endo.ring.kind == LAURENT:
-        for dj in res.maps:
-            lifts.append(column_span(dj).solve(compose(lifts[-1], dj), endo.degree))
-        return lifts
     vecs = _engine_columns(endo.lift)
     for dj in res.maps:
         fj, vecs = column_span(dj).solve_engine(_engine_compose(vecs, dj), dj.source, endo.degree)

@@ -42,10 +42,10 @@ a map's span is built from its sparse rows; dense tuples are built only
 where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
 basis_vectors, and prune_columns on dense input).  A kernel column of the
 Groebner engine keeps its engine vector on its way to the next map's span.
-Over a polynomial ring and over the integers the products of a resolution
-check and of a chain lift are formed on engine vectors (_engine_compose),
-sparse integer columns {row: int} over the integers; only Laurent products
-go through freemod.compose.
+The products of a resolution check and of a chain lift are formed on engine
+vectors (_engine_compose), sparse integer columns {row: int} over the
+integers; over a Laurent ring every product key is brought to its canonical
+key, so no product goes through freemod.compose.
 """
 
 from __future__ import annotations
@@ -708,17 +708,31 @@ def _engine_columns(f: GradedMatrixHom) -> list[dict]:
     return [_to_engine(f.ring, c.items()) for c in f._sparse_columns()]
 
 
+def _canonical(ring: RingSpec, vec: dict, length: float = math.inf) -> dict:
+    """vec with every key canonical over a Laurent ring, pack(pos,
+    _engine_exp(_ring_exp(exp))) so that x_i*y_i packs as 1, and positions
+    from length on (the unit columns') dropped; over other rings vec itself."""
+    if ring.kind != LAURENT:
+        return vec
+    pk, out = _packing(_engine_nvars(ring)), {}
+    for key, c in vec.items():
+        pos, exp = pk.unpack(key)
+        if pos < length:
+            key = pk.pack(pos, _engine_exp(_ring_exp(exp)))
+            if s := out.pop(key, 0) + c:
+                out[key] = s
+    return out
+
+
 def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
-    """The engine columns of f . g over a polynomial ring or the integers,
-    vecs[k] the engine column k of f.
+    """The engine columns of f . g, vecs[k] the canonical engine column k of f.
 
     Column c is the sum over k of g[k, c] * vecs[k]: each term of g[k, c]
-    shifts vecs[k]'s keys by its monomial's key offset, and since packed
-    keys are one-to-one with ring terms, the result is the engine vector of
-    the product's column, with no ring element multiplied.  Over the
-    integers the keys are rows and the sum is taken on ints.  Laurent keys
-    are not canonical (x*y packs apart from 1), so Laurent products stay
-    with freemod.compose.
+    shifts vecs[k]'s keys by its monomial's key offset.  Packed keys are
+    one-to-one with polynomial terms, and canonical keys (_canonical) with
+    Laurent terms, so the result is the canonical engine vector of the
+    product's column, with no ring element multiplied.  Over the integers
+    the keys are rows and the sum is taken on ints.
     """
     if g.ring.kind == INTEGERS:  # row k of g scales vecs[k] into the columns it touches
         out: list[dict[int, int]] = [{} for _ in range(g.source.rank)]
@@ -728,7 +742,8 @@ def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
                 for i, a in vec.items():
                     acc[i] = acc.get(i, 0) + c * a
         return [{i: a for i, a in acc.items() if a} for acc in out]
-    pk = _packing(g.ring.nvars)
+    laurent = g.ring.kind == LAURENT
+    pk = _packing(_engine_nvars(g.ring))
     pack, one, guard = pk.pack, pk.one, pk.guard
     out = []
     for column in g._sparse_columns():
@@ -736,8 +751,8 @@ def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
         for k, entry in column.items():
             vec = vecs[k]
             for exp, c in entry.items():
-                _iadd_scaled(acc, pack(0, exp) - one, c, vec, guard)
-        out.append(acc)
+                _iadd_scaled(acc, pack(0, _engine_exp(exp) if laurent else exp) - one, c, vec, guard)
+        out.append(_canonical(g.ring, acc))
     return out
 
 
@@ -789,11 +804,12 @@ class _PolyBackend:
 
     def divide(self, vec: dict) -> tuple[dict, dict]:
         """The remainder and certificate of an engine vector, as engine dicts:
-        vec = remainder + sum(certificate_j column_j)."""
+        vec = remainder + sum(certificate_j column_j), the certificate
+        canonical over the caller's columns (_canonical)."""
         cert: dict = {}
         rem = self.gb._reduce(vec, cert)
         # _reduce subtracts the quotients' certificates
-        return rem, {k: -c for k, c in cert.items()}
+        return rem, {k: -c for k, c in _canonical(self.ring, cert, len(self.columns)).items()}
 
     def certify(self, column: Column) -> tuple[Column, Column]:
         rem, cert = self.divide(_engine_vector(self.ring, column))
@@ -803,17 +819,15 @@ class _PolyBackend:
         return self.gb.contains(_engine_vector(self.ring, column))
 
     def syzygy_vectors(self) -> list[Column]:
-        """The nonzero kernel generators, each an _EngineColumn.  Over a
-        polynomial ring its engine vector is its certificate as it is, since
-        packed keys are one-to-one with ring terms; over a Laurent ring the
-        canonical one is encoded here, once."""
+        """The nonzero kernel generators, each an _EngineColumn whose engine
+        vector is its certificate in canonical form (_canonical)."""
         # ColumnSpan converts once and keeps the result, so the certificates go
         certs, self.gb.syzygies = self.gb.syzygies, None
         out = []
         for cert in certs:
             if col := self._column(cert, len(self.columns)):
                 col = _EngineColumn(col)
-                col.engine = _to_engine(self.ring, col.items()) if self.laurent else cert
+                col.engine = _canonical(self.ring, cert, len(self.columns))
                 out.append(col)
         return out
 
@@ -845,11 +859,10 @@ class ColumnSpan:
     columns, which only the spans that column_span builds know (as source),
     so solve needs one.
 
-    solve_engine(vecs, source, degree) is solve over a polynomial ring or
-    the integers for a map given by the engine vectors of its columns (sparse
-    integer columns over the integers); it also returns the engine vectors
-    of the solution's columns, so that a chain lift never leaves the
-    engine's form.
+    solve is solve_engine(vecs, source, degree) on the engine vectors of g's
+    columns (sparse integer columns over the integers); solve_engine also
+    returns the engine vectors of the solution's columns, so that a chain
+    lift never leaves the engine's form.
 
     Results are deterministic for a fixed column order.  The kernel
     generators are fixed at construction; the first _sparse_kernel() call
@@ -878,12 +891,16 @@ class ColumnSpan:
     def contains(self, v) -> bool:
         return self._backend.inside(_nonzero(self.ambient.coerce_vector(v)))
 
+    def _own(self, g: GradedMatrixHom) -> GradedMatrixHom:
+        """g, refused unless it maps into the span's ambient module."""
+        if g.target != self.ambient:
+            raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
+        return g
+
     def _sparse_columns(self, g) -> list[Column]:
         if not isinstance(g, GradedMatrixHom):
             return [v if isinstance(v, dict) else _nonzero(v) for v in g]
-        if g.target != self.ambient:
-            raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
-        return g._sparse_columns()
+        return self._own(g)._sparse_columns()
 
     def first_outside(self, g) -> int | None:
         inside, gens = self._backend.inside, iter(self.columns)
@@ -896,34 +913,26 @@ class ColumnSpan:
         return None
 
     def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
-        self._need_source()
-        return self._solution(g.source, degree, map(self._backend.certify, self._sparse_columns(g)))
+        return self.solve_engine(_engine_columns(self._own(g)), g.source, degree)[0]
 
     def solve_engine(self, vecs: list[dict], source: GradedFreeModule, degree: int) -> tuple[GradedMatrixHom, list[dict]]:
         """solve for a map from source given by the engine vectors of its
-        columns, over a polynomial ring or the integers: the map X, and the
-        engine vectors of X's columns, its certificates as the backend
-        leaves them.  Only X's entries are built as ring elements."""
-        self._need_source()
-        backend, n = self._backend, len(self.columns)
-        divided = [backend.divide(vec) for vec in vecs]
-        x = self._solution(source, degree, ((rem, backend._column(cert, n)) for rem, cert in divided))
-        return x, [cert for _, cert in divided]
-
-    def _need_source(self) -> None:
+        columns: the map X, and the engine vectors of X's columns, its
+        certificates as the backend leaves them, canonical over the span's
+        columns.  Only X's entries are built as ring elements."""
         if self.source is None:
             raise ValueError("solve needs the span of a map's columns, from column_span")
-
-    def _solution(self, source: GradedFreeModule, degree: int, pairs) -> GradedMatrixHom:
-        """The map from source whose column c is the c-th certificate of
-        (remainder, certificate) pairs; a nonzero remainder raises."""
+        backend, n = self._backend, len(self.columns)
         rows: list[Column] = [{} for _ in self.columns]
-        for c, (rem, cert) in enumerate(pairs):
+        certs = []
+        for c, vec in enumerate(vecs):
+            rem, cert = backend.divide(vec)
             if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
-            for j, e in cert.items():
+            for j, e in backend._column(cert, n).items():
                 rows[j][c] = e
-        return GradedMatrixHom._closed(source, self.source, degree, rows)
+            certs.append(cert)
+        return GradedMatrixHom._closed(source, self.source, degree, rows), certs
 
     def _sparse_kernel(self) -> tuple[Column, ...]:
         """The nonzero kernel generators as sparse Columns, converted once."""

@@ -559,6 +559,9 @@ def test_solve_and_first_outside_match_the_per_column_calls(ring, rng):
     g = compose(dmap, gu.random_matrix(rng, q, p, d))
     x = span.solve(g, d)
     assert x == _per_column_solve(span, g, d)
+    # the certificates solve_engine returns are the engine vectors of X's
+    # columns: canonical, without the positions of Laurent unit columns
+    assert span.solve_engine(solvers_impl._engine_columns(g), q, d)[1] == solvers_impl._engine_columns(x)
     assert compose(dmap, x) == g
     # the validating constructor accepts it, and certificates need no projection
     assert GradedMatrixHom(x.source, x.target, x.degree, x.entries) == x
@@ -590,6 +593,8 @@ def test_solve_needs_the_span_of_a_map_into_its_module():
     span = solvers_impl.column_span(GradedMatrixHom(m, m, 0, [[2]]))
     with pytest.raises(ValueError, match="is not a map into"):
         span.first_outside(identity_hom(GradedFreeModule(Z, (1,))))
+    with pytest.raises(ValueError, match="is not a map into"):
+        span.solve(identity_hom(GradedFreeModule(Z, (1,))), 0)
 
 
 # -- the engine's packed terms --------------------------------------------------

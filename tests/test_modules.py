@@ -61,6 +61,18 @@ Z = integers()
 ZX = polynomial_ring(["x"], [2])
 ZXY = polynomial_ring(["x", "y"], [2, 4])
 ZL = laurent_ring(["t"], [0])
+# over two variables s*t^-1*t must cancel to s; kept out of RING_POOL, since
+# spans over it beyond a few columns are slow
+ZST = laurent_ring(["s", "t"], [0, 2])
+
+
+def _pool_and_two_variable_laurent(seed, **sizes):
+    """(ring, seed, sizes) of the presentations a test draws: every ring of
+    RING_POOL from seed, then ZST from seed 80 with at most 2 generators and
+    4 relations."""
+    return [pytest.param(r, seed, sizes, id=str(r)) for r in gu.RING_POOL] + [
+        pytest.param(ZST, 80, {"max_rank": 2, "max_rels": 4}, id=str(ZST))
+    ]
 
 
 def _mod2():
@@ -206,14 +218,14 @@ def _with_entry_doubled(d, i, c):
     return GradedMatrixHom(d.source, d.target, d.degree, rows)
 
 
-@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
-def test_verify_resolution_names_the_pair_that_does_not_compose_to_zero(ring):
+@pytest.mark.parametrize("ring, seed, sizes", _pool_and_two_variable_laurent(78, max_rank=2, max_rels=4))
+def test_verify_resolution_names_the_pair_that_does_not_compose_to_zero(ring, seed, sizes):
     # doubling a nonzero entry (i, c) of map k adds e * (column i of map k - 1)
     # to column c of their product, nonzero over a domain; map k + 1 may fail too
-    rng = random.Random(78)
+    rng = random.Random(seed)
     checked = 0
     while checked < 4:
-        res = resolve(gu.random_presented_module(rng, ring, max_rank=2, max_rels=4))
+        res = resolve(gu.random_presented_module(rng, ring, **sizes))
         for k in range(1, res.length):
             d = res.maps[k]
             i, c = rng.choice([(i, c) for i, row in enumerate(d._rows) for c in row])
@@ -456,11 +468,11 @@ def _check_lifts_against_per_column(module, endo):
     verify_lift(res, endo, lifts)
 
 
-@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
-def test_lifts_match_the_per_column_lifts(ring):
-    rng = random.Random(71)
+@pytest.mark.parametrize("ring, seed, sizes", _pool_and_two_variable_laurent(71))
+def test_lifts_match_the_per_column_lifts(ring, seed, sizes):
+    rng = random.Random(seed)
     for _ in range(6):
-        module = gu.random_presented_module(rng, ring)
+        module = gu.random_presented_module(rng, ring, **sizes)
         for degree in (0, 2):
             _check_lifts_against_per_column(module, gu.random_module_endo(rng, module, degree))
 
@@ -540,10 +552,12 @@ def test_verify_and_lift_multiply_no_ring_elements_over_a_polynomial_ring(monkey
     _assert_verify_and_lift_multiply_nothing(monkeypatch, module, endos)
 
 
-@pytest.mark.parametrize("ring", [Z, integers(GRADING_Z2)], ids=str)
-def test_verify_and_lift_multiply_no_ring_elements_over_the_integers(monkeypatch, ring):
-    # d_j d_(j+1) and f_(j-1) d_j are formed on sparse integer columns; five
-    # relations on three generators leave a kernel of rank 2
+@pytest.mark.parametrize("ring", [Z, integers(GRADING_Z2), ZL, laurent_ring(["t"], [2], GRADING_Z2)], ids=str)
+def test_verify_and_lift_multiply_no_ring_elements_over_integer_relations(monkeypatch, ring):
+    # d_j d_(j+1) and f_(j-1) d_j are formed on sparse integer columns over
+    # the integers and on canonical engine vectors over a Laurent ring, where
+    # the endomorphisms have entries such as t - t^-1; five relations on
+    # three generators leave a kernel of rank 2
     module = presented_module(ring, [0, 0, 2], [(2, 0, 0), (0, 3, 0), (2, 3, 0), (0, 0, 4), (0, 0, 6)])
     rng = random.Random(78)
     endos = [gu.random_module_endo(rng, module) for _ in range(3)]
