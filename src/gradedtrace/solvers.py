@@ -54,7 +54,6 @@ import bisect
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 
 from .freemod import Column, GradedFreeModule, GradedMatrixHom, Vector, _column_degree, _dense, _from_columns
 from .freemod import _nonzero, _relation_shifts
@@ -135,7 +134,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None) -> list[int]:
+def _hermite(vecs: list[list[int]], m: int, log: list[tuple] | None = None) -> list[int]:
     """Bring the first m entries of vecs to reduced column Hermite form, in place.
 
     vecs[j] is column j of an m-row matrix, then entries combined along with
@@ -145,8 +144,9 @@ def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None
     entries at later pivot rows are reduced into [0, pivot) (Kannan and
     Bachem), which bounds the entries.  The pivot columns end up first, in
     increasing pivot row, and are canonical for the lattice; the vanished
-    ones follow in index order.  Returns the pivot rows.  Each step applies
-    its inverse transpose to duals, so sum_j vecs[j] (x) duals[j] is kept.
+    ones follow in index order.  Returns the pivot rows.  Each step goes to
+    log; as pivots, quotients and order read only the first m entries,
+    _replay of the log redoes the transform on any other vectors.
     """
     pivots: dict[int, int] = {}  # pivot row -> index of its column
     rows: list[int] = []  # the pivot rows, in increasing order
@@ -163,23 +163,21 @@ def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None
                 bisect.insort(rows, r)
                 if b < 0:
                     vecs[j] = [-x for x in vecs[j]]
-                    if duals is not None:
-                        duals[j] = [-x for x in duals[j]]
+                    if log is not None:
+                        log.append((j,))
                 break
             g, s, t = _xgcd(vecs[k][r], b)
             x, y = vecs[k][r] // g, b // g
             vk, vj = vecs[k], vecs[j]
-            if not t:  # the pivot divides b, so s = x = 1: vecs[k] and duals[j] stay
+            if not t:  # the pivot divides b, so s = x = 1 and vecs[k] stays
                 vecs[j] = [q - y * p for p, q in zip(vk, vj)]
-                if duals is not None:
-                    duals[k] = [p + y * q for p, q in zip(duals[k], duals[j])]
+                if log is not None:
+                    log.append((k, j, y))
                 continue
             vecs[k] = [s * p + t * q for p, q in zip(vk, vj)]
             vecs[j] = [x * q - y * p for p, q in zip(vk, vj)]
-            if duals is not None:
-                wk, wj = duals[k], duals[j]
-                duals[k] = [x * p + y * q for p, q in zip(wk, wj)]
-                duals[j] = [s * q - t * p for p, q in zip(wk, wj)]
+            if log is not None:
+                log.append((k, j, s, t, x, y))
         if not changed:  # a column that is zero in the first m entries changes nothing
             continue
         for i, c in enumerate(pivots[r] for r in rows):
@@ -188,26 +186,46 @@ def _hermite(vecs: list[list[int]], m: int, duals: list[list[int]] | None = None
                 q = vecs[c][r] // vecs[k][r]
                 if q:
                     vecs[c] = [p - q * z for p, z in zip(vecs[c], vecs[k])]
-                    if duals is not None:
-                        duals[k] = [z + q * p for p, z in zip(duals[c], duals[k])]
+                    if log is not None:
+                        log.append((k, c, q))
     if any(pivots[r] != i for i, r in enumerate(rows)):
         order = [pivots[r] for r in rows]
         order += sorted(set(range(len(vecs))).difference(order))
         vecs[:] = [vecs[j] for j in order]
-        if duals is not None:
-            duals[:] = [duals[j] for j in order]
+        if log is not None:
+            log.append(("reorder", order))
     return rows
 
 
-@dataclass
-class SNFResult:
-    """M = U . D . V with U, V unimodular and D a diagonal divisibility chain."""
+def _replay(log: list[tuple], vecs: list[list[int]], duals: list[list[int]]) -> None:
+    """Apply the steps _hermite logged to vecs, and each step's inverse
+    transpose to duals, so that sum_j vecs[j] (x) duals[j] is kept."""
+    for step in log:
+        if len(step) == 1:  # negate column j
+            (j,) = step
+            vecs[j], duals[j] = [-x for x in vecs[j]], [-x for x in duals[j]]
+        elif len(step) == 3:  # v_j -= y v_k
+            k, j, y = step
+            vecs[j] = [q - y * p for p, q in zip(vecs[k], vecs[j])]
+            duals[k] = [p + y * q for p, q in zip(duals[k], duals[j])]
+        elif len(step) == 6:  # a Bezout step on columns k and j
+            k, j, s, t, x, y = step
+            vk, vj, wk, wj = vecs[k], vecs[j], duals[k], duals[j]
+            vecs[k], vecs[j] = [s * p + t * q for p, q in zip(vk, vj)], [x * q - y * p for p, q in zip(vk, vj)]
+            duals[k], duals[j] = [x * p + y * q for p, q in zip(wk, wj)], [s * q - t * p for p, q in zip(wk, wj)]
+        else:
+            vecs[:], duals[:] = [vecs[j] for j in step[1]], [duals[j] for j in step[1]]
 
-    U: list[list[int]]
-    D: list[list[int]]
-    V: list[list[int]]
-    Uinv: list[list[int]]
-    Vinv: list[list[int]]
+
+class SNFResult:
+    """M = U . D . V with U, V unimodular and D a diagonal divisibility chain.
+
+    U, V, Uinv and Vinv are built together on the first access to any of
+    them, by replaying smith_normal_form's record of steps onto identities.
+    """
+
+    def __init__(self, D: list[list[int]], col_log: list[tuple], row_log: list[tuple]):
+        self.D, self._col_log, self._row_log = D, col_log, row_log
 
     @property
     def diagonal(self) -> list[int]:
@@ -215,20 +233,34 @@ class SNFResult:
             self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))
         ]
 
+    @functools.cached_property
+    def _transforms(self) -> tuple[list[list[int]], ...]:
+        m, n = len(self.D), len(self.D[0]) if self.D else 0
+        Vinv_cols, V, Uinv, U_cols = _eye(n), _eye(n), _eye(m), _eye(m)
+        _replay(self._col_log, Vinv_cols, V)
+        _replay(self._row_log, Uinv, U_cols)
+        return [list(r) for r in zip(*U_cols)], V, Uinv, [list(r) for r in zip(*Vinv_cols)]
+
+    U = property(lambda self: self._transforms[0])
+    V = property(lambda self: self._transforms[1])
+    Uinv = property(lambda self: self._transforms[2])
+    Vinv = property(lambda self: self._transforms[3])
+
 
 def smith_normal_form(rows: list[list[int]]) -> SNFResult:
-    """Diagonalize an integer matrix, tracking all four transforms.
+    """Diagonalize an integer matrix, recording every step.
 
-    Column Hermite steps on D alternate with row Hermite steps (the same
-    routine on the transpose) until D is diagonal; where d_t does not divide
-    d_(t+1), row t+1 is added to row t and the alternation resumes (Kannan
-    and Bachem).  V^-1 rides along D's columns and U^-1 along its rows; V
-    and U take each step's inverse.  With N = max(m, n, 2) for an m x n
-    input and B >= 2 a bound on its entries' size, every entry of the five
-    matrices stays within 3 * N * log2(B * sqrt(N)) + 64 bits, three times
-    a Hadamard bound plus slack; the Hermite columns, transforms and kernels
-    of integer spans stay within it too.  A ragged matrix, or an entry that
-    is not an int, raises ValueError naming where it is.
+    Column Hermite steps on D alone alternate with row Hermite steps (the
+    same routine on the transpose) until D is diagonal; where d_t does not
+    divide d_(t+1), row t+1 is added to row t and the alternation resumes
+    (Kannan and Bachem).  Every step is logged, and V^-1 and U^-1 replay
+    the steps on D's columns and rows, V and U their inverses.  With N =
+    max(m, n, 2) for an m x n input and B >= 2 a bound on its entries' size,
+    every entry of the five matrices stays within 3 * N * log2(B * sqrt(N))
+    + 64 bits, three times a Hadamard bound plus slack; the Hermite columns,
+    transforms and kernels of integer spans stay within it too.  A ragged
+    matrix, or an entry that is not an int, raises ValueError naming where
+    it is.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -236,25 +268,19 @@ def smith_normal_form(rows: list[list[int]]) -> SNFResult:
         if len(r) != n:
             raise ValueError(f"row {i} of a ragged matrix has {len(r)} entries, row 0 has {n}")
     _check_ints(rows)
-    # D's columns, each followed by its column of V^-1; V's rows are their duals
-    cols = [[r[j] for r in rows] + e for j, e in enumerate(_eye(n))]
-    V, U_cols, Uinv = _eye(n), _eye(m), _eye(m)
+    cols = [[r[j] for r in rows] for j in range(n)]
+    col_log, row_log = [], []  # steps on D's columns, and on its rows with the fix-ups
     while True:
-        _hermite(cols, m, V)
-        # D's rows, each followed by its row of U^-1; U's columns are their duals
-        D = [[c[i] for c in cols] + u for i, u in enumerate(Uinv)]
-        _hermite(D, n, U_cols)
+        _hermite(cols, m, col_log)
+        D = [[c[i] for c in cols] for i in range(m)]
+        _hermite(D, n, row_log)
         if not any(r[j] for i, r in enumerate(D) for j in range(n) if j != i):
             t = next((t for t in range(min(m, n) - 1) if D[t][t] and D[t + 1][t + 1] % D[t][t]), None)
             if t is None:
-                break
+                return SNFResult(D, col_log, row_log)
             D[t] = [a + b for a, b in zip(D[t], D[t + 1])]
-            U_cols[t + 1] = [a - b for a, b in zip(U_cols[t + 1], U_cols[t])]
-        Uinv = [r[n:] for r in D]
-        cols = [[r[j] for r in D] + c[m:] for j, c in enumerate(cols)]
-    U = [list(r) for r in zip(*U_cols)]
-    Vinv = [list(r) for r in zip(*(c[m:] for c in cols))]
-    return SNFResult(U, [r[:n] for r in D], V, [r[n:] for r in D], Vinv)
+            row_log.append((t + 1, t, -1))  # v_t -= -1 * v_(t+1), as _replay reads it
+        cols = [[r[j] for r in D] for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .modules import (
     resolve,
     verify_lift,
 )
-from .rings import RingElement, RingMap
+from .rings import RingElement, RingMap, RingSpec
 from .solvers import column_span
 
 
@@ -57,19 +57,24 @@ class TraceValue:
         return f"{self.value} (degree {self.degree})"
 
 
+def _signed_diagonal(ring: RingSpec, maps: list[GradedMatrixHom]) -> RingElement:
+    """sum_f sum_i (-1)^(n_i) f_ii over free endomorphisms, added term by term."""
+    total: dict = {}
+    for f in maps:
+        for i, (row, shift) in enumerate(zip(f._rows, f.source.shifts)):
+            entry = row.get(i)
+            if entry is not None:
+                sign = -1 if shift % 2 else 1
+                for exp, c in entry.items():
+                    total[exp] = total.get(exp, 0) + sign * c
+    return RingElement._clean(ring, {exp: c for exp, c in total.items() if c})
+
+
 def free_trace(f: GradedMatrixHom) -> TraceValue:
     """Signed diagonal sum of a free endomorphism, read off the sparse rows."""
     if f.source != f.target:
         raise ValueError("trace needs an endomorphism (equal source and target)")
-    total: dict = {}
-    for i, (row, shift) in enumerate(zip(f._rows, f.source.shifts)):
-        entry = row.get(i)
-        if entry is not None:
-            sign = -1 if shift % 2 else 1
-            for exp, c in entry.items():
-                total[exp] = total.get(exp, 0) + sign * c
-    value = RingElement._clean(f.ring, {exp: c for exp, c in total.items() if c})
-    return TraceValue(value, f.degree)
+    return TraceValue(_signed_diagonal(f.ring, [f]), f.degree)
 
 
 def signed_rank(module: GradedFreeModule) -> int:
@@ -117,8 +122,7 @@ def hs_trace(
         lifts = lift_endomorphism(resolution, endo)
     else:
         verify_lift(resolution, endo, lifts)
-    total = sum((free_trace(fj).value for fj in lifts), endo.ring.zero())
-    return TraceValue(total, endo.degree)
+    return TraceValue(_signed_diagonal(endo.ring, lifts), endo.degree)
 
 
 def base_change_trace(

@@ -289,9 +289,15 @@ def test_hermite_matches_its_frozen_reference(rng, with_duals):
     want_vecs = [list(v) for v in vecs]
     want_duals = [list(w) for w in duals] if with_duals else None
     want_rows = _hermite_reference(want_vecs, m, want_duals)
-    assert solvers_impl._hermite(vecs, m, duals) == want_rows
+    log = [] if with_duals else None
+    replayed = [list(v) for v in vecs]
+    assert solvers_impl._hermite(vecs, m, log) == want_rows
     assert vecs == want_vecs
-    assert duals == want_duals
+    if with_duals:
+        # the logged steps redo the same transform and apply its inverse transpose to duals
+        solvers_impl._replay(log, replayed, duals)
+        assert replayed == want_vecs
+        assert duals == want_duals
 
 
 def test_smith_transforms_match_their_frozen_hash():
@@ -305,6 +311,36 @@ def test_smith_transforms_match_their_frozen_hash():
         snf = smith_normal_form(rows)
         digest.update(repr((snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv)).encode())
     assert digest.hexdigest() == "b532b9bb981a789a38b2adc173a9c409c04b4405d63df68070acce732faacd5a"
+
+
+def _frozen_hash_corpus():
+    rng = random.Random(2718)
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        yield [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+
+
+def test_diagonal_and_d_build_no_transform(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a transform was built")
+
+    monkeypatch.setattr(solvers_impl, "_replay", refuse)
+    for rows in _frozen_hash_corpus():
+        snf = smith_normal_form(rows)
+        assert snf.D and len(snf.diagonal) == min(len(rows), len(rows[0]))
+    with pytest.raises(AssertionError, match="a transform was built"):
+        snf.V
+
+
+@pytest.mark.parametrize("order", ["V", "Uinv", "Vinv", "Vinv V Uinv U"])
+def test_smith_transforms_read_in_any_order(order):
+    names = ("U", "V", "Uinv", "Vinv")
+    for rows in _frozen_hash_corpus():
+        want = [getattr(smith_normal_form(rows), name) for name in names]
+        snf = smith_normal_form(rows)
+        first = {name: getattr(snf, name) for name in order.split()}
+        assert [getattr(snf, name) for name in names] == want
+        assert all(getattr(snf, name) is got for name, got in first.items())
 
 
 def test_thirty_integer_columns_prune_within_the_deadline():
