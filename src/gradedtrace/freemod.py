@@ -28,6 +28,9 @@ from _relation_shifts, the one place the resolution convention is written.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,13 +72,25 @@ def _transpose(lines, length: int) -> list[Column]:
 
 @dataclass(frozen=True)
 class GradedFreeModule:
-    """⊕_i R[shifts[i]]; the zero module has an empty shift tuple."""
+    """⊕_i R[shifts[i]]; the zero module has an empty shift tuple.  A tensor
+    product holds its factors instead (_TensorModule); both forms compare alike."""
 
     ring: RingSpec
     shifts: tuple[int, ...]
+    _factors = None  # not a field: only a _TensorModule holds factors
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shifts", tuple(self.shifts))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedFreeModule):
+            return NotImplemented
+        if not (self.ring is other.ring or self.ring == other.ring):
+            return False
+        mine, theirs = self._factors, other._factors
+        if mine is not None and mine == theirs:
+            return True
+        return (mine is theirs or self.rank == other.rank) and self.shifts == other.shifts
 
     @property
     def rank(self) -> int:
@@ -124,6 +139,26 @@ class GradedFreeModule:
 
     def __str__(self) -> str:
         return f"{self.ring}[{','.join(str(s) for s in self.shifts)}]"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _TensorModule(GradedFreeModule):
+    """The form only monoidal.tensor_modules builds: _factors, the flat tuple of
+    its factors' shift tuples (A ⊗ (B ⊗ C) and (A ⊗ B) ⊗ C hold the same), is
+    flattened row-major into shifts on the first read.  Equal factors are equal
+    modules at once, else rank and shifts decide.  A subclass, so that reading
+    a plain module's shifts stays a plain attribute read."""
+
+    @functools.cached_property
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(map(sum, itertools.product(*self._factors)))
+
+    @property
+    def rank(self) -> int:
+        return math.prod(map(len, self._factors))
+
+    def __repr__(self) -> str:
+        return f"GradedFreeModule(ring={self.ring!r}, shifts={self.shifts!r})"
 
 
 def direct_sum_modules(a: GradedFreeModule, b: GradedFreeModule) -> GradedFreeModule:
@@ -287,11 +322,17 @@ def _checked_rows(source, target, degree: int, lines: Sequence[Line], ring: Ring
 
 
 def _merged(r1: Column, r2: Column, negate: bool = False) -> Column:
-    """The sparse row r1 + r2, or r1 - r2 when negate; zero sums are dropped."""
+    """The sparse row r1 + r2, or r1 - r2 when negate; zero sums are dropped, and equal entries of a difference unbuilt."""
     row = dict(r1)
     for j, e in r2.items():
-        e = -e if negate else e
-        row[j] = row[j] + e if j in row else e
+        if not negate:
+            row[j] = row[j] + e if j in row else e
+        elif j not in row:
+            row[j] = -e
+        elif (a := row[j]) is e or a == e:
+            del row[j]
+        else:
+            row[j] = a - e
     return {j: e for j, e in row.items() if e} or _EMPTY
 
 

@@ -22,6 +22,9 @@ other entries over instead of multiplying by 1.  The composite stays
 literal: every structural map is still built and composed, only the
 products by 1 are gone.  A zigzag factor through A ⊗ A* ⊗ A has r³ rows,
 all but r² empty, and each empty one is freemod's shared row: a list slot.
+A tensor module keeps its factors' shift tuples (freemod._TensorModule), which
+composing and comparing modules never flatten, and snake - id drops its equal
+entries unbuilt: a zigzag builds no r³ shift tuple and no ring element.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .freemod import (
     _EMPTY,
     GradedFreeModule,
     GradedMatrixHom,
+    _TensorModule,
     compose,
     identity_hom,
 )
@@ -46,8 +50,9 @@ def unit_module(ring: RingSpec) -> GradedFreeModule:
 def tensor_modules(a: GradedFreeModule, b: GradedFreeModule) -> GradedFreeModule:
     if not (a.ring is b.ring or a.ring == b.ring):
         raise RingMismatch(f"{a.ring} is not {b.ring}")
-    shifts = [na + nb for na in a.shifts for nb in b.shifts]
-    return GradedFreeModule(a.ring, tuple(shifts))
+    out = object.__new__(_TensorModule)
+    out.__dict__.update(ring=a.ring, _factors=(a._factors or (a.shifts,)) + (b._factors or (b.shifts,)))
+    return out
 
 
 def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
@@ -62,10 +67,10 @@ def tensor_homs(f: GradedMatrixHom, g: GradedMatrixHom) -> GradedMatrixHom:
     rs_b = g.source.rank
     negate = [(g.degree * n) % 2 == 1 for n in f.source.shifts]
     one = f.ring.one() if f.ring is g.ring else None
-    rows = []
+    rows, empty = [], [_EMPTY] * len(g._rows)
     for f_row in f._rows:
         if not f_row:
-            rows.extend([_EMPTY] * len(g._rows))
+            rows.extend(empty)
             continue
         signed = [(j * rs_b, -fij if negate[j] else fij) for j, fij in f_row.items()]
         for g_row in g._rows:

@@ -415,6 +415,8 @@ class _ModuleGB:
     (Lichtblau, "Effective computation of strong Groebner bases over
     Euclidean domains", Illinois J. Math. 56, 2012).
 
+    Column j certifies as e_j, a vanishing one (a Laurent (x_i*y_i - 1)*e_k) as 0.
+
     grown() copies a basis and admits more columns without certificates, so
     the copy answers contains() and nothing else.  Given a grading
     (variable weights, position shifts) and a degree bound, the copy
@@ -422,7 +424,7 @@ class _ModuleGB:
     columns under positive weights, that decides membership up to the bound.
     """
 
-    def __init__(self, nvars: int, columns: list[dict], grading: tuple | None = None):
+    def __init__(self, nvars: int, columns: list[dict], grading: tuple | None = None, vanishing: list[dict] | tuple = ()):
         self.nvars = nvars
         self.pk = _packing(nvars)
         self.grading = grading
@@ -432,13 +434,13 @@ class _ModuleGB:
         self.by_pos: dict[int, list[int]] = {}
         self.syzygies: list[dict] | None = []
         self._queue: list[tuple] = []
-        units = [self.pk.pack(j, (0,) * nvars) for j in range(len(columns))]
-        self._complete((dict(col), {unit: 1}) for col, unit in zip(columns, units))
+        certs = [{self.pk.pack(j, (0,) * nvars): 1} for j in range(len(columns))] + [{} for _ in vanishing]
+        columns = [*columns, *vanishing]
+        self._complete((dict(col), dict(cert)) for col, cert in zip(columns, certs))
         self._interreduce()
-        for col, unit in zip(columns, units):
+        for col, cert in zip(columns, certs):
             if not col:
                 continue
-            cert = {unit: 1}
             if self._reduce(col, cert):
                 raise EngineError(
                     "input column fails to reduce to zero against its own basis"
@@ -659,9 +661,8 @@ class _IntBackend:
                     cert[j] = -a
         return rem, cert
 
-    def _column(self, vec: dict[int, int], length: int | None = None) -> Column:
-        """A sparse integer column as a Column; unlike the engine's, no integer
-        remainder or certificate has a position past length to drop."""
+    def _column(self, vec: dict[int, int]) -> Column:
+        """A sparse integer column as a Column."""
         const = self.ambient.ring.const
         return {i: const(a) for i, a in vec.items()}
 
@@ -734,19 +735,18 @@ def _engine_columns(f: GradedMatrixHom) -> list[dict]:
     return [_to_engine(f.ring, c.items()) for c in f._sparse_columns()]
 
 
-def _canonical(ring: RingSpec, vec: dict, length: float = math.inf) -> dict:
+def _canonical(ring: RingSpec, vec: dict) -> dict:
     """vec with every key canonical over a Laurent ring, pack(pos,
-    _engine_exp(_ring_exp(exp))) so that x_i*y_i packs as 1, and positions
-    from length on (the unit columns') dropped; over other rings vec itself."""
+    _engine_exp(_ring_exp(exp))) so that x_i*y_i packs as 1; over other
+    rings vec itself."""
     if ring.kind != LAURENT:
         return vec
     pk, out = _packing(_engine_nvars(ring)), {}
     for key, c in vec.items():
         pos, exp = pk.unpack(key)
-        if pos < length:
-            key = pk.pack(pos, _engine_exp(_ring_exp(exp)))
-            if s := out.pop(key, 0) + c:
-                out[key] = s
+        key = pk.pack(pos, _engine_exp(_ring_exp(exp)))
+        if s := out.pop(key, 0) + c:
+            out[key] = s
     return out
 
 
@@ -802,8 +802,8 @@ class _PolyBackend:
 
     A Laurent exponent e enters the engine as the pair (max(e, 0), max(-e, 0))
     over twice the variables and leaves as their difference, and the columns
-    (x_i*y_i - 1)*e_k join the inputs; certificates and syzygies keep only
-    the entries of the caller's columns, since the added ones vanish.
+    (x_i*y_i - 1)*e_k join the inputs with an empty certificate, since they
+    vanish: every certificate and syzygy lies over the caller's columns.
     """
 
     def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
@@ -811,21 +811,20 @@ class _PolyBackend:
         self.columns = columns
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        engine_cols = [_engine_vector(self.ring, c) for c in columns] + _unit_columns(ambient)
-        self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols)
+        engine_cols = [_engine_vector(self.ring, c) for c in columns]
+        self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols, vanishing=_unit_columns(ambient))
 
-    def _column(self, vec: dict, length: int) -> Column:
-        """Positions 0..length-1 of an engine vector or certificate, as a
-        Column; Laurent terms that cancel along y_i -> x_i^-1 drop out."""
+    def _column(self, vec: dict) -> Column:
+        """An engine vector or certificate as a Column; Laurent terms that
+        cancel along y_i -> x_i^-1 drop out."""
         unpack, per_pos = self.gb.pk.unpack, {}
         for key, c in vec.items():
             pos, exp = unpack(key)
-            if pos < length:
-                terms = per_pos.setdefault(pos, {})
-                if self.laurent:
-                    exp = _ring_exp(exp)
-                if s := terms.pop(exp, 0) + c:
-                    terms[exp] = s
+            terms = per_pos.setdefault(pos, {})
+            if self.laurent:
+                exp = _ring_exp(exp)
+            if s := terms.pop(exp, 0) + c:
+                terms[exp] = s
         return {pos: RingElement._clean(self.ring, terms) for pos, terms in per_pos.items() if terms}
 
     def divide(self, vec: dict) -> tuple[dict, dict]:
@@ -835,11 +834,11 @@ class _PolyBackend:
         cert: dict = {}
         rem = self.gb._reduce(vec, cert)
         # _reduce subtracts the quotients' certificates
-        return rem, {k: -c for k, c in _canonical(self.ring, cert, len(self.columns)).items()}
+        return rem, {k: -c for k, c in _canonical(self.ring, cert).items()}
 
     def certify(self, column: Column) -> tuple[Column, Column]:
         rem, cert = self.divide(_engine_vector(self.ring, column))
-        return self._column(rem, self.ambient.rank), self._column(cert, len(self.columns))
+        return self._column(rem), self._column(cert)
 
     def inside(self, column: Column) -> bool:
         return self.gb.contains(_engine_vector(self.ring, column))
@@ -851,15 +850,15 @@ class _PolyBackend:
         certs, self.gb.syzygies = self.gb.syzygies, None
         out = []
         for cert in certs:
-            if col := self._column(cert, len(self.columns)):
+            if col := self._column(cert):
                 col = _EngineColumn(col)
-                col.engine = _canonical(self.ring, cert, len(self.columns))
+                col.engine = _canonical(self.ring, cert)
                 out.append(col)
         return out
 
     def basis_vectors(self) -> list[Column]:
         # x_i*y_i - 1 and its multiples are basis elements that vanish here
-        return [col for g in self.gb.basis if (col := self._column(g.vec, self.ambient.rank))]
+        return [col for g in self.gb.basis if (col := self._column(g.vec))]
 
 
 class ColumnSpan:
@@ -948,14 +947,14 @@ class ColumnSpan:
         columns.  Only X's entries are built as ring elements."""
         if self.source is None:
             raise ValueError("solve needs the span of a map's columns, from column_span")
-        backend, n = self._backend, len(self.columns)
+        backend = self._backend
         rows: list[Column] = [{} for _ in self.columns]
         certs = []
         for c, vec in enumerate(vecs):
             rem, cert = backend.divide(vec)
             if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
-            for j, e in backend._column(cert, n).items():
+            for j, e in backend._column(cert).items():
                 rows[j][c] = e
             certs.append(cert)
         return GradedMatrixHom._closed(source, self.source, degree, rows), certs

@@ -1,5 +1,8 @@
 """Graded matrices: sparse closed operations against dense references."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -173,6 +176,39 @@ def test_compose_multiplies_nonzero_entries_only(monkeypatch):
     product = compose(f, f)
     assert len(calls) == 16
     assert all(product[i, i] == (x * x if i % 2 else y * y) for i in range(16))
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_a_difference_drops_equal_entries_without_ring_arithmetic(ring, monkeypatch):
+    rng = random.Random(83)
+    maps = []
+    for _ in range(5):
+        a = GradedFreeModule(ring, gu.random_shifts(rng))
+        maps.append(gu.random_matrix(rng, a, a, 0))
+    twins = [pickle.loads(pickle.dumps(f)) for f in maps]  # equal entries, other objects
+    assert any(f._rows[i][j] is not twin._rows[i][j] for f, twin in zip(maps, twins) for i, row in enumerate(f._rows) for j in row)
+
+    def refuse(*args):
+        raise AssertionError("a difference of equal maps did ring arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(RingElement, name, refuse)
+    for f, twin in zip(maps, twins):
+        assert (f - f).is_zero() and (f - twin).is_zero() and (twin - f).is_zero()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_a_difference_matches_the_entrywise_reference(ring):
+    rng = random.Random(89)
+    for _ in range(30):
+        a, b = _module(rng, ring), _module(rng, ring)
+        d = rng.choice((-1, 0, 1))
+        f, h = _matrix(rng, a, b, d), _matrix(rng, a, b, d)
+        # g takes about half of its entries from f, so those cancel in f - g
+        mixed = [[e if rng.random() < 0.5 else other for e, other in zip(fr, hr)] for fr, hr in zip(f.entries, h.entries)]
+        g = GradedMatrixHom(a, b, d, mixed)
+        for x, y in ((f, g), (g, f), (f, h), (h, h)):
+            _check(x - y, [[x[i, j] - y[i, j] for j in range(a.rank)] for i in range(b.rank)])
 
 
 def test_entry_checks_hold_after_the_identity_fast_path():

@@ -890,3 +890,26 @@ def test_rank_24_determinant_and_inverse_meet_their_time_bounds():
     flag, computed = is_invertible(conj)
     assert time.perf_counter() - start < 3.0
     assert flag and computed == inv
+
+
+@pytest.mark.parametrize(
+    "ring", [r for r in gu.RING_POOL if r.kind == "laurent"] + [laurent_ring(["s", "t"], [0, 2])], ids=str
+)
+def test_laurent_certificates_lie_over_the_span_columns(ring):
+    # the unit columns (x_i*y_i - 1)*e_k join the engine with an empty certificate
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(12):
+        module = gu.random_presented_module(rng, ring, max_rank=2, max_rels=4)
+        span = solvers_impl.column_span(module.relations)
+        backend, n = span._backend, len(span.columns)
+        gb = backend.gb
+        certs = [g.cert for g in gb.basis] + list(gb.syzygies)
+        for _ in range(3):
+            k = rng.randint(-2, 2)
+            column = {i: e for i, s in enumerate(module.generators.shifts) if (e := gu.random_homogeneous(rng, ring, k + s, span=1))}
+            certs.append(backend.divide(solvers_impl._engine_vector(ring, column))[1])
+        certs += [c.engine for c in span._sparse_kernel()]
+        assert all(gb.pk.unpack(key)[0] < n for cert in certs for key in cert)
+        checked += sum(map(bool, certs))
+    assert checked

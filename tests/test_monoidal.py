@@ -1,6 +1,7 @@
 """Tensor structure: Koszul signs, duality zigzags, categorical traces."""
 
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -34,6 +35,7 @@ from gradedtrace import (
     zigzag_holds,
 )
 
+import gradedtrace.freemod as freemod
 import genutils as gu
 
 Z = integers()
@@ -419,3 +421,86 @@ def test_closed_maps_with_empty_rows_survive_pickle_and_deepcopy(ring):
             assert compose(twin, zero_hom(twin.target, twin.source, 0)) == compose(m, zero_hom(m.target, m.source, 0))
     snake = compose(*(pickle.loads(pickle.dumps(m)) for m in (maps[1], maps[0])))
     assert (snake - identity_hom(maps[0].source)).is_zero()
+
+
+def _flat(*shift_tuples):
+    out = (0,)
+    for shifts in shift_tuples:
+        out = tuple(s + n for s in out for n in shifts)
+    return out
+
+
+@pytest.mark.parametrize("ring", gu.THREE_KINDS, ids=str)
+def test_tensor_modules_keep_factors_and_equal_the_plain_module(ring):
+    rng = random.Random(67)
+    for _ in range(10):
+        a, b, c = (GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3)) for _ in range(3))
+        pairs = [
+            (tensor_modules(a, b), _flat(a.shifts, b.shifts)),
+            (tensor_modules(tensor_modules(a, b), c), _flat(a.shifts, b.shifts, c.shifts)),
+        ]
+        for t, shifts in pairs:
+            plain = GradedFreeModule(ring, shifts)
+            assert t.rank == plain.rank
+            assert t == plain and plain == t and not t != plain
+            assert hash(t) == hash(plain) == hash((ring, shifts))
+            assert str(t) == str(plain) and repr(t) == repr(plain)
+            assert t.shifted(1) == plain.shifted(1)
+        left, right = tensor_modules(tensor_modules(a, b), c), tensor_modules(a, tensor_modules(b, c))
+        assert left._factors == right._factors == (a.shifts, b.shifts, c.shifts)
+        assert left == right and hash(left) == hash(right)
+
+
+def test_tensor_modules_compare_by_their_flat_shifts():
+    def t(x, y):
+        return tensor_modules(GradedFreeModule(Z, x), GradedFreeModule(Z, y))
+
+    # (0, 1) ⊗ (0, 0) and (0,) ⊗ (0, 0, 1, 1) flatten alike, (0, 2) ⊗ (0, 1) does not
+    assert t((0, 1), (0, 0)) == t((0,), (0, 0, 1, 1)) == GradedFreeModule(Z, (0, 0, 1, 1))
+    assert t((0, 2), (0, 1)) == t((0, 1, 2, 3), (0,)) != t((0, 1), (0, 2))
+    assert t((0, 1), (0,)) != t((0, 1), (0, 0))  # ranks differ
+    zx = polynomial_ring(["x"], [2])
+    assert tensor_modules(GradedFreeModule(zx, (0, 1)), GradedFreeModule(zx, (0,))) != t((0, 1), (0,))
+    assert t((0, 1), (0,)) != GradedFreeModule(zx, (0, 1))
+    with pytest.raises(RingMismatch):
+        tensor_modules(GradedFreeModule(Z, (0,)), GradedFreeModule(zx, (0,)))
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_tensor_modules_pickle_copy_and_stay_frozen(read_first):
+    a, b = GradedFreeModule(Z, (0, 1, -1)), GradedFreeModule(Z, (2, 3))
+    t = tensor_modules(tensor_modules(a, b), a)
+    if read_first:
+        assert t.shifts == _flat(a.shifts, b.shifts, a.shifts)
+    for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+        assert twin == t and hash(twin) == hash(t) and str(twin) == str(t)
+        assert twin.shifts == t.shifts and twin.rank == 18
+    for name, value in (("shifts", (0,)), ("ring", Z), ("_factors", ((0,),))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    with pytest.raises(AttributeError):
+        t.no_such_attribute
+
+
+@pytest.mark.parametrize("ring", gu.RING_POOL, ids=str)
+def test_rank_24_zigzag_and_categorical_trace_flatten_no_cube(ring, monkeypatch):
+    rng = random.Random(59)
+    a = GradedFreeModule(ring, tuple(rng.randint(-3, 3) for _ in range(24)))
+    f = gu.random_endo(rng, a)
+    ranks = []
+    lazy = vars(freemod._TensorModule)["shifts"]  # a functools.cached_property
+    post_init, flatten = GradedFreeModule.__post_init__, lazy.func
+
+    def built(self):
+        post_init(self)
+        ranks.append(len(self.shifts))
+
+    def flattened(module):
+        ranks.append(len(out := flatten(module)))
+        return out
+
+    monkeypatch.setattr(GradedFreeModule, "__post_init__", built)
+    monkeypatch.setattr(lazy, "func", flattened)
+    assert zigzag_holds(standard_duality(a))
+    assert categorical_trace(f) == free_trace(f)
+    assert ranks and max(ranks) <= 24**2
