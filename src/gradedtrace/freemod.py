@@ -15,9 +15,10 @@ Rows are never mutated once built, which lets closed operations share row
 dicts (direct sums, is_invertible) and emit one shared empty row, _EMPTY.
 Inside the package a column travels sparse too, as a Column: a dict from
 position to nonzero entry.  Outside input is validated once, by the one
-loop _checked_rows over sparse rows: the public constructor and
-hom_from_columns run it after their int coercion and ring check, and the
-parser runs it on the rows it reads and then builds through _closed.
+loop _checked_rows over sparse rows: the public constructor runs it after
+its int coercion and ring check, hom_from_columns runs it on the sparse rows
+of the columns it coerced and then builds through _closed, and the parser
+runs it on the rows it reads and then builds through _closed.
 Closed operations (sums, compose, direct sums, tensor products, braidings and
 dualities) give legal maps by construction: after their own shape and ring
 checks they build unchecked and touch nonzero entries only, and so does
@@ -383,11 +384,14 @@ def hom_from_columns(
     degree: int,
     columns: Iterable[Sequence],
 ) -> GradedMatrixHom:
-    cols = [target.coerce_vector(c) for c in columns]
+    """The map with these columns from outside, checked once: each column's
+    length and ring (coerce_vector), the column count, then the degree law
+    (_checked_rows) on the sparse rows."""
+    cols = [_nonzero(target.coerce_vector(c)) for c in columns]
     if len(cols) != source.rank:
         raise ValueError(f"expected {source.rank} columns, got {len(cols)}")
-    rows = [[cols[j][i] for j in range(source.rank)] for i in range(target.rank)]
-    return GradedMatrixHom(source, target, degree, rows)
+    lines = [(row, source.rank) for row in _transpose(cols, target.rank)]
+    return GradedMatrixHom._closed(source, target, degree, _checked_rows(source, target, degree, lines, target.ring))
 
 
 def _from_columns(source, target, degree: int, columns: list[Column]) -> GradedMatrixHom:

@@ -429,7 +429,9 @@ def verify_lift(res: Resolution, endo: ModuleHom, lifts: list[GradedMatrixHom]) 
     """Raise ValueError unless lifts is a chain lift of endo over res: one
     endomorphism of endo's degree per term, the first equal to endo.lift
     modulo the relations ("lift 0"), every square d_j f_j = f_(j-1) d_j
-    commuting ("chain-map square j").  The message names the failed stage."""
+    commuting ("chain-map square j").  The message names the failed stage.
+    Both sides of each square are formed on engine vectors
+    (solvers._engine_compose), as lift_endomorphism forms its products."""
     if res.module != endo.source or res.module != endo.target or len(lifts) != len(res.modules) or any(
         (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, res.modules)
     ):
@@ -437,7 +439,7 @@ def verify_lift(res: Resolution, endo: ModuleHom, lifts: list[GradedMatrixHom]) 
     if res.module.span.first_outside(lifts[0] - endo.lift) is not None:
         raise ValueError("lift 0 does not induce the endomorphism on the module")
     for j, dj in enumerate(res.maps):
-        if compose(dj, lifts[j + 1]) != compose(lifts[j], dj):
+        if _engine_compose(_engine_columns(dj), lifts[j + 1]) != _engine_compose(_engine_columns(lifts[j]), dj):
             raise ValueError(f"chain-map square {j} of the lifts does not commute")
 
 

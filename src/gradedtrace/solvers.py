@@ -36,16 +36,18 @@ coordinate; answers map back along y_i -> x_i^-1.  Rescaling columns by
 unit monomials alone would compute membership in the wrong module (the
 polynomial span is not saturated), so the inverse variables are essential.
 
+Both backends take engine vectors, made by one codec (_encode): {row: int}
+over the integers, packed terms over a polynomial or Laurent ring; each
+answers through divide, _column (back to a Column), kernel and basis.
 Columns travel as sparse Columns (freemod: position -> nonzero entry) from
 both backends through kernels, pruning and syzygies into the next map, and
 a map's span is built from its sparse rows; dense tuples are built only
 where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
-basis_vectors, and prune_columns on dense input).  A kernel column of the
-Groebner engine keeps its engine vector on its way to the next map's span.
-The products of a resolution check and of a chain lift are formed on engine
-vectors (_engine_compose), sparse integer columns {row: int} over the
-integers; over a Laurent ring every product key is brought to its canonical
-key, so no product goes through freemod.compose.
+basis_vectors, and prune_columns on dense input).  A kernel column keeps
+its engine vector on its way to the next map's span.  The products of a
+resolution check, a chain lift and a chain-map square are formed on engine
+vectors (_engine_compose); over a Laurent ring every product key is brought
+to its canonical key, so no product goes through freemod.compose.
 """
 
 from __future__ import annotations
@@ -591,19 +593,18 @@ class _IntBackend:
     certificates, and kernels decompose blockwise and stay homogeneous.  A
     block is (rows, cols, pivot rows, basis, kernel): each basis vector is a
     Hermite column h of the block's matrix A followed by its transform t,
-    A.t = h, and the kernel is in Hermite form as well.  divide takes a
-    sparse integer column {row: int}, the backend's engine vector, and
-    reduces only the blocks it touches; certify and inside convert a Column.
+    A.t = h, and the kernel is in Hermite form as well.  The engine vectors
+    are sparse integer columns {row: int}, and divide reduces only the
+    blocks a vector touches.
     """
 
-    def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
-        self.ambient = ambient
-        ring = ambient.ring
+    def __init__(self, ambient: GradedFreeModule, vecs: list[dict[int, int]]):
+        self.ring = ring = ambient.ring
         # class None holds the zero columns: a block of no rows, whose kernel comes first
         class_cols: dict[int | None, list[int]] = {None: []}
-        for j, col in enumerate(columns):
+        for j, vec in enumerate(vecs):
             # a constant entry at row i has module degree -shifts[i]: one class per column
-            classes = {ring.reduce_degree(ambient.shifts[i]) for i in col}
+            classes = {ring.reduce_degree(ambient.shifts[i]) for i in vec}
             if len(classes) > 1:
                 raise HomogeneityError(f"column {j} is not homogeneous")
             class_cols.setdefault(classes.pop() if classes else None, []).append(j)
@@ -616,12 +617,11 @@ class _IntBackend:
             if not cols:  # the block of zero columns, often empty
                 self.blocks.append((rows, cols, [], [], []))
                 continue
-            ints = [_int_column(columns[j]) for j in cols]
-            vecs = [[col.get(i, 0) for i in rows] + unit for col, unit in zip(ints, _eye(len(cols)))]
-            pivots = _hermite(vecs, len(rows))
-            kernel = [v[len(rows) :] for v in vecs[len(pivots) :]]
+            block = [[vecs[j].get(i, 0) for i in rows] + unit for j, unit in zip(cols, _eye(len(cols)))]
+            pivots = _hermite(block, len(rows))
+            kernel = [v[len(rows) :] for v in block[len(pivots) :]]
             _hermite(kernel, len(cols))
-            self.blocks.append((rows, cols, pivots, vecs[: len(pivots)], kernel))
+            self.blocks.append((rows, cols, pivots, block[: len(pivots)], kernel))
         # ambient row -> (its block, its place in the block); a row of no block is absent
         self._place = {i: (b, r) for b, block in enumerate(self.blocks) for r, i in enumerate(block[0])}
 
@@ -663,23 +663,14 @@ class _IntBackend:
 
     def _column(self, vec: dict[int, int]) -> Column:
         """A sparse integer column as a Column."""
-        const = self.ambient.ring.const
+        const = self.ring.const
         return {i: const(a) for i, a in vec.items()}
 
-    def certify(self, column: Column) -> tuple[Column, Column]:
-        rem, cert = self.divide(_int_column(column))
-        return self._column(rem), self._column(cert)
+    def kernel(self) -> list[dict[int, int]]:
+        return [{j: a for j, a in zip(cols, k) if a} for _, cols, _, _, kernel in self.blocks for k in kernel]
 
-    def inside(self, column: Column) -> bool:
-        return not self.divide(_int_column(column), False)[0]
-
-    def syzygy_vectors(self) -> list[Column]:
-        const = self.ambient.ring.const
-        return [{j: const(a) for j, a in zip(cols, k) if a} for _, cols, _, _, kernel in self.blocks for k in kernel]
-
-    def basis_vectors(self) -> list[Column]:
-        const = self.ambient.ring.const
-        return [{i: const(a) for i, a in zip(b[0], h) if a} for b in self.blocks for h in b[3]]
+    def basis(self) -> list[dict[int, int]]:
+        return [{i: a for i, a in zip(rows, h) if a} for rows, _, _, basis, _ in self.blocks for h in basis]
 
 
 def _engine_nvars(ring: RingSpec) -> int:
@@ -699,40 +690,35 @@ def _ring_exp(exp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(exp[:n], exp[n:]))
 
 
-def _to_engine(ring: RingSpec, entries) -> dict:
-    """The engine vector of (position, ring element) pairs."""
-    pack = _packing(_engine_nvars(ring)).pack
-    if ring.kind == LAURENT:
-        return {pack(pos, _engine_exp(exp)): c for pos, entry in entries for exp, c in entry.items()}
-    return {pack(pos, exp): c for pos, entry in entries for exp, c in entry.items()}
-
-
 class _EngineColumn(dict):
-    """A kernel Column that keeps its engine vector, equal to _to_engine of its
+    """A kernel Column that keeps its engine vector, equal to _encode of its
     entries, so that pruning, the next span and membership tests read it
     instead of encoding the column again.  The vector is never mutated."""
 
     __slots__ = ("engine",)
 
+    def __init__(self, column: Column, engine: dict):
+        super().__init__(column)
+        self.engine = engine
 
-def _engine_vector(ring: RingSpec, column: Column) -> dict:
-    """The engine vector of a Column: the one it keeps, or encoded now."""
+
+def _encode(ring: RingSpec, column: Column) -> dict:
+    """The engine vector of a Column: the one an _EngineColumn keeps, else
+    the sparse integer column {row: int} over the integers, or the packed
+    vector over a polynomial or Laurent ring."""
     if isinstance(column, _EngineColumn):
         return column.engine
-    return _to_engine(ring, column.items())
-
-
-def _int_column(column: Column) -> dict[int, int]:
-    """The sparse integer column {row: int} of a Column over the integers."""
-    return {i: e.coefficient(()) for i, e in column.items()}
+    if ring.kind == INTEGERS:
+        return {i: e.coefficient(()) for i, e in column.items()}
+    pack = _packing(_engine_nvars(ring)).pack
+    if ring.kind == LAURENT:
+        return {pack(pos, _engine_exp(exp)): c for pos, entry in column.items() for exp, c in entry.items()}
+    return {pack(pos, exp): c for pos, entry in column.items() for exp, c in entry.items()}
 
 
 def _engine_columns(f: GradedMatrixHom) -> list[dict]:
-    """The engine vectors of f's columns, encoded from f's own entries; over
-    the integers, sparse integer columns."""
-    if f.ring.kind == INTEGERS:
-        return [_int_column(c) for c in f._sparse_columns()]
-    return [_to_engine(f.ring, c.items()) for c in f._sparse_columns()]
+    """The engine vectors of f's columns, encoded from f's own entries."""
+    return [_encode(f.ring, c) for c in f._sparse_columns()]
 
 
 def _canonical(ring: RingSpec, vec: dict) -> dict:
@@ -806,13 +792,10 @@ class _PolyBackend:
     vanish: every certificate and syzygy lies over the caller's columns.
     """
 
-    def __init__(self, ambient: GradedFreeModule, columns: list[Column]):
-        self.ambient = ambient
-        self.columns = columns
+    def __init__(self, ambient: GradedFreeModule, vecs: list[dict]):
         self.ring = ambient.ring
         self.laurent = self.ring.kind == LAURENT
-        engine_cols = [_engine_vector(self.ring, c) for c in columns]
-        self.gb = _ModuleGB(_engine_nvars(self.ring), engine_cols, vanishing=_unit_columns(ambient))
+        self.gb = _ModuleGB(_engine_nvars(self.ring), vecs, vanishing=_unit_columns(ambient))
 
     def _column(self, vec: dict) -> Column:
         """An engine vector or certificate as a Column; Laurent terms that
@@ -827,38 +810,26 @@ class _PolyBackend:
                 terms[exp] = s
         return {pos: RingElement._clean(self.ring, terms) for pos, terms in per_pos.items() if terms}
 
-    def divide(self, vec: dict) -> tuple[dict, dict]:
+    def divide(self, vec: dict, certify: bool = True) -> tuple[dict, dict]:
         """The remainder and certificate of an engine vector, as engine dicts:
         vec = remainder + sum(certificate_j column_j), the certificate
-        canonical over the caller's columns (_canonical)."""
+        canonical over the caller's columns (_canonical), and empty without
+        certify."""
+        if not certify:
+            return self.gb._reduce(vec), {}
         cert: dict = {}
         rem = self.gb._reduce(vec, cert)
         # _reduce subtracts the quotients' certificates
         return rem, {k: -c for k, c in _canonical(self.ring, cert).items()}
 
-    def certify(self, column: Column) -> tuple[Column, Column]:
-        rem, cert = self.divide(_engine_vector(self.ring, column))
-        return self._column(rem), self._column(cert)
-
-    def inside(self, column: Column) -> bool:
-        return self.gb.contains(_engine_vector(self.ring, column))
-
-    def syzygy_vectors(self) -> list[Column]:
-        """The nonzero kernel generators, each an _EngineColumn whose engine
-        vector is its certificate in canonical form (_canonical)."""
-        # ColumnSpan converts once and keeps the result, so the certificates go
+    def kernel(self) -> list[dict]:
+        """The kernel generators, certificates in canonical form (_canonical)."""
+        # ColumnSpan reads them once and keeps the result, so the certificates go
         certs, self.gb.syzygies = self.gb.syzygies, None
-        out = []
-        for cert in certs:
-            if col := self._column(cert):
-                col = _EngineColumn(col)
-                col.engine = _canonical(self.ring, cert)
-                out.append(col)
-        return out
+        return [_canonical(self.ring, cert) for cert in certs]
 
-    def basis_vectors(self) -> list[Column]:
-        # x_i*y_i - 1 and its multiples are basis elements that vanish here
-        return [col for g in self.gb.basis if (col := self._column(g.vec))]
+    def basis(self) -> list[dict]:
+        return [g.vec for g in self.gb.basis]
 
 
 class ColumnSpan:
@@ -889,11 +860,12 @@ class ColumnSpan:
     returns the engine vectors of the solution's columns, so that a chain
     lift never leaves the engine's form.
 
-    Results are deterministic for a fixed column order.  The kernel
-    generators are fixed at construction; the first _sparse_kernel() call
-    converts the nonzero ones to Columns and keeps them, and every
-    syzygy_vectors() call returns a fresh dense list of them.  Over a
-    polynomial or Laurent ring each kept Column is an _EngineColumn, which
+    Results are deterministic for a fixed column order.  The backend sees
+    engine vectors only (_encode), and every question encodes its column
+    once.  The kernel generators are fixed at construction; the first
+    _sparse_kernel() call converts the nonzero ones to Columns and keeps
+    them, and every syzygy_vectors() call returns a fresh dense list of
+    them.  Over every ring each kept Column is an _EngineColumn, which
     carries its engine vector, and a span or membership test given one
     reads that vector instead of encoding the column.  A span used only for
     membership never converts.  The span of a matrix's columns is built
@@ -905,16 +877,21 @@ class ColumnSpan:
         self.columns = [c if isinstance(c, dict) else _nonzero(ambient.coerce_vector(c)) for c in columns]
         self.source: GradedFreeModule | None = None
         self._kernel: tuple[Column, ...] | None = None
-        backend = _IntBackend if ambient.ring.kind == INTEGERS else _PolyBackend
-        self._backend = backend(ambient, self.columns)
+        ring = ambient.ring
+        backend = _IntBackend if ring.kind == INTEGERS else _PolyBackend
+        self._backend = backend(ambient, [_encode(ring, c) for c in self.columns])
+
+    def _inside(self, column: Column) -> bool:
+        return not self._backend.divide(_encode(self.ambient.ring, column), False)[0]
 
     def normal_form(self, v) -> tuple[Vector, list[RingElement]]:
-        rem, cert = self._backend.certify(_nonzero(self.ambient.coerce_vector(v)))
-        zero = self.ambient.ring.zero()
-        return _dense(rem, self.ambient.rank, zero), list(_dense(cert, len(self.columns), zero))
+        ring, column = self.ambient.ring, self._backend._column
+        rem, cert = self._backend.divide(_encode(ring, _nonzero(self.ambient.coerce_vector(v))))
+        zero = ring.zero()
+        return _dense(column(rem), self.ambient.rank, zero), list(_dense(column(cert), len(self.columns), zero))
 
     def contains(self, v) -> bool:
-        return self._backend.inside(_nonzero(self.ambient.coerce_vector(v)))
+        return self._inside(_nonzero(self.ambient.coerce_vector(v)))
 
     def _own(self, g: GradedMatrixHom) -> GradedMatrixHom:
         """g, refused unless it maps into the span's ambient module."""
@@ -928,7 +905,7 @@ class ColumnSpan:
         return self._own(g)._sparse_columns()
 
     def first_outside(self, g) -> int | None:
-        inside, gens = self._backend.inside, iter(self.columns)
+        inside, gens = self._inside, iter(self.columns)
         gen = next(gens, None)
         for j, c in enumerate(self._sparse_columns(g)):
             if c == gen:  # d(e_k) for the next unmatched generator k
@@ -962,7 +939,8 @@ class ColumnSpan:
     def _sparse_kernel(self) -> tuple[Column, ...]:
         """The nonzero kernel generators as sparse Columns, converted once."""
         if self._kernel is None:
-            self._kernel = tuple(self._backend.syzygy_vectors())
+            column = self._backend._column
+            self._kernel = tuple(_EngineColumn(column(vec), vec) for vec in self._backend.kernel() if vec)
         return self._kernel
 
     def syzygy_vectors(self) -> list[Vector]:
@@ -971,7 +949,9 @@ class ColumnSpan:
 
     def basis_vectors(self) -> list[Vector]:
         zero, rank = self.ambient.ring.zero(), self.ambient.rank
-        return [_dense(c, rank, zero) for c in self._backend.basis_vectors()]
+        # over a Laurent ring, x_i*y_i - 1 and its multiples are basis vectors that vanish
+        columns = map(self._backend._column, self._backend.basis())
+        return [_dense(c, rank, zero) for c in columns if c]
 
 
 def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[int]]:
@@ -1005,14 +985,13 @@ def prune_columns(ambient: GradedFreeModule, columns: list) -> tuple[list, list[
     others still kept: (k-1) + k*r admitted columns for r kept, not k*(k-1).
     """
     cols = [c if isinstance(c, dict) else ambient.coerce_vector(c) for c in columns]
-    sparse = [c if isinstance(c, dict) else _nonzero(c) for c in cols]
     ring = ambient.ring
+    engine = [_encode(ring, c if isinstance(c, dict) else _nonzero(c)) for c in cols]
     if ring.kind == INTEGERS:
-        kept = _lattice_walk([_int_column(c) for c in sparse])
+        kept = _lattice_walk(engine)
         if not kept and cols:  # every column zero: the greedy pass keeps the last one
             kept = [len(cols) - 1]
         return [cols[k] for k in kept], kept
-    engine = [_engine_vector(ring, c) for c in sparse]
     groups = _degree_groups(ambient, cols)
     top = groups[-1][0] if groups else None
     lower = _ModuleGB(_engine_nvars(ring), [], (ring.var_degrees, ambient.shifts))
@@ -1181,9 +1160,9 @@ def syzygies(f: GradedMatrixHom, prune: bool = True) -> GradedMatrixHom:
     unchecked.  The kernel is read off column_span(f), which stays on f,
     and goes from the engine through pruning into the map as sparse
     Columns: no dense vector is built.  The map holds its columns for its
-    own column_span; over a polynomial or Laurent ring each keeps its engine
-    vector (_EngineColumn), which pruning and that span read, so no kernel
-    column is encoded again on its way to the next span.
+    own column_span; over every ring each keeps its engine vector
+    (_EngineColumn), which pruning and that span read, so no kernel column
+    is encoded again on its way to the next span.
     """
     columns = list(column_span(f)._sparse_kernel())
     if prune and columns and f.ring.kind != INTEGERS:

@@ -33,11 +33,14 @@ import genutils as gu
 
 
 def _draws(ring):
-    """(module endomorphism, resolution, lifts) for 12 seeded draws over ring."""
+    """(module endomorphism, resolution, lifts) for 12 seeded draws over ring,
+    each module redrawn until it has a relation, so that D is never zero."""
     rng = random.Random(7)
     out = []
     for _ in range(12):
         module = gu.random_presented_module(rng, ring, max_rank=4, max_rels=3)
+        while not module.relations.source.rank:
+            module = gu.random_presented_module(rng, ring, max_rank=4, max_rels=3)
         endo = gu.random_module_endo(rng, module, rng.choice((0, 2)))
         res = resolve(module)
         out.append((endo, res, lift_endomorphism(res, endo)))
