@@ -68,7 +68,6 @@ class RunReport:
     oracle_value: RingElement | None
     matched: bool
     seconds: float
-    note: str = ""
     error: str = ""
 
     @property
@@ -109,7 +108,6 @@ def run_case(case: ExampleCase) -> RunReport:
             oracle_value,
             matched,
             time.perf_counter() - start,
-            case.note,
         )
     except Exception as exc:  # surface, do not crash the suite
         return RunReport(
@@ -119,7 +117,6 @@ def run_case(case: ExampleCase) -> RunReport:
             None,
             False,
             time.perf_counter() - start,
-            case.note,
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -84,21 +84,23 @@ def _outside_column(generators: GradedFreeModule, column) -> Column:
 class PresentedModule:
     """The cokernel of a relation map rho: ⊕R[s_c] -> ⊕R[n_i].
 
-    Elements are represented by vectors in the generator module; reduce()
-    rewrites a representative to its canonical normal form modulo the
-    relation span, which is the span of the relation map's own columns.
+    The generator module ⊕R[n_i] is the relation map's target.  Elements
+    are represented by vectors in it; span.normal_form rewrites one to its
+    canonical normal form modulo the relation span, the span of the
+    relation map's own columns, and span.contains tests it for zero.
     The relation map must have odd degree (the resolution convention).
     """
 
-    __slots__ = ("generators", "relations")
+    __slots__ = ("relations",)
 
-    def __init__(self, generators: GradedFreeModule, relations: GradedMatrixHom):
-        if relations.target != generators:
-            raise ValueError("relations must map into the generator module")
+    def __init__(self, relations: GradedMatrixHom):
         if relations.degree % 2 == 0:
             raise ValueError("relation maps must have odd degree")
-        self.generators = generators
         self.relations = relations
+
+    @property
+    def generators(self) -> GradedFreeModule:
+        return self.relations.target
 
     @property
     def ring(self) -> RingSpec:
@@ -108,27 +110,13 @@ class PresentedModule:
     def span(self) -> ColumnSpan:
         return column_span(self.relations)
 
-    def reduce(self, v) -> Vector:
-        remainder, _ = self.span.normal_form(v)
-        return remainder
-
-    def is_zero_element(self, v) -> bool:
-        return self.span.contains(v)
-
-    def elements_equal(self, u, v) -> bool:
-        u = self.generators.coerce_vector(u)
-        v = self.generators.coerce_vector(v)
-        return self.is_zero_element(tuple(a - b for a, b in zip(u, v)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedModule):
             return NotImplemented
-        return (
-            self.generators == other.generators and self.relations == other.relations
-        )
+        return self.relations == other.relations
 
     def __hash__(self) -> int:
-        return hash((self.generators, self.relations))
+        return hash(self.relations)
 
     def __str__(self) -> str:
         return (
@@ -144,12 +132,11 @@ def presented_module(
     ring: RingSpec, generator_shifts, relation_columns, relation_degree: int = 1
 ) -> PresentedModule:
     generators = GradedFreeModule(ring, tuple(generator_shifts))
-    relations = relation_hom_from_columns(generators, relation_columns, relation_degree)
-    return PresentedModule(generators, relations)
+    return PresentedModule(relation_hom_from_columns(generators, relation_columns, relation_degree))
 
 
 def free_presentation(free: GradedFreeModule) -> PresentedModule:
-    return PresentedModule(free, zero_hom(GradedFreeModule(free.ring, ()), free, 1))
+    return PresentedModule(zero_hom(GradedFreeModule(free.ring, ()), free, 1))
 
 
 def same_quotient(a: PresentedModule, b: PresentedModule) -> bool:
@@ -487,10 +474,10 @@ def add_redundant_generator(
     if k is ANY_DEGREE:
         k = 0
     gens2 = GradedFreeModule(ring, gens.shifts + (-k,))
-    defining = tuple(-e for e in v) + (ring.one(),)
+    defining = _nonzero(tuple(-e for e in v) + (ring.one(),))
     # the old columns keep their shifts; the defining one has module degree k
     source2 = GradedFreeModule(ring, rel.source.shifts + _relation_shifts(gens2, [defining], rel.degree))
-    bigger = PresentedModule(gens2, _from_columns(source2, gens2, rel.degree, rel._sparse_columns() + [_nonzero(defining)]))
+    bigger = PresentedModule(_from_columns(source2, gens2, rel.degree, rel._sparse_columns() + [defining]))
 
     n = gens.rank
     units = [{j: ring.one()} for j in range(n)]
@@ -503,11 +490,10 @@ def add_redundant_generator(
 def with_extra_relations(module: PresentedModule, columns) -> PresentedModule:
     """Pad the presentation with relations already in the span (checked)."""
     gens, rel = module.generators, module.relations
-    extra = [gens.coerce_vector(c) for c in columns]
+    extra = relation_hom_from_columns(gens, columns, rel.degree)
     idx = module.span.first_outside(extra)
     if idx is not None:
         raise ValueError(f"column {idx} is not in the relation span")
     # the old columns keep their shifts; the extra ones follow the rule
-    shifts = rel.source.shifts + _relation_shifts(gens, extra, rel.degree)
-    source = GradedFreeModule(module.ring, shifts)
-    return PresentedModule(gens, _from_columns(source, gens, rel.degree, rel._sparse_columns() + [_nonzero(c) for c in extra]))
+    source = GradedFreeModule(module.ring, rel.source.shifts + extra.source.shifts)
+    return PresentedModule(_from_columns(source, gens, rel.degree, rel._sparse_columns() + extra._sparse_columns()))

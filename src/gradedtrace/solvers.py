@@ -842,7 +842,7 @@ class ColumnSpan:
     Two calls answer for a whole matrix g at once, read off its sparse rows:
     first_outside(g) returns the index of the first column of g outside the
     span, or None when every column lies in it; g may also be a list of
-    coerced vectors or of Columns.  It walks g's columns alongside the
+    Columns or of dense vectors, each coerced as contains coerces it.  It walks g's columns alongside the
     span's generators: a column equal (==) to the next unmatched generator k
     is the image of e_k, which proves it lies in the span, and only the other
     columns go to the backend.  solve(g, degree) returns the map X of
@@ -901,7 +901,7 @@ class ColumnSpan:
 
     def _sparse_columns(self, g) -> list[Column]:
         if not isinstance(g, GradedMatrixHom):
-            return [v if isinstance(v, dict) else _nonzero(v) for v in g]
+            return [v if isinstance(v, dict) else _nonzero(self.ambient.coerce_vector(v)) for v in g]
         return self._own(g)._sparse_columns()
 
     def first_outside(self, g) -> int | None:

@@ -654,7 +654,6 @@ class _Parser:
         a = self._hom(anchor, left, middle, 0, items["a"], ring)
         b = self._hom(anchor, middle, right, 0, items["b"], ring)
         ses = self._build(anchor, lambda: ShortExactSequence(left, middle, right, a, b))
-        self._build(anchor, ses.validate)
         endos = [
             self._hom(anchor, module, module, items["degree"], items[key], ring) if key in items else None
             for key, module in (("fA", left), ("fB", middle))

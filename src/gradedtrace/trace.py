@@ -11,10 +11,10 @@ a resolution: the resolution convention (differentials of odd degree, shift
 = degree - module degree of each relation column) stores the homological
 sign in the shift parity, so no extra alternation appears here.
 
-Short exact sequences certify exactness from the spans of two block maps
-and record one section of b, a map; composites through it induce an
-endomorphism on the quotient, which makes the additivity defect
-tr(f_C) - tr(f_B) + tr(f_A) computable and testable.
+A short exact sequence certifies its exactness when it is built, from the
+spans of two block maps, and records one section of b, a map; composites
+through it induce an endomorphism on the quotient, which makes the
+additivity defect tr(f_C) - tr(f_B) + tr(f_A) computable and testable.
 """
 
 from __future__ import annotations
@@ -152,11 +152,15 @@ def base_change_commutes(phi: RingMap, f: GradedMatrixHom) -> bool:
 
 @dataclass
 class ShortExactSequence:
-    """0 -> left -a-> middle -b-> right -> 0 with degree-0 maps.
+    """0 -> left -a-> middle -b-> right -> 0 with degree-0 maps, exact.
 
-    validate() certifies exactness and records preimages, a degree-0
+    Construction certifies exactness and records preimages, a degree-0
     section of b on generators (right -> middle generators, column i a
     preimage of generator i), which induces endomorphisms on the quotient.
+    The checks read the spans and sparse kernels of the block maps
+    [a | middle relations] and [b | right relations]; kernels go unpruned,
+    as a submodule holds them iff it holds what they span.  The section is
+    the middle rows of one solve against b's block.
     """
 
     left: PresentedModule
@@ -164,7 +168,7 @@ class ShortExactSequence:
     right: PresentedModule
     a: ModuleHom
     b: ModuleHom
-    _preimages: GradedMatrixHom | None = field(default=None, init=False, repr=False, compare=False)
+    preimages: GradedMatrixHom = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a.source != self.left or self.a.target != self.middle:
@@ -173,15 +177,6 @@ class ShortExactSequence:
             raise ValueError("b must map middle -> right")
         if self.a.degree != 0 or self.b.degree != 0:
             raise ValueError("short exact sequences use degree-0 maps")
-
-    def validate(self) -> None:
-        """Raise ValueError unless the sequence is exact; record the section.
-
-        The checks read the spans and sparse kernels of the block maps
-        [a | middle relations] and [b | right relations]; kernels go
-        unpruned, as a submodule holds them iff it holds what they span.
-        The section is the middle rows of one solve against b's block.
-        """
         # b . a = 0
         composite = compose_module_homs(self.b, self.a)
         if self.right.span.first_outside(composite.lift) is not None:
@@ -202,15 +197,7 @@ class ShortExactSequence:
         # ker b is contained in im a + relations
         if cover.first_outside(_kernel_on_lift(image, nb)) is not None:
             raise ValueError("the kernel of b escapes the image of a")
-        # recorded only once every check passed, so a failed validate is retried
-        self._preimages = section
-
-    @property
-    def preimages(self) -> GradedMatrixHom:
-        if self._preimages is None:
-            self.validate()
-        assert self._preimages is not None
-        return self._preimages
+        self.preimages = section
 
 
 def induced_quotient_endo(ses: ShortExactSequence, f_middle: ModuleHom) -> ModuleHom:

@@ -417,6 +417,4 @@ def test_integer_work_never_builds_the_groebner_engine(monkeypatch):
     assert len(prune_columns(ambient, BASELINE_6X6 + SMITH_6X6)[1]) < 12
     rng = random.Random(11)
     sequences = [out[0] for out in (gu.random_stable_ses(rng, Z) for _ in range(8)) if out is not None]
-    for ses in sequences:
-        ses.validate()
     assert len(sequences) >= 5 and engines == []

@@ -597,6 +597,14 @@ def test_solve_needs_the_span_of_a_map_into_its_module():
         span.solve(identity_hom(GradedFreeModule(Z, (1,))), 0)
 
 
+def test_first_outside_coerces_dense_vectors_as_contains_does():
+    span = ColumnSpan(GradedFreeModule(Z, (0, 0)), [(2, 0)])
+    for v in ((1, 0), (4, 0), (0, 0), (0, 3)):
+        assert (span.first_outside([v]) is None) == span.contains(v)
+    with pytest.raises(ValueError) as err:
+        span.first_outside([(Z.const(1),)])
+    assert str(err.value) == "expected 2 entries, got 1"
+
 # -- the engine's packed terms --------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from gradedtrace import (
     Resolution,
     ResolutionTooLong,
     RingElement,
+    RingMismatch,
     RingMap,
     add_redundant_generator,
     compose,
@@ -108,10 +109,10 @@ ZOO = [_mod2, _mod4, _dual_numbers, _koszul_point, _double_orbit]
 
 def test_reduce_and_element_equality():
     m = _mod4()
-    assert m.reduce([Z.const(9)]) == (Z.one(),)
-    assert m.elements_equal([Z.const(5)], [Z.one()])
-    assert m.is_zero_element([Z.const(8)])
-    assert not m.is_zero_element([Z.const(2)])
+    assert m.span.normal_form([Z.const(9)])[0] == (Z.one(),)
+    assert m.span.contains([Z.const(5) - Z.one()])
+    assert m.span.contains([Z.const(8)])
+    assert not m.span.contains([Z.const(2)])
 
 
 def test_module_hom_must_descend():
@@ -144,7 +145,7 @@ def test_kernel_of_hom_multiplication():
     kernel = kernel_of_hom(f)
     assert kernel
     for v in kernel:
-        assert m.is_zero_element(f.lift.apply(v))
+        assert m.span.contains(f.lift.apply(v))
     spanned = {str(v) for v in kernel}
     assert any("x" in s for s in spanned)
 
@@ -974,11 +975,45 @@ def test_even_degree_relation_maps_are_refused():
     gens = GradedFreeModule(ZX, (0,))
     even = GradedMatrixHom(GradedFreeModule(ZX, (-2,)), gens, 0, [[x]])
     with pytest.raises(ValueError) as err:
-        PresentedModule(gens, even)
+        PresentedModule(even)
     assert str(err.value) == "relation maps must have odd degree"
     with pytest.raises(ValueError) as err:
         presented_module(ZX, [0], [[x]], relation_degree=2)
     assert str(err.value) == "relation maps must have odd degree"
+
+
+def _refusals():
+    """Each refusal message of the modules module's entry points, with its
+    exception type and a call that raises it."""
+    x = ZX.gen("x")
+    m, two = _mod2(), presented_module(Z, [0, 0], [[2, 0]])
+    return {
+        f"{ZX} is not {Z}": (RingMismatch, lambda: relation_hom_from_columns(m.generators, [({0: x}, 1)])),
+        "lift source must be the source generator module": (
+            ValueError, lambda: ModuleHom(m, m, GradedMatrixHom(two.generators, m.generators, 0, [[1, 0]]))
+        ),
+        "lift target must be the target generator module": (
+            ValueError, lambda: ModuleHom(m, m, GradedMatrixHom(m.generators, two.generators, 0, [[1], [0]]))
+        ),
+        "cannot compose: inner modules differ": (
+            ValueError, lambda: compose_module_homs(identity_module_hom(m), identity_module_hom(two))
+        ),
+        "resolution omits the relations of its module": (EngineError, lambda: verify_resolution(Resolution(m, []))),
+        "resolution does not start at the generator module": (
+            EngineError, lambda: verify_resolution(Resolution(m, [two.relations]))
+        ),
+        "the defining expression must be homogeneous": (
+            HomogeneityError, lambda: add_redundant_generator(_dual_numbers(), [ZX.one() + x])
+        ),
+    }
+
+
+@pytest.mark.parametrize("message", list(_refusals()))
+def test_each_refusal_names_its_reason(message):
+    error, call = _refusals()[message]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_even_degree_resolution_maps_are_refused():

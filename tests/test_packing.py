@@ -128,7 +128,7 @@ def test_rings_sharing_a_packing_resolve_alike_whichever_fills_the_table_first()
         for pair in itertools.zip_longest(poly, laurent):
             for key in filter(None, pair):
                 module, endo = draws[key]
-                module = PresentedModule(module.generators, fresh(module.relations))
+                module = PresentedModule(fresh(module.relations))
                 endo = ModuleHom(module, module, fresh(endo.lift))
                 out[key] = [golden.digest(module, endo), golden.lift_digest(module, endo)]
         print(json.dumps({"digests": out, "table": len(pk.keys)}))

@@ -777,7 +777,7 @@ def test_a_relation_shift_off_the_column_rule_cannot_be_serialized():
     # a zero column has shift 0 under the column rule; this one has 2
     relations = GradedMatrixHom(GradedFreeModule(Z, (2,)), gens, 1, [[0]])
     doc = Document()
-    doc.modules["M"] = PresentedModule(gens, relations)
+    doc.modules["M"] = PresentedModule(relations)
     with pytest.raises(ValueError) as err:
         document_source(doc)
     assert str(err.value) == (

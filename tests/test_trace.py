@@ -278,7 +278,6 @@ FIXED_SEQUENCES = [_ses_z_mult2, _ses_mod2_mod4, _ses_dual_numbers, _ses_laurent
 @pytest.mark.parametrize("make", FIXED_SEQUENCES, ids=lambda f: f.__name__.strip("_"))
 def test_additivity_on_fixed_sequences(make):
     ses, f_left, f_middle = make()
-    ses.validate()
     report = additivity_defect(ses, f_left, f_middle)
     assert report.holds()
     assert report.defect.is_zero()
@@ -287,12 +286,11 @@ def test_additivity_on_fixed_sequences(make):
 @pytest.mark.parametrize("make", FIXED_SEQUENCES, ids=lambda f: f.__name__.strip("_"))
 def test_validated_preimages_are_no_part_of_a_sequences_value(make):
     ses, other = make()[0], make()[0]
-    before = repr(ses)
-    ses.validate()
-    assert ses == other and repr(ses) == before
+    other.preimages = None
+    assert ses == other and repr(ses) == repr(other)
     parts = ses.left, ses.middle, ses.right, ses.a, ses.b
     with pytest.raises(TypeError):
-        ShortExactSequence(*parts, _preimages=ses.preimages)
+        ShortExactSequence(*parts, preimages=ses.preimages)
 
 
 def test_additivity_defect_values_frozen():
@@ -324,10 +322,9 @@ def test_validate_rejects_non_exact():
     right = presented_module(Z, [0], [[4]])
     a = module_hom(left, middle, 0, [[2]])
     b = module_hom(middle, right, 0, [[1]])
-    ses = ShortExactSequence(left, middle, right, a, b)
     # image of a is 2Z but the kernel of b is 4Z: b∘a is not zero in Z/4
     with pytest.raises(ValueError):
-        ses.validate()
+        ShortExactSequence(left, middle, right, a, b)
 
 
 def _ses_kernel_escapes():
@@ -337,7 +334,7 @@ def _ses_kernel_escapes():
     right = presented_module(Z, [0], [[2]])
     a = module_hom(left, middle, 0, [[4]])
     b = module_hom(middle, right, 0, [[1]])
-    return ShortExactSequence(left, middle, right, a, b), "kernel of b escapes"
+    return (left, middle, right, a, b), "kernel of b escapes"
 
 
 def _ses_b_misses_a_generator():
@@ -347,7 +344,7 @@ def _ses_b_misses_a_generator():
     right = free_presentation(GradedFreeModule(Z, (0, 0)))
     a = module_hom(left, middle, 0, [])
     b = module_hom(middle, right, 0, [[1, 0]])
-    return ShortExactSequence(left, middle, right, a, b), "misses generator 1"
+    return (left, middle, right, a, b), "misses generator 1"
 
 
 def _ses_a_not_injective():
@@ -357,21 +354,47 @@ def _ses_a_not_injective():
     right = free_presentation(GradedFreeModule(Z, ()))
     a = module_hom(left, middle, 0, [[1]])
     b = module_hom(middle, right, 0, [[]])
-    return ShortExactSequence(left, middle, right, a, b), "a is not injective"
+    return (left, middle, right, a, b), "a is not injective"
 
 
 @pytest.mark.parametrize(
     "make", [_ses_kernel_escapes, _ses_b_misses_a_generator, _ses_a_not_injective], ids=lambda f: f.__name__.strip("_")
 )
 def test_a_failed_validate_leaves_no_preimages_behind(make):
-    ses, reason = make()
+    # the constructor refuses a sequence that is not exact, so none exists without its section
+    parts, reason = make()
     with pytest.raises(ValueError, match=reason):
-        ses.validate()
-    with pytest.raises(ValueError, match=reason):
-        ses.preimages
-    f_left, f_middle = identity_module_hom(ses.left), identity_module_hom(ses.middle)
-    with pytest.raises(ValueError, match=reason):
-        additivity_defect(ses, f_left, f_middle)
+        ShortExactSequence(*parts)
+
+
+def _refusals():
+    """Each refusal message of the trace module's entry points, with a call that raises it."""
+    x = ZX.gen("x")
+    m, m2 = GradedFreeModule(ZX, (0,)), GradedFreeModule(ZX, (0, 0))
+    ses, f_left, f_middle = _ses_dual_numbers()
+    parts = ses.left, ses.middle, ses.right
+    free = free_presentation(m)
+    onto = module_hom(free, ses.right, 0, [[1]])
+    return {
+        "the idempotent must be an endomorphism": lambda: projective_trace(GradedMatrixHom(m, m2, 0, [[1], [0]]), identity_hom(m)),
+        "the idempotent must have degree 0": lambda: projective_trace(GradedMatrixHom(m, m, 2, [[x]]), identity_hom(m)),
+        "f must be an endomorphism of the idempotent's module": lambda: projective_trace(identity_hom(m), identity_hom(m2)),
+        "trace needs an endomorphism": lambda: hs_trace(onto),
+        "lifts without their resolution are ambiguous": lambda: hs_trace(f_left, lifts=[f_left.lift]),
+        "a must map left -> middle": lambda: ShortExactSequence(*parts, ses.b, ses.b),
+        "b must map middle -> right": lambda: ShortExactSequence(*parts, ses.a, ses.a),
+        "short exact sequences use degree-0 maps": lambda: ShortExactSequence(free, free, ses.right, module_hom(free, free, 2, [[x]]), onto),
+        "f_middle must be an endomorphism of the middle module": lambda: induced_quotient_endo(ses, identity_module_hom(ses.right)),
+        "f_left must be an endomorphism of the left module": lambda: additivity_defect(ses, identity_module_hom(ses.right), f_middle),
+        "the two endomorphisms must have equal degree": lambda: additivity_defect(ses, f_left, module_hom(ses.middle, ses.middle, 2, [[x]])),
+    }
+
+
+@pytest.mark.parametrize("message", list(_refusals()))
+def test_each_refusal_names_its_reason(message):
+    with pytest.raises(ValueError) as err:
+        _refusals()[message]()
+    assert str(err.value) == message
 
 
 def test_random_stable_sequences_have_zero_defect():
@@ -403,9 +426,9 @@ def test_validate_builds_one_span_per_block(monkeypatch):
         built.append(len(columns))
         span_init(span, ambient, columns)
 
-    # the modules' relation spans were built by the first validate
+    # the modules' relation spans were built when the sequence was first certified
     monkeypatch.setattr(ColumnSpan, "__init__", counting_init)
-    ses.validate()
+    ShortExactSequence(ses.left, ses.middle, ses.right, ses.a, ses.b)
     blocks = [
         ses.a.lift.source.rank + ses.middle.relations.source.rank,
         ses.b.lift.source.rank + ses.right.relations.source.rank,
@@ -414,7 +437,7 @@ def test_validate_builds_one_span_per_block(monkeypatch):
 
 
 def test_validate_prunes_no_kernel(monkeypatch):
-    # validate only tests kernel generators, so pruning them buys nothing
+    # certifying only tests kernel generators, so pruning them buys nothing
     rng = random.Random(33)
     built = [gu.random_stable_ses(rng, ring) for ring in gu.THREE_KINDS for _ in range(3)]
     sequences = [out[0] for out in built if out is not None]
@@ -423,7 +446,7 @@ def test_validate_prunes_no_kernel(monkeypatch):
         prune = module.prune_columns
         monkeypatch.setattr(module, "prune_columns", lambda *args, prune=prune: calls.append(args) or prune(*args))
     for ses in sequences:
-        ses.validate()
+        ShortExactSequence(ses.left, ses.middle, ses.right, ses.a, ses.b)
     assert len(sequences) >= 6 and calls == []
 
 
@@ -445,8 +468,6 @@ def test_additivity_builds_no_map_through_the_checking_constructor(monkeypatch):
     rng = random.Random(33)
     drawn = [gu.random_stable_ses(rng, ring) for ring in gu.THREE_KINDS for _ in range(3)]
     cases = [make() for make in FIXED_SEQUENCES] + [out for out in drawn if out is not None]
-    for ses, _, _ in cases:
-        ses._preimages = None  # validate again under the counter
     built = []
     init = GradedMatrixHom.__init__
 
@@ -456,6 +477,8 @@ def test_additivity_builds_no_map_through_the_checking_constructor(monkeypatch):
 
     monkeypatch.setattr(GradedMatrixHom, "__init__", counting_init)
     for ses, f_left, f_middle in cases:
+        # certify again under the counter
+        ses = ShortExactSequence(ses.left, ses.middle, ses.right, ses.a, ses.b)
         assert additivity_defect(ses, f_left, f_middle).holds()
     assert len(cases) >= 10 and built == []
 
