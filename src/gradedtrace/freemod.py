@@ -178,10 +178,11 @@ class GradedMatrixHom:
     map.  Neither an instance nor its rows ever change, so closed operations
     share rows, and solvers.column_span builds the span of its columns in the
     target at most once, on first use, and keeps it in _span; a syzygy map
-    holds its columns there until then (solvers.syzygies).
+    holds its columns there until then (solvers.syzygies); _engine keeps
+    its columns' engine vectors once encoded (solvers._engine_columns).
     """
 
-    __slots__ = ("source", "target", "degree", "_rows", "_span")
+    __slots__ = ("source", "target", "degree", "_rows", "_span", "_engine")
 
     def __init__(
         self,
@@ -204,7 +205,7 @@ class GradedMatrixHom:
             lines.append((sparse, len(row)))
         self.source, self.target, self.degree = source, target, degree
         self._rows = _checked_rows(source, target, degree, lines, ring)
-        self._span = None
+        self._span = self._engine = None
 
     @classmethod
     def _closed(cls, source, target, degree: int, rows) -> GradedMatrixHom:
@@ -212,7 +213,7 @@ class GradedMatrixHom:
         hom = object.__new__(cls)
         hom.source, hom.target, hom.degree = source, target, degree
         hom._rows = tuple(rows)
-        hom._span = None
+        hom._span = hom._engine = None
         return hom
 
     @property

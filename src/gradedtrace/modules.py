@@ -8,7 +8,7 @@ and identities descend by construction and build through the unchecked
 ModuleHom._closed; the public constructor always checks.  Resolutions
 iterate the syzygy functor until the kernel vanishes and certify their own
 exactness; endomorphisms lift along them one differential at a time, each
-step one solve of a whole matrix against the differential's column span.
+step the certificates of a whole matrix against the differential's span.
 Lifts from outside columns validate through hom_from_columns; relation
 maps, syzygy maps and chain lifts are legal by construction and build
 unchecked, and verify_resolution and verify_lift (the one chain-lift
@@ -88,15 +88,20 @@ class PresentedModule:
     are represented by vectors in it; span.normal_form rewrites one to its
     canonical normal form modulo the relation span, the span of the
     relation map's own columns, and span.contains tests it for zero.
-    The relation map must have odd degree (the resolution convention).
+    The relation map must have odd degree (the resolution convention), and
+    it is read-only: its kept span and engine vectors stay the module's own.
     """
 
-    __slots__ = ("relations",)
+    __slots__ = ("_relations",)
 
     def __init__(self, relations: GradedMatrixHom):
         if relations.degree % 2 == 0:
             raise ValueError("relation maps must have odd degree")
-        self.relations = relations
+        self._relations = relations
+
+    @property
+    def relations(self) -> GradedMatrixHom:
+        return self._relations
 
     @property
     def generators(self) -> GradedFreeModule:
@@ -342,23 +347,21 @@ def verify_resolution(res: Resolution) -> None:
     Checks: the first map spans the relations of the module, consecutive
     maps compose to zero (by multiplying them), every kernel generator of
     one map lies in the image of the next, and the last map has vanishing
-    kernel.  d_j d_(j+1) is formed on canonical engine vectors
-    (solvers._engine_compose), plain integer columns over the integers:
-    d_(j+1)'s entries multiply d_j's columns, encoded from d_j's own entries,
+    kernel.  d_j d_(j+1) is formed on the engine vectors each map keeps,
+    encoded from its own entries (solvers._engine_columns, _engine_compose),
     so the product is checked for every resolution, one from outside
     included, and no ring element is multiplied.  The kernels and images
     come from each map's own span, the one resolve built from the same
     columns; a span is a deterministic function of its columns, so sharing
     it checks exactly what a rebuilt span would, and the sparse kernel
     resolve read off a span is tested as it is, through the engine vectors
-    its columns keep, not converted again here.
-    Each containment is one many-column membership call (first_outside)
-    per matrix or kernel, and first_outside settles a column equal to the
-    next unmatched generator of its span without the backend, since it is
-    the image of a basis vector.  So when the first map is the module's
-    relation map both of its containments hold by equality, and so does
-    each kernel generator that pruning kept, a column of the next map; the
-    backend tests only the generators that pruning dropped.
+    its columns keep.  Each containment is one first_outside call per
+    matrix or kernel, which settles a column equal to the next unmatched
+    generator of its span without the backend, since it is the image of a
+    basis vector.  So when the first map is the module's relation map both
+    of its containments hold by equality, and so does each kernel generator
+    that pruning kept, a column of the next map; the backend tests only the
+    generators that pruning dropped.
     """
     if not res.maps:
         if res.module.relations.source.rank:
@@ -386,30 +389,39 @@ def verify_resolution(res: Resolution) -> None:
             raise EngineError("last map of the resolution has a nonzero kernel")
 
 
+def _lift_stages(res: Resolution, endo: ModuleHom):
+    """The chain lift of endo over res in the engine's form: yields, for each
+    term P_j, its shifts and the canonical engine columns of f_j.
+
+    f_0's are endo.lift's (solvers._engine_columns).  Each later f_j's are
+    the certificates of f_(j-1) d_j against the span d_j carries (the one
+    resolve built), the product formed on engine vectors
+    (solvers._engine_compose), so no ring element is built or multiplied.
+    A column that does not solve means the resolution is not exact, and
+    EngineError names it.
+    """
+    if endo.source != res.module or endo.target != res.module:
+        raise ValueError("can only lift an endomorphism of the resolved module")
+    vecs = _engine_columns(endo.lift)
+    yield endo.lift.source.shifts, vecs
+    for dj in res.maps:
+        vecs = column_span(dj)._certificates(_engine_compose(vecs, dj))
+        yield dj.source.shifts, vecs
+
+
 def lift_endomorphism(res: Resolution, endo: ModuleHom) -> list[GradedMatrixHom]:
     """Lift a module endomorphism to a chain endomorphism of the resolution.
 
     Returns [f_0, .., f_n] with f_0 the given lift on generators and
-    d_j f_j = f_{j-1} d_j throughout.  Each f_j is one solve of the matrix
-    f_{j-1} d_j against the span the differential carries (the one resolve
-    built): its columns are membership certificates, homogeneous of their
-    forced degrees because the differential's columns are, so it is a legal
-    graded map and builds unchecked.  A column that does not solve means
-    the resolution is not exact, and solve raises EngineError naming it.
-    The product stays in the engine's form, plain integer columns over the
-    integers: f_0's columns are encoded once, d_j's entries multiply them
-    (solvers._engine_compose), and each stage's certificates, engine
-    vectors already, are the columns of f_j that the next product reads
-    (ColumnSpan.solve_engine); no ring element is multiplied.
+    d_j f_j = f_{j-1} d_j throughout, f_j boxed from the certificates of
+    stage j of _lift_stages, the loop hs_trace reads too.  They are
+    homogeneous of their forced degrees because d_j's columns are, so f_j
+    is a legal graded map and builds unchecked.
     """
-    if endo.source != res.module or endo.target != res.module:
-        raise ValueError("can only lift an endomorphism of the resolved module")
-    lifts = [endo.lift]
-    vecs = _engine_columns(endo.lift)
-    for dj in res.maps:
-        fj, vecs = column_span(dj).solve_engine(_engine_compose(vecs, dj), dj.source, endo.degree)
-        lifts.append(fj)
-    return lifts
+    stages = _lift_stages(res, endo)
+    next(stages)  # f_0 is endo.lift itself
+    boxed = [column_span(dj)._solution(certs, dj.source, endo.degree) for dj, (_, certs) in zip(res.maps, stages)]
+    return [endo.lift, *boxed]
 
 
 def verify_lift(res: Resolution, endo: ModuleHom, lifts: list[GradedMatrixHom]) -> None:
@@ -417,8 +429,8 @@ def verify_lift(res: Resolution, endo: ModuleHom, lifts: list[GradedMatrixHom]) 
     endomorphism of endo's degree per term, the first equal to endo.lift
     modulo the relations ("lift 0"), every square d_j f_j = f_(j-1) d_j
     commuting ("chain-map square j").  The message names the failed stage.
-    Both sides of each square are formed on engine vectors
-    (solvers._engine_compose), as lift_endomorphism forms its products."""
+    Both sides of each square are formed on the engine vectors each map
+    keeps, encoded from its own entries (solvers._engine_compose)."""
     if res.module != endo.source or res.module != endo.target or len(lifts) != len(res.modules) or any(
         (f.source, f.target, f.degree) != (p, p, endo.degree) for f, p in zip(lifts, res.modules)
     ):

@@ -17,11 +17,11 @@ division step scans only the elements at the term's own position.  Term
 keys are computed once per monomial per process and looked up after.  An
 exponent or degree past 32767 raises EngineError instead of wrapping.
 
-Membership of a whole list of columns (ColumnSpan.first_outside) walks the
-list alongside the span's own generators, in order: a column equal to the
-next unmatched generator k is d(e_k), the image of a basis vector, so it
-lies in the span and no backend sees it; every other column gets a backend
-answer.
+Membership of a whole list of columns (ColumnSpan.first_outside) walks
+their engine vectors alongside the span's kept generator vectors, in order:
+a column equal to the next unmatched generator k is d(e_k), the image of a
+basis vector, so it lies in the span and no backend sees it; every other
+column gets a backend answer.
 
 Greedy pruning (prune_columns) asks, column by column, whether a column lies
 in the span of others.  Over the integers, and for each degree group of a
@@ -44,10 +44,13 @@ both backends through kernels, pruning and syzygies into the next map, and
 a map's span is built from its sparse rows; dense tuples are built only
 where the public API returns them (ColumnSpan.normal_form, syzygy_vectors,
 basis_vectors, and prune_columns on dense input).  A kernel column keeps
-its engine vector on its way to the next map's span.  The products of a
-resolution check, a chain lift and a chain-map square are formed on engine
-vectors (_engine_compose); over a Laurent ring every product key is brought
-to its canonical key, so no product goes through freemod.compose.
+its engine vector on its way to the next map's span, and a map keeps the
+engine vectors of its own columns once encoded (_engine_columns).  The
+products of a resolution check, a chain lift and a chain-map square are
+formed on engine vectors alone (_engine_compose); over a Laurent ring every
+product key is brought to its canonical key, so no product goes through
+freemod.compose, and a trace reads a chain lift's diagonal off its
+certificates (_engine_diagonal).
 """
 
 from __future__ import annotations
@@ -717,8 +720,13 @@ def _encode(ring: RingSpec, column: Column) -> dict:
 
 
 def _engine_columns(f: GradedMatrixHom) -> list[dict]:
-    """The engine vectors of f's columns, encoded from f's own entries."""
-    return [_encode(f.ring, c) for c in f._sparse_columns()]
+    """The engine vectors of f's columns, encoded from f's own entries (never
+    borrowed from a span) on the first call and kept on f; later calls return
+    the same list, which no caller mutates."""
+    vecs = f._engine
+    if vecs is None:
+        vecs = f._engine = [_encode(f.ring, c) for c in f._sparse_columns()]
+    return vecs
 
 
 def _canonical(ring: RingSpec, vec: dict) -> dict:
@@ -739,33 +747,51 @@ def _canonical(ring: RingSpec, vec: dict) -> dict:
 def _engine_compose(vecs: list[dict], g: GradedMatrixHom) -> list[dict]:
     """The engine columns of f . g, vecs[k] the canonical engine column k of f.
 
-    Column c is the sum over k of g[k, c] * vecs[k]: each term of g[k, c]
-    shifts vecs[k]'s keys by its monomial's key offset.  Packed keys are
-    one-to-one with polynomial terms, and canonical keys (_canonical) with
-    Laurent terms, so the result is the canonical engine vector of the
-    product's column, with no ring element multiplied.  Over the integers
-    the keys are rows and the sum is taken on ints.
+    Column c is the sum over k of g[k, c] * vecs[k], read off g's own engine
+    columns (_engine_columns): over the integers a term {k: c} scales vecs[k]
+    by the int c; otherwise a term key gives the position k, -(key >> top),
+    and the monomial's key offset, (key & mask) - one, which shifts vecs[k]'s
+    keys.  Packed keys are one-to-one with polynomial terms, and canonical
+    keys (_canonical) with Laurent terms, so the result is the canonical
+    engine vector of the product's column; no ring element of g is read and
+    none is multiplied.
     """
-    if g.ring.kind == INTEGERS:  # row k of g scales vecs[k] into the columns it touches
-        out: list[dict[int, int]] = [{} for _ in range(g.source.rank)]
-        for vec, row in zip(vecs, g._rows):
-            for col, entry in row.items():
-                acc, c = out[col], entry.coefficient(())
-                for i, a in vec.items():
+    if g.ring.kind == INTEGERS:
+        out: list[dict] = []
+        for column in _engine_columns(g):
+            acc: dict = {}
+            for k, c in column.items():
+                for i, a in vecs[k].items():
                     acc[i] = acc.get(i, 0) + c * a
-        return [{i: a for i, a in acc.items() if a} for acc in out]
-    laurent = g.ring.kind == LAURENT
+            out.append({i: a for i, a in acc.items() if a})
+        return out
     pk = _packing(_engine_nvars(g.ring))
-    pack, one, guard = pk.pack, pk.one, pk.guard
+    top, mask, one, guard = pk.top, pk.mask, pk.one, pk.guard
     out = []
-    for column in g._sparse_columns():
-        acc: dict = {}
-        for k, entry in column.items():
-            vec = vecs[k]
-            for exp, c in entry.items():
-                _iadd_scaled(acc, pack(0, _engine_exp(exp) if laurent else exp) - one, c, vec, guard)
+    for column in _engine_columns(g):
+        acc = {}
+        for key, c in column.items():
+            _iadd_scaled(acc, (key & mask) - one, c, vecs[-(key >> top)], guard)
         out.append(_canonical(g.ring, acc))
     return out
+
+
+def _engine_diagonal(ring: RingSpec, stages) -> RingElement:
+    """The signed diagonals sum_i (-1)^(shifts[i]) f_ii, f_ii the terms of vecs[i]
+    at position i, over (shifts, the canonical engine columns or certificates
+    vecs of f) in stages; Laurent keys map back along y_i -> x_i^-1."""
+    if ring.kind == INTEGERS:
+        c = sum(-v.get(i, 0) if s % 2 else v.get(i, 0) for shifts, vecs in stages for i, (s, v) in enumerate(zip(shifts, vecs)))
+        return RingElement._clean(ring, {(): c} if c else {})
+    pk, total = _packing(_engine_nvars(ring)), {}
+    for shifts, vecs in stages:
+        for i, (shift, vec) in enumerate(zip(shifts, vecs)):
+            for key, c in vec.items():
+                if -(key >> pk.top) == i:
+                    exp = pk.unpack(key)[1]
+                    exp = _ring_exp(exp) if ring.kind == LAURENT else exp
+                    total[exp] = total.get(exp, 0) + (-c if shift % 2 else c)
+    return RingElement._clean(ring, {exp: c for exp, c in total.items() if c})
 
 
 def _unit_columns(ambient: GradedFreeModule) -> list[dict]:
@@ -835,30 +861,24 @@ class _PolyBackend:
 class ColumnSpan:
     """The submodule generated by a list of columns of a graded free module.
 
-    Columns are dense vectors, coerced once, or Columns, taken as they are.
-    normal_form(v) returns (remainder, certificate) with
+    Columns are dense vectors, coerced once, or Columns, taken as they are;
+    the span keeps its generators' engine vectors, which its backend is
+    built from.  normal_form(v) returns (remainder, certificate) with
     v = sum(certificate[j] * column_j) + remainder, remainder zero iff v lies
     in the span; contains(v) answers that without building the certificate.
-    Two calls answer for a whole matrix g at once, read off its sparse rows:
-    first_outside(g) returns the index of the first column of g outside the
-    span, or None when every column lies in it; g may also be a list of
-    Columns or of dense vectors, each coerced as contains coerces it.  It walks g's columns alongside the
-    span's generators: a column equal (==) to the next unmatched generator k
-    is the image of e_k, which proves it lies in the span, and only the other
-    columns go to the backend.  solve(g, degree) returns the map X of
-    that degree with (span columns) . X = g, each column of X the
-    certificate of g's column as it is: the span's columns are homogeneous
-    (so are the Laurent unit columns, y_i having degree -deg x_i), and
-    strong division of a homogeneous column leaves every certificate entry
-    in its forced degree.  solve raises EngineError naming the first column
-    of g outside the span.  X maps into the free module that indexes the
-    columns, which only the spans that column_span builds know (as source),
-    so solve needs one.
-
-    solve is solve_engine(vecs, source, degree) on the engine vectors of g's
-    columns (sparse integer columns over the integers); solve_engine also
-    returns the engine vectors of the solution's columns, so that a chain
-    lift never leaves the engine's form.
+    Two calls answer for a whole matrix g at once, read off its kept engine
+    columns (_engine_columns): first_outside(g) returns the index of the
+    first column of g outside the span, or None; g may also be a list of
+    Columns or of dense vectors, each coerced as contains coerces it.
+    solve(g, degree) returns the map X of that degree with
+    (span columns) . X = g, each column of X the certificate of g's column
+    as it is: the span's columns are homogeneous (so are the Laurent unit
+    columns, y_i having degree -deg x_i), and strong division of a
+    homogeneous column leaves every certificate entry in its forced degree.
+    It raises EngineError naming the first column of g outside the span.  X
+    maps into the free module that indexes the columns, which only the spans
+    that column_span builds know (as source), so solve needs one.  A chain
+    lift takes the certificates without boxing them (_certificates).
 
     Results are deterministic for a fixed column order.  The backend sees
     engine vectors only (_encode), and every question encodes its column
@@ -878,8 +898,8 @@ class ColumnSpan:
         self.source: GradedFreeModule | None = None
         self._kernel: tuple[Column, ...] | None = None
         ring = ambient.ring
-        backend = _IntBackend if ring.kind == INTEGERS else _PolyBackend
-        self._backend = backend(ambient, [_encode(ring, c) for c in self.columns])
+        self._vecs = [_encode(ring, c) for c in self.columns]
+        self._backend = (_IntBackend if ring.kind == INTEGERS else _PolyBackend)(ambient, self._vecs)
 
     def _inside(self, column: Column) -> bool:
         return not self._backend.divide(_encode(self.ambient.ring, column), False)[0]
@@ -893,48 +913,54 @@ class ColumnSpan:
     def contains(self, v) -> bool:
         return self._inside(_nonzero(self.ambient.coerce_vector(v)))
 
-    def _own(self, g: GradedMatrixHom) -> GradedMatrixHom:
-        """g, refused unless it maps into the span's ambient module."""
-        if g.target != self.ambient:
-            raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
-        return g
-
-    def _sparse_columns(self, g) -> list[Column]:
-        if not isinstance(g, GradedMatrixHom):
-            return [v if isinstance(v, dict) else _nonzero(self.ambient.coerce_vector(v)) for v in g]
-        return self._own(g)._sparse_columns()
+    def _engine_vectors(self, g) -> list[dict]:
+        """The engine vectors of g's columns: a map's own (_engine_columns),
+        refused unless it maps into the span's ambient module, or those of a
+        list of Columns or dense vectors, each coerced and encoded once."""
+        if isinstance(g, GradedMatrixHom):
+            if g.target != self.ambient:
+                raise ValueError(f"a map into {g.target} is not a map into {self.ambient}")
+            return _engine_columns(g)
+        ring = self.ambient.ring
+        return [_encode(ring, v if isinstance(v, dict) else _nonzero(self.ambient.coerce_vector(v))) for v in g]
 
     def first_outside(self, g) -> int | None:
-        inside, gens = self._inside, iter(self.columns)
+        """Walk g's engine vectors alongside the generators' kept ones, in
+        order: one equal to the next unmatched generator k is d(e_k), in the
+        span, and only the others go to the backend, without a certificate."""
+        divide, gens = self._backend.divide, iter(self._vecs)
         gen = next(gens, None)
-        for j, c in enumerate(self._sparse_columns(g)):
-            if c == gen:  # d(e_k) for the next unmatched generator k
+        for j, vec in enumerate(self._engine_vectors(g)):
+            if vec == gen:
                 gen = next(gens, None)
-            elif not inside(c):
+            elif divide(vec, False)[0]:
                 return j
         return None
 
-    def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
-        return self.solve_engine(_engine_columns(self._own(g)), g.source, degree)[0]
-
-    def solve_engine(self, vecs: list[dict], source: GradedFreeModule, degree: int) -> tuple[GradedMatrixHom, list[dict]]:
-        """solve for a map from source given by the engine vectors of its
-        columns: the map X, and the engine vectors of X's columns, its
-        certificates as the backend leaves them, canonical over the span's
-        columns.  Only X's entries are built as ring elements."""
-        if self.source is None:
-            raise ValueError("solve needs the span of a map's columns, from column_span")
-        backend = self._backend
-        rows: list[Column] = [{} for _ in self.columns]
-        certs = []
+    def _certificates(self, vecs: list[dict]) -> list[dict]:
+        """The certificate of each engine vector, canonical over the span's
+        columns; EngineError names the first vector outside the span."""
+        divide, certs = self._backend.divide, []
         for c, vec in enumerate(vecs):
-            rem, cert = backend.divide(vec)
+            rem, cert = divide(vec)
             if rem:
                 raise EngineError(f"column {c} lies outside the span: no solution")
-            for j, e in backend._column(cert).items():
-                rows[j][c] = e
             certs.append(cert)
-        return GradedMatrixHom._closed(source, self.source, degree, rows), certs
+        return certs
+
+    def _solution(self, certs: list[dict], source: GradedFreeModule, degree: int) -> GradedMatrixHom:
+        """The map from source, of that degree, whose columns are certs."""
+        column, rows = self._backend._column, [{} for _ in self.columns]
+        for c, cert in enumerate(certs):
+            for j, e in column(cert).items():
+                rows[j][c] = e
+        return GradedMatrixHom._closed(source, self.source, degree, rows)
+
+    def solve(self, g: GradedMatrixHom, degree: int) -> GradedMatrixHom:
+        vecs = self._engine_vectors(g)
+        if self.source is None:
+            raise ValueError("solve needs the span of a map's columns, from column_span")
+        return self._solution(self._certificates(vecs), g.source, degree)
 
     def _sparse_kernel(self) -> tuple[Column, ...]:
         """The nonzero kernel generators as sparse Columns, converted once."""

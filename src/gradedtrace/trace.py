@@ -34,13 +34,13 @@ from .modules import (
     Resolution,
     _block_map,
     _kernel_on_lift,
+    _lift_stages,
     compose_module_homs,
-    lift_endomorphism,
     resolve,
     verify_lift,
 )
 from .rings import RingElement, RingMap, RingSpec
-from .solvers import column_span
+from .solvers import _engine_diagonal, column_span
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ def hs_trace(
     The value is independent of the resolution and of the chain lift; both
     may be supplied to reuse work.  Given lifts require the resolution and
     are checked by modules.verify_lift, whose ValueError names the failed
-    stage.
+    stage.  Without them the signed diagonal is read off the engine columns
+    of the chain lift's stages (modules._lift_stages, solvers._engine_diagonal),
+    so no lift matrix is built.
     """
     if endo.source != endo.target:
         raise ValueError("trace needs an endomorphism")
@@ -119,9 +121,8 @@ def hs_trace(
             raise ValueError("lifts without their resolution are ambiguous")
         resolution = resolve(endo.source)
     if lifts is None:
-        lifts = lift_endomorphism(resolution, endo)
-    else:
-        verify_lift(resolution, endo, lifts)
+        return TraceValue(_engine_diagonal(endo.ring, _lift_stages(resolution, endo)), endo.degree)
+    verify_lift(resolution, endo, lifts)
     return TraceValue(_signed_diagonal(endo.ring, lifts), endo.degree)
 
 
@@ -150,7 +151,7 @@ def base_change_commutes(phi: RingMap, f: GradedMatrixHom) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShortExactSequence:
     """0 -> left -a-> middle -b-> right -> 0 with degree-0 maps, exact.
 
@@ -197,7 +198,7 @@ class ShortExactSequence:
         # ker b is contained in im a + relations
         if cover.first_outside(_kernel_on_lift(image, nb)) is not None:
             raise ValueError("the kernel of b escapes the image of a")
-        self.preimages = section
+        object.__setattr__(self, "preimages", section)
 
 
 def induced_quotient_endo(ses: ShortExactSequence, f_middle: ModuleHom) -> ModuleHom:

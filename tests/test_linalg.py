@@ -559,9 +559,9 @@ def test_solve_and_first_outside_match_the_per_column_calls(ring, rng):
     g = compose(dmap, gu.random_matrix(rng, q, p, d))
     x = span.solve(g, d)
     assert x == _per_column_solve(span, g, d)
-    # the certificates solve_engine returns are the engine vectors of X's
-    # columns: canonical, without the positions of Laurent unit columns
-    assert span.solve_engine(solvers_impl._engine_columns(g), q, d)[1] == solvers_impl._engine_columns(x)
+    # the certificates solve boxes are the engine vectors of X's columns:
+    # canonical, without the positions of Laurent unit columns
+    assert span._certificates(solvers_impl._engine_columns(g)) == solvers_impl._engine_columns(x)
     assert compose(dmap, x) == g
     # the validating constructor accepts it, and certificates need no projection
     assert GradedMatrixHom(x.source, x.target, x.degree, x.entries) == x
@@ -584,6 +584,30 @@ def test_solve_and_first_outside_match_the_per_column_calls(ring, rng):
             assert span.first_outside(bad) == c
             with pytest.raises(EngineError, match=f"column {c} lies outside the span"):
                 span.solve(bad, d)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring=st.sampled_from(gu.RING_POOL), rng=st.randoms(use_true_random=False))
+def test_a_maps_engine_columns_are_kept_and_compose_as_compose_does(ring, rng):
+    m = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3))
+    p = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=4))
+    q = GradedFreeModule(ring, gu.random_shifts(rng, max_rank=3))
+    f = gu.random_matrix(rng, p, m, 1)
+    g = gu.random_matrix(rng, q, p, rng.choice((0, 1)))
+    vecs = solvers_impl._engine_columns(f)
+    assert vecs == [solvers_impl._encode(ring, c) for c in f._sparse_columns()]
+    assert solvers_impl._engine_columns(f) is vecs
+    assert solvers_impl._engine_compose(vecs, g) == solvers_impl._engine_columns(compose(f, g))
+
+
+def test_a_laurent_engine_product_cancels_t_times_its_inverse():
+    m, p = GradedFreeModule(ZL, (0,)), GradedFreeModule(ZL, (0, 0))
+    t, inv = ZL.gen("t"), ZL.gen("t", -1)
+    f = GradedMatrixHom(p, m, 0, [[t, 1]])
+    for rows, product in (([[inv], [-1]], [{}]), ([[inv], [0]], [{0: ZL.one()}]), ([[inv, inv], [-1, 1]], [{}, {0: 2 * ZL.one()}])):
+        g = GradedMatrixHom(GradedFreeModule(ZL, (0,) * len(rows[0])), p, 0, rows)
+        got = solvers_impl._engine_compose(solvers_impl._engine_columns(f), g)
+        assert got == solvers_impl._engine_columns(compose(f, g)) == [solvers_impl._encode(ZL, c) for c in product]
 
 
 def test_solve_needs_the_span_of_a_map_into_its_module():

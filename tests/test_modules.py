@@ -1,5 +1,6 @@
 """Presented modules, resolutions, chain lifts, and presentation surgery."""
 
+import contextlib
 import itertools
 import math
 import os
@@ -238,6 +239,28 @@ def test_verify_resolution_names_the_pair_that_does_not_compose_to_zero(ring, se
             checked += 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _cube_module(), lambda: presented_module(Z, [0, 0], [(2, 0), (0, 3), (2, 3)])],
+    ids=["cube", "integer"],
+)
+def test_a_perturbed_outside_map_is_refused_after_a_lift_read_its_vectors(make):
+    # every map from outside, as cli._resolution_from_file reads them; the d∘d
+    # check reads vectors encoded from each map's own entries, never borrowed
+    module = make()
+    ring, r = module.ring, module.generators.rank
+    maps = [GradedMatrixHom(d.source, d.target, d.degree, d.entries) for d in resolve(module).maps]
+    i, c = next((i, c) for i, row in enumerate(maps[1]._rows) for c in row)
+    maps[1] = _with_entry_doubled(maps[1], i, c)
+    broken = Resolution(module, maps)
+    endo = module_hom(module, module, 0, [[ring.const(2 if i == j else 0) for i in range(r)] for j in range(r)])
+    with contextlib.suppress(EngineError):  # a broken map may leave a column without a lift
+        lift_endomorphism(broken, endo)
+    assert maps[0]._engine is not None and maps[1]._engine is not None
+    with pytest.raises(EngineError, match=r"^maps 0 and 1 do not compose to zero$"):
+        verify_resolution(broken)
+
+
 def test_padded_resolution_differs_and_verifies():
     rng = random.Random(101)
     for make in ZOO:
@@ -354,14 +377,17 @@ def test_a_broken_second_map_over_a_polynomial_ring_is_not_covered(k):
 
 
 def _count_memberships(monkeypatch):
+    """Record the engine vector of every membership question a backend gets
+    (a divide without certificate, as first_outside asks it)."""
     asked = []
-    inside = ColumnSpan._inside
+    for backend in (solvers_impl._IntBackend, solvers_impl._PolyBackend):
 
-    def counting(obj, column):
-        asked.append(column)
-        return inside(obj, column)
+        def counting(obj, vec, certify=True, divide=backend.divide):
+            if not certify:
+                asked.append(vec)
+            return divide(obj, vec, certify)
 
-    monkeypatch.setattr(ColumnSpan, "_inside", counting)
+        monkeypatch.setattr(backend, "divide", counting)
     return asked
 
 
@@ -376,7 +402,7 @@ def test_verify_resolution_asks_the_backend_only_for_pruned_kernel_columns(monke
     assert asked == []
     verify_resolution(cube)
     spans = [solvers_impl.column_span(d) for d in cube.maps]
-    dropped = [c for span, nxt in zip(spans, spans[1:]) for c in span._sparse_kernel() if c not in nxt.columns]
+    dropped = [c.engine for span, nxt in zip(spans, spans[1:]) for c in span._sparse_kernel() if c not in nxt.columns]
     assert dropped and asked == dropped
 
 

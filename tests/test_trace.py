@@ -1,8 +1,11 @@
 """Traces: free, projective, resolution-based, base change, and additivity."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtrace import (
     ColumnSpan,
@@ -167,6 +170,24 @@ def test_hs_trace_invariant_across_resolutions_and_lifts():
             assert hs_trace(f, res, perturbed).value == base
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ring=st.sampled_from(gu.RING_POOL), rng=st.randoms(use_true_random=False))
+def test_hs_trace_reads_the_same_value_off_the_stages_as_off_the_lift_matrices(ring, rng):
+    # a scalar plus a lift landing in the relations, as the lift golden table
+    # draws them, so that the chain lifts are not all scalars
+    module = gu.random_presented_module(rng, ring, max_rank=4, max_rels=3)
+    gens, rel = module.generators, module.relations
+    y = gu.random_matrix(rng, gens, rel.source, -rel.degree, density=0.6, span=1)
+    scalar = ring.const(rng.randint(-3, 3))
+    lift = GradedMatrixHom(gens, gens, 0, [[scalar if i == j else 0 for j in range(gens.rank)] for i in range(gens.rank)])
+    endo = ModuleHom(module, module, lift + compose(rel, y))
+    res = resolve(module)
+    assert hs_trace(endo, resolution=res) == hs_trace(endo, resolution=res, lifts=lift_endomorphism(res, endo))
+    other = free_presentation(GradedFreeModule(ring, gens.shifts + (0,)))
+    with pytest.raises(ValueError, match="can only lift an endomorphism of the resolved module"):
+        hs_trace(identity_module_hom(other), resolution=res)
+
+
 def test_hs_trace_laurent_weight():
     # multiplication by t on R/(t-1)^2 has trace 2t - t^2 + extra cancellation
     t = ZL.gen("t")
@@ -286,11 +307,29 @@ def test_additivity_on_fixed_sequences(make):
 @pytest.mark.parametrize("make", FIXED_SEQUENCES, ids=lambda f: f.__name__.strip("_"))
 def test_validated_preimages_are_no_part_of_a_sequences_value(make):
     ses, other = make()[0], make()[0]
-    other.preimages = None
+    object.__setattr__(other, "preimages", None)
     assert ses == other and repr(ses) == repr(other)
     parts = ses.left, ses.middle, ses.right, ses.a, ses.b
     with pytest.raises(TypeError):
         ShortExactSequence(*parts, preimages=ses.preimages)
+
+
+@pytest.mark.parametrize("make", FIXED_SEQUENCES, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("name", ["a", "b", "left", "preimages"])
+def test_a_certified_sequence_cannot_be_reassigned(make, name):
+    ses = make()[0]
+    before = getattr(ses, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ses, name, None)
+    assert getattr(ses, name) is before
+
+
+def test_a_presented_modules_relations_cannot_be_reassigned():
+    module = presented_module(Z, [0], [[2]])
+    rel = module.relations
+    with pytest.raises(AttributeError):
+        module.relations = presented_module(Z, [0], [[3]]).relations
+    assert module.relations is rel
 
 
 def test_additivity_defect_values_frozen():
